@@ -2,19 +2,17 @@
 
 Subpackages:
 
-* exactalg  -- the exact coefficient field (Laurent objects in Q, X, Y)
+* exactalg  -- the exact coefficient field (rational functions in Q, X, Y)
 * tableaux  -- tableaux, relation sets, admissibility, windows
 * action    -- module specs, basis vectors and the gated generator action
 * gtcenter  -- Gelfand-Tsetlin subalgebra action, character keys, blocks
 * verify    -- executable identity suites
-* cli       -- command-line front end
 """
 
 from .exactalg import (
     QUANTUM,
     CLASSICAL,
     FieldElement,
-    LaurentPoly,
     LinearExpr,
     bracket,
     dv_operator,
@@ -33,7 +31,6 @@ __all__ = [
     "QUANTUM",
     "CLASSICAL",
     "FieldElement",
-    "LaurentPoly",
     "LinearExpr",
     "bracket",
     "dv_operator",

@@ -34,7 +34,6 @@ from .exactalg import (
 from .tableaux import (
     GENERIC,
     RelationSet,
-    SingularPair,
     Tableau,
     detect_singular_pair,
     enumerate_window,
@@ -512,23 +511,22 @@ def _expand_targets(spec, kind, k, z):
     return out
 
 
-def expand_normal(spec: ModuleSpec, g: Generator, z) -> ModuleElement:
-    """Pipeline for a normal tableau from the given shift representative:
-    expand g symbolically, multiply by [x-y]_q, split through the
-    singular-point functional, then canonicalize."""
-    mode = spec.mode
-    if g.kind in ("qeps", "qh"):
-        # weights are symmetric in x, y: dv([x-y] W) = ev(W) and the
-        # derivative part vanishes identically
-        h = g.h if g.kind == "qh" else tuple(1 if t == g.index else 0 for t in range(1, spec.n + 1))
-        val = spec._eval_weight(h, z)
-        if val.is_zero():
-            return ModuleElement._raw({})
-        return ModuleElement._raw({spec.canonical_normal(z): val})
+def _cartan_vector(spec, g):
+    """The h-vector of a weight generator: g.h for qh, the unit vector
+    eps_k for qeps_k."""
+    if g.kind == "qh":
+        return g.h
+    return tuple(1 if t == g.index else 0 for t in range(1, spec.n + 1))
+
+
+def _split_targets(spec, tag, g, z):
+    """e_k/f_k from shift z through the functional: every gated target gets
+    its dv piece on the normal vector and its ev piece on the derivative
+    vector.  tag is the _pieces tag of the input kind ('N' or 'D')."""
     k = g.index
     terms = {}
     for r, w in _expand_targets(spec, g.kind, k, z):
-        dvp, evp = spec._pieces("N", g.kind, k, r, z)
+        dvp, evp = spec._pieces(tag, g.kind, k, r, z)
         if not dvp.is_zero():
             key = spec.canonical_normal(w)
             cur = terms.get(key)
@@ -540,6 +538,20 @@ def expand_normal(spec: ModuleSpec, g: Generator, z) -> ModuleElement:
                 cur = terms.get(bv)
                 terms[bv] = val if cur is None else cur + val
     return ModuleElement(terms)
+
+
+def expand_normal(spec: ModuleSpec, g: Generator, z) -> ModuleElement:
+    """Pipeline for a normal tableau from the given shift representative:
+    expand g symbolically, multiply by [x-y]_q, split through the
+    singular-point functional, then canonicalize."""
+    if g.kind in ("qeps", "qh"):
+        # weights are symmetric in x, y: dv([x-y] W) = ev(W) and the
+        # derivative part vanishes identically
+        val = spec._eval_weight(_cartan_vector(spec, g), z)
+        if val.is_zero():
+            return ModuleElement._raw({})
+        return ModuleElement._raw({spec.canonical_normal(z): val})
+    return _split_targets(spec, "N", g, z)
 
 
 def expand_derivative(spec: ModuleSpec, g: Generator, z) -> ModuleElement:
@@ -547,39 +559,22 @@ def expand_derivative(spec: ModuleSpec, g: Generator, z) -> ModuleElement:
     (requires a tau-unfixed shift): push g T(v+z) through the functional."""
     if z[spec.zi] == z[spec.zj]:
         raise ValueError("derivative expansion needs a tau-unfixed shift")
-    mode = spec.mode
     if g.kind in ("qeps", "qh"):
         # symmetric weight: dv(W) = 0, so derivative tableaux stay honest
         # weight vectors
-        h = g.h if g.kind == "qh" else tuple(1 if t == g.index else 0 for t in range(1, spec.n + 1))
-        val = spec._eval_weight(h, z)
+        val = spec._eval_weight(_cartan_vector(spec, g), z)
         bv, sign = spec.canonical_derivative(z)
         if bv is None or val.is_zero():
             return ModuleElement._raw({})
         return ModuleElement._raw({bv: val if sign > 0 else -val})
-    k = g.index
-    terms = {}
-    for r, w in _expand_targets(spec, g.kind, k, z):
-        dvp, evp = spec._pieces("D", g.kind, k, r, z)
-        if not dvp.is_zero():
-            key = spec.canonical_normal(w)
-            cur = terms.get(key)
-            terms[key] = dvp if cur is None else cur + dvp
-        if not evp.is_zero():
-            bv, sign = spec.canonical_derivative(w)
-            if bv is not None:
-                val = evp if sign > 0 else -evp
-                cur = terms.get(bv)
-                terms[bv] = val if cur is None else cur + val
-    return ModuleElement(terms)
+    return _split_targets(spec, "D", g, z)
 
 
 def _act_generic(spec: ModuleSpec, g: Generator, bv: BasisVector) -> ModuleElement:
     z = bv.z
     if g.kind in ("qeps", "qh"):
-        h = g.h if g.kind == "qh" else tuple(1 if t == g.index else 0 for t in range(1, spec.n + 1))
         # a classical weight can vanish, and elements hold no zero terms
-        val = spec.weight_element(h, z)
+        val = spec.weight_element(_cartan_vector(spec, g), z)
         if val.is_zero():
             return ModuleElement._raw({})
         return ModuleElement._raw({bv: val})

@@ -321,59 +321,6 @@ def _ppartial(a, var):
 _PONE = {(0, 0, 0): Rat(1)}
 
 
-class Monomial(NamedTuple):
-    coeff: object
-    expq: object
-    expx: int
-    expy: int
-
-
-class LaurentPoly:
-    """Sparse Laurent object; canonical view is the sorted term list."""
-
-    __slots__ = ("t",)
-
-    def __init__(self, terms=None):
-        self.t = {k: c for k, c in terms.items() if c} if terms else {}
-
-    @classmethod
-    def _raw(cls, terms):
-        p = object.__new__(cls)
-        p.t = terms
-        return p
-
-    @classmethod
-    def zero(cls):
-        return cls._raw({})
-
-    @classmethod
-    def one(cls):
-        return cls._raw(dict(_PONE))
-
-    @classmethod
-    def monomial(cls, coeff, expq=0, expx=0, expy=0):
-        c = rat(coeff)
-        if not c:
-            return cls._raw({})
-        return cls._raw({(_eq_key(rat(expq)), expx, expy): c})
-
-    def terms(self):
-        """Monomials with strictly increasing exponent triples."""
-        return [Monomial(c, q, x, y) for (q, x, y), c in sorted(self.t.items())]
-
-    def is_zero(self):
-        return not self.t
-
-    def __eq__(self, other):
-        return isinstance(other, LaurentPoly) and self.t == other.t
-
-    def __hash__(self):
-        return hash(frozenset(self.t.items()))
-
-    def __repr__(self):
-        return f"LaurentPoly({self.t!r})"
-
-
 def _normalize_factor(d):
     """Scale a factor to leading coefficient 1 and zero minimal exponents;
     returns (canonical dict, removed scalar, removed exponent shift)."""
@@ -409,10 +356,6 @@ class FieldElement:
     __slots__ = ("num", "nfac", "fden", "system")
 
     def __init__(self, num, den=None, system=None, _normalize=True):
-        if isinstance(num, LaurentPoly):
-            num = num.t
-        if isinstance(den, LaurentPoly):
-            den = den.t
         if system is None:
             raise TypeError("system is required")
         if den is None:
@@ -504,7 +447,9 @@ class FieldElement:
         return left == right
 
     def __hash__(self):
-        return hash((self.system, len(self.num), len(self.nfac), len(self.fden)))
+        # equal elements may carry different factorizations and unreduced
+        # numerators, so only the system is invariant under __eq__
+        return hash(self.system)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -897,29 +842,6 @@ def _eval_terms(terms, c1, c2, system):
     return _peval_classical(terms, c1, c2)
 
 
-def _eval_with_cancellation(num, den, c, system):
-    """Evaluate num/den at x = y = c with exact X - Y cancellation."""
-    if not num:
-        return {}, dict(_PONE)
-    for _ in range(POLE_CANCEL_DEPTH + 1):
-        dval = _eval_terms(den, c, c, system)
-        if dval:
-            return _eval_terms(num, c, c, system), dval
-        dq = _pdiv_x_minus_y(den)
-        if dq is None:
-            raise PoleAtEvaluation(
-                "denominator vanishes at the singular point and is not "
-                "divisible by X - Y"
-            )
-        nq = _pdiv_x_minus_y(num)
-        if nq is None:
-            raise PoleAtEvaluation("pole at the singular point does not cancel")
-        num, den = nq, dq
-        if not num:
-            return {}, dict(_PONE)
-    raise PoleAtEvaluation(f"pole deeper than {POLE_CANCEL_DEPTH} at evaluation")
-
-
 def _diffval(d, c, system, scale):
     """The singular-point functional applied to a bare term dict, assuming
     it does not vanish identically: prefactor times the evaluated
@@ -932,9 +854,11 @@ def _diffval(d, c, system, scale):
 
 
 def _split_xy_factor(d, c, system):
-    """Evaluate one factor at x = y = c; returns (xy_order, value_dict) where
-    the factor equals (X - Y)^xy_order * (rest) with rest nonvanishing, or
-    (order, None) when the residual vanishes for a different reason."""
+    """Split the X - Y content off one factor at x = y = c.
+
+    Returns (order, value, rest) with d = (X - Y)^order * rest.  value is
+    rest evaluated at the point, or None when rest still vanishes there
+    for a reason other than X - Y."""
     order = 0
     for _ in range(POLE_CANCEL_DEPTH + 1):
         v = _eval_terms(d, c, c, system)
@@ -948,45 +872,51 @@ def _split_xy_factor(d, c, system):
     raise PoleAtEvaluation(f"factor vanishing deeper than {POLE_CANCEL_DEPTH}")
 
 
-def evaluate_at_singular(f: FieldElement, c) -> FieldElement:
-    """Substitute X -> Q^c and Y -> Q^c (classical: x, y -> c).
+def _cancel_xy(f, c):
+    """Cancel the X - Y content of f's denominator factors against its
+    numerator, factor by factor.
 
-    X - Y content is cancelled exactly between the two sides before the
-    substitution, to bounded depth."""
-    c = rat(c)
+    X - Y is prime, so it divides the numerator product only through one of
+    its parts (num or an nfac factor).  Returns (numerator dicts,
+    [(denominator dict, value at the point)]) with f equal to the product
+    of the numerator dicts over the product of the denominator dicts; no
+    denominator value is zero."""
     system = f.system
-    if not f.num:
-        return FieldElement.zero(system)
-    num = f.num
-    xy_net = 0
-    num_vals = []
-    accidental_zero = False
-    for k in f.nfac:
-        order, v, rest = _split_xy_factor(dict(k), c, system)
-        xy_net += order
-        if v is None:
-            accidental_zero = True
-        else:
-            num_vals.append(v)
-    den_vals = []
+    nums = [f.num] + [dict(k) for k in f.nfac]
+    dens = []
     for k in f.fden:
         order, v, rest = _split_xy_factor(dict(k), c, system)
-        xy_net -= order
         if v is None:
             raise PoleAtEvaluation(
                 "denominator factor vanishes at the singular point and is "
                 "not divisible by X - Y"
             )
-        den_vals.append(v)
-    while xy_net < 0:
-        nq = _pdiv_x_minus_y(num)
-        if nq is None:
-            raise PoleAtEvaluation("pole at the singular point does not cancel")
-        num = nq
-        xy_net += 1
-    if accidental_zero or xy_net > 0:
+        dens.append((rest, v))
+        for _ in range(order):
+            for i, part in enumerate(nums):
+                q = _pdiv_x_minus_y(part)
+                if q is not None:
+                    nums[i] = q
+                    break
+            else:
+                raise PoleAtEvaluation("pole at the singular point does not cancel")
+    return nums, dens
+
+
+def evaluate_at_singular(f: FieldElement, c) -> FieldElement:
+    """Substitute X -> Q^c and Y -> Q^c (classical: x, y -> c).
+
+    X - Y content is cancelled exactly between the two sides before the
+    substitution, to bounded depth per factor."""
+    c = rat(c)
+    system = f.system
+    if not f.num:
         return FieldElement.zero(system)
-    return _build(_eval_terms(num, c, c, system), num_vals, den_vals, system)
+    nums, dens = _cancel_xy(f, c)
+    vals = [_eval_terms(d, c, c, system) for d in nums]
+    if not all(vals):
+        return FieldElement.zero(system)
+    return _build(vals[0], vals[1:], [v for _, v in dens], system)
 
 
 def evaluate_at(f: FieldElement, cx, cy) -> FieldElement:
@@ -1014,87 +944,50 @@ def dv_operator(f: FieldElement, c, scale=1) -> FieldElement:
     units of 1/D (scale=D) the prefactor becomes (Q^D - Q^-D)/4 and c must
     be the scaled evaluation exponent.
 
-    Factored inputs go through the product rule: at most one factor may
-    vanish at the point (to first order in X - Y), in which case only its
-    derivative survives; anything deeper falls back to exact symbolic
-    cancellation.
+    The X - Y content of every denominator factor is first cancelled
+    against the numerator factor by factor (as in evaluate_at_singular),
+    which leaves a product of parts with no denominator vanishing at the
+    point.  The product rule then applies: at most one numerator part may
+    vanish there, in which case only its derivative survives; with two or
+    more vanishing parts the functional is zero.
     """
     c = rat(c)
     system = f.system
     if not f.num:
         return FieldElement.zero(system)
-    den_parts = []
-    smooth = True
-    for k in f.fden:
-        v = _eval_terms(dict(k), c, c, system)
-        if not v:
-            smooth = False
-            break
-        den_parts.append((dict(k), v))
-    if smooth:
-        vanishing = None
-        many_vanishing = False
-        num_parts = []
-        nv = _eval_terms(f.num, c, c, system)
-        if nv:
-            num_parts.append((f.num, nv))
+    nums, den_parts = _cancel_xy(f, c)
+    vanishing = None
+    num_parts = []
+    for d in nums:
+        v = _eval_terms(d, c, c, system)
+        if v:
+            num_parts.append((d, v))
+        elif vanishing is None:
+            vanishing = d
         else:
-            vanishing = f.num
-        for k in f.nfac:
-            d = dict(k)
-            v = _eval_terms(d, c, c, system)
-            if v:
-                num_parts.append((d, v))
-            elif vanishing is None:
-                vanishing = d
-            else:
-                many_vanishing = True
-                break
-        if many_vanishing:
             return FieldElement.zero(system)
-        if vanishing is not None:
-            # only the vanishing factor's derivative survives the product rule
-            out = _diffval(vanishing, c, system, scale)
-            if not out:
-                return FieldElement.zero(system)
-            return _build(out, [v for _, v in num_parts],
-                          [v for _, v in den_parts], system)
-        # logarithmic derivative over all factors
-        total = FieldElement.zero(system)
-        for d, v in num_parts:
-            dv = _diffval(d, c, system, scale)
-            if dv:
-                total = total + _build(dv, [], [v], system)
-        for d, v in den_parts:
-            dv = _diffval(d, c, system, scale)
-            if dv:
-                total = total - _build(dv, [], [v], system)
-        if total.is_zero():
+    if vanishing is not None:
+        # only the vanishing factor's derivative survives the product rule
+        out = _diffval(vanishing, c, system, scale)
+        if not out:
             return FieldElement.zero(system)
-        evf = _build(dict(_PONE), [v for _, v in num_parts],
-                     [v for _, v in den_parts], system)
-        return evf * total
-    # same machinery as before, on the fully expanded representation
-    n = f.expanded_num()
-    facs = [dict(k) for k in f.fden]
-    dpoly = dict(_PONE)
-    for d in facs:
-        dpoly = _pmul(dpoly, d)
-    ddash = {}
-    for i, d in enumerate(facs):
-        term = _diff_terms(d, system)
-        for j, other in enumerate(facs):
-            if j != i:
-                term = _pmul(term, other)
-        ddash = _padd(ddash, term)
-    num = _psub(_pmul(_diff_terms(n, system), dpoly), _pmul(n, ddash))
-    num, den = _eval_with_cancellation(num, _pmul(dpoly, dpoly), c, system)
-    if system == QUANTUM:
-        num = _pmul(num, {(scale, 0, 0): Rat(1), (-scale, 0, 0): Rat(-1)})
-        den = _pscale(den, Rat(4))
-    else:
-        den = _pscale(den, Rat(2))
-    return _build(num, [], [den], system)
+        return _build(out, [v for _, v in num_parts],
+                      [v for _, v in den_parts], system)
+    # logarithmic derivative over all factors
+    total = FieldElement.zero(system)
+    for d, v in num_parts:
+        dv = _diffval(d, c, system, scale)
+        if dv:
+            total = total + _build(dv, [], [v], system)
+    for d, v in den_parts:
+        dv = _diffval(d, c, system, scale)
+        if dv:
+            total = total - _build(dv, [], [v], system)
+    if total.is_zero():
+        return FieldElement.zero(system)
+    evf = _build(dict(_PONE), [v for _, v in num_parts],
+                 [v for _, v in den_parts], system)
+    return evf * total
 
 
 def scale_q_exponents(f: FieldElement, factor) -> FieldElement:

@@ -22,9 +22,7 @@ resulting character data is used, never the absolute normalization.
 from itertools import combinations
 from typing import NamedTuple
 
-from ._rat import Rat, rat
 from .exactalg import (
-    CLASSICAL,
     QUANTUM,
     FieldElement,
     LinearExpr,
@@ -36,7 +34,6 @@ from .exactalg import (
     q_power,
 )
 from .action import (
-    DERIVATIVE,
     NORMAL,
     BasisVector,
     ModuleElement,
@@ -127,17 +124,8 @@ def act_central(m: int, k: int, bv: BasisVector, spec: ModuleSpec) -> ModuleElem
         val = _gamma_symbolic(spec, m, k, bv.z, faulted=spec.fault.gamma_prefactor)
         return ModuleElement({bv: val})
     z = bv.z
-    if bv.kind == NORMAL:
-        tpart, dpart = _gamma_pieces(spec, m, k, z, with_bracket=True)
-        terms = {}
-        if not tpart.is_zero():
-            terms[spec.canonical_normal(z)] = tpart
-        if not dpart.is_zero():
-            dbv, sign = spec.canonical_derivative(z)
-            if dbv is not None:
-                terms[dbv] = dpart if sign > 0 else -dpart
-        return ModuleElement(terms)
-    tpart, dpart = _gamma_pieces(spec, m, k, z)
+    # normal inputs multiply in [x-y]_q before the functional
+    tpart, dpart = _gamma_pieces(spec, m, k, z, with_bracket=bv.kind == NORMAL)
     terms = {}
     if not tpart.is_zero():
         terms[spec.canonical_normal(z)] = tpart

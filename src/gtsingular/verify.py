@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from ._rat import Rat, rat
+from ._rat import Rat
 from .exactalg import (
     CLASSICAL,
     QUANTUM,
@@ -25,9 +25,6 @@ from .exactalg import (
     tau_swap,
 )
 from .tableaux import (
-    GENERIC,
-    RelationSet,
-    Tableau,
     enumerate_window,
     highest_weight_tableau,
     interlacing_relations,
@@ -38,13 +35,11 @@ from .action import (
     DERIVATIVE,
     NORMAL,
     BasisVector,
-    Generator,
     ModuleElement,
     ModuleSpec,
     NonRealizable,
     act,
     act_element,
-    act_word,
     combine,
     expand_derivative,
     expand_normal,
@@ -57,7 +52,6 @@ from .gtcenter import (
     act_central,
     act_central_element,
     block_report,
-    character_key,
     eigen_index_set,
     gamma_evaluated,
 )
@@ -177,33 +171,7 @@ def _quantum_relation_instances(spec):
     qcoeff = FieldElement(
         {(qs, 0, 0): Rat(1), (-qs, 0, 0): Rat(1)}, {(0, 0, 0): Rat(1)}, QUANTUM
     )
-    for gen, kind in ((gen_e, "e"), (gen_f, "f")):
-        for r in range(1, n):
-            for s in range(1, n):
-                if abs(r - s) == 1:
-
-                    def serre(b, v, r=r, s=s, gen=gen):
-                        A = act(gen(r), b, spec)
-                        B = act(gen(s), b, spec)
-                        t1 = act_element(gen(r), act_element(gen(r), B, spec), spec)
-                        t2 = act_element(gen(r), act_element(gen(s), A, spec), spec)
-                        t3 = act_element(gen(s), act_element(gen(r), A, spec), spec)
-                        return combine([t1, -t2.scale(qcoeff), t3], spec)
-
-                    instances.append((f"Serre {kind}_{r}{kind}_{s}", serre))
-                elif r < s and s - r > 1:
-
-                    def distant(b, v, r=r, s=s, gen=gen):
-                        return combine(
-                            [
-                                act_element(gen(r), act(gen(s), b, spec), spec),
-                                -act_element(gen(s), act(gen(r), b, spec), spec),
-                            ],
-                            spec,
-                        )
-
-                    instances.append((f"[{kind}_{r}, {kind}_{s}] = 0", distant))
-    return instances
+    return instances + _serre_and_distant_instances(spec, qcoeff)
 
 
 def _classical_relation_instances(spec):
@@ -253,6 +221,14 @@ def _classical_relation_instances(spec):
             instances.append((f"[e_{r}, f_{s}] commutator", ef_rel))
 
     two = FieldElement.scalar(2, CLASSICAL)
+    return instances + _serre_and_distant_instances(spec, two)
+
+
+def _serre_and_distant_instances(spec, serre_coeff):
+    """The Serre relations, with the system's middle coefficient ([2]_q or
+    2), and the commutation of distant e's and of distant f's."""
+    n = spec.n
+    instances = []
     for gen, kind in ((gen_e, "e"), (gen_f, "f")):
         for r in range(1, n):
             for s in range(1, n):
@@ -264,14 +240,18 @@ def _classical_relation_instances(spec):
                         t1 = act_element(gen(r), act_element(gen(r), B, spec), spec)
                         t2 = act_element(gen(r), act_element(gen(s), A, spec), spec)
                         t3 = act_element(gen(s), act_element(gen(r), A, spec), spec)
-                        return t1 - t2.scale(two) + t3
+                        return combine([t1, -t2.scale(serre_coeff), t3], spec)
 
                     instances.append((f"Serre {kind}_{r}{kind}_{s}", serre))
                 elif r < s and s - r > 1:
 
                     def distant(b, v, r=r, s=s, gen=gen):
-                        return act_element(gen(r), act(gen(s), b, spec), spec) - act_element(
-                            gen(s), act(gen(r), b, spec), spec
+                        return combine(
+                            [
+                                act_element(gen(r), act(gen(s), b, spec), spec),
+                                -act_element(gen(s), act(gen(r), b, spec), spec),
+                            ],
+                            spec,
                         )
 
                     instances.append((f"[{kind}_{r}, {kind}_{s}] = 0", distant))
@@ -407,6 +387,23 @@ def _sample_invertible(rng, system, c):
             return f
 
 
+def pole_families(rng, system, c):
+    """The pole-bearing families of check_appendix, as (name, [(f_m, h_m)],
+    whether the ev identity is checked).  The identities concern the total
+    sum f_m h_m / [x-y], that is sum f_m g_m with g_m = h_m/[x-y], whose
+    terms have a first-order pole on X = Y."""
+    # weak family: f = (a, a^tau), h = (h1, -h1^tau); the twisted sum is
+    # symmetric, so its dv vanishes while the sum itself does not.
+    a = sample_smooth(rng, system)
+    h1 = _sample_invertible(rng, system, c)
+    weak = [(a, h1), (tau_swap(a), -tau_swap(h1))]
+    # strong family: the twisted sum vanishes identically.
+    bden = _sample_invertible(rng, system, c)
+    w = -(tau_swap(a) * h1) / tau_swap(bden)
+    strong = [(a, h1), (bden, w)]
+    return [("weak", weak, False), ("strong", strong, True)]
+
+
 def check_appendix(system=QUANTUM, samples=100, seed=20240901) -> CheckReport:
     """Identities of the singular-point functional on seeded random smooth
     elements, plus constructed families with first-order poles on X = Y."""
@@ -447,18 +444,7 @@ def check_appendix(system=QUANTUM, samples=100, seed=20240901) -> CheckReport:
              dv_operator(f, c) * dv_operator(b * gs, c) == dv_operator(f * gs, c))
         )
 
-        # pole-bearing families: g_m = h_m/[x-y] with smooth h_m.
-        # weak family: f = (a, a^tau), h = (h1, -h1^tau); the twisted sum is
-        # symmetric, so its dv vanishes while the sum itself does not.
-        a = sample_smooth(rng, system)
-        h1 = _sample_invertible(rng, system, c)
-        weak = [(a, h1), (tau_swap(a), -tau_swap(h1))]
-        # strong family: the twisted sum vanishes identically.
-        bden = _sample_invertible(rng, system, c)
-        w = -(tau_swap(a) * h1) / tau_swap(bden)
-        strong = [(a, h1), (bden, w)]
-
-        for name, fam, test_ev in (("weak", weak, False), ("strong", strong, True)):
+        for name, fam, test_ev in pole_families(rng, system, c):
             lhs_i = FieldElement.zero(system)
             lhs_ii = FieldElement.zero(system)
             total = FieldElement.zero(system)

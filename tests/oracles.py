@@ -2,12 +2,23 @@
 
 These deliberately reimplement definitions in the most literal way
 (explicit chain search, naive component merging, nested pattern loops) so
-they share no code with the library paths they check.
+they share no code with the library paths they check.  The exception is
+the singular-point functional oracle, built from the public derivative
+and evaluation functions: it checks the factor-wise product rule of
+dv_operator against the expanded quotient rule.
 """
 
 from collections import deque
 from fractions import Fraction
 
+from gtsingular._rat import Rat
+from gtsingular.exactalg import (
+    QUANTUM,
+    FieldElement,
+    euler_derivative,
+    evaluate_at_singular,
+    partial_derivative,
+)
 from gtsingular.tableaux import Position, Relation
 
 
@@ -156,3 +167,25 @@ def oracle_weyl_dimension(lam):
             den *= j - i
     assert num % den == 0
     return num // den
+
+
+# ---------------------------------------------------------------------------
+# singular-point functional oracle
+# ---------------------------------------------------------------------------
+
+def oracle_dv(f, c, scale=1):
+    """The singular-point functional by its definition: the quotient rule
+    on the expanded form (one numerator over the squared denominator), then
+    evaluation at x = y = c.
+
+    quantum   (Q^D - Q^-D)/4 * ev(X d/dX f - Y d/dY f)
+    classical 1/2 * ev(d/dx f - d/dy f)
+    """
+    if f.system == QUANTUM:
+        diff = euler_derivative(f, "x") - euler_derivative(f, "y")
+        pre = FieldElement({(scale, 0, 0): Rat(1), (-scale, 0, 0): Rat(-1)},
+                           None, QUANTUM).scale(Rat(1, 4))
+    else:
+        diff = partial_derivative(f, "x") - partial_derivative(f, "y")
+        pre = FieldElement.scalar(Rat(1, 2), f.system)
+    return pre * evaluate_at_singular(diff, c)

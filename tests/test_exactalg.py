@@ -23,6 +23,9 @@ from gtsingular.exactalg import (
     q_power,
     tau_swap,
 )
+from gtsingular.verify import pole_families
+
+from oracles import oracle_dv
 
 
 def mono(coeff, eq=0, ex=0, ey=0, system=QUANTUM):
@@ -89,6 +92,14 @@ class TestFieldArithmetic:
     def test_mixed_systems_rejected(self):
         with pytest.raises(ValueError):
             ONE + FieldElement.one(CLASSICAL)
+
+    def test_hash_agrees_with_eq(self):
+        # the double inverse keeps X - Y as a numerator factor, the plain
+        # difference keeps it expanded: equal, so they must hash equal
+        a = X() - Y()
+        b = ONE / (ONE / (X() - Y()))
+        assert a == b
+        assert len({a, b}) == 1
 
 
 small_rats = st.builds(
@@ -328,3 +339,75 @@ class TestQPower:
     def test_classical_partial(self):
         x = linear_element(LinearExpr(Rat(2), 1, 0), CLASSICAL)
         assert partial_derivative(x * x, "x") == x.scale(2)
+
+
+def vanishing_den(f, c):
+    """Whether some denominator factor of f vanishes at x = y = c."""
+    return any(
+        evaluate_at(FieldElement(dict(k), None, f.system), c, c).is_zero()
+        for k in f.fden
+    )
+
+
+SYSTEMS = pytest.mark.parametrize("system", [QUANTUM, CLASSICAL])
+
+
+class TestDvPoleInputs:
+    """dv_operator against the expanded quotient rule on inputs with a
+    denominator factor that vanishes at the point.  Each input is built as
+    a product with 1/[x-y]: products cancel only identical factors, so the
+    vanishing factor stays in the denominator (a quotient would divide it
+    out of the numerator in the classical system)."""
+
+    @SYSTEMS
+    def test_difference_quotient(self, system):
+        rng = random.Random(21)
+        inv_b = FieldElement.one(system) / bracket(XY, system)
+        for _ in range(8):
+            f = random_smooth(rng, system)
+            c = Rat(rng.randint(-3, 3))
+            h = (f - tau_swap(f)) * inv_b
+            assert vanishing_den(h, c)
+            assert dv_operator(h, c) == oracle_dv(h, c)
+
+    @SYSTEMS
+    def test_pole_family_totals(self, system):
+        rng = random.Random(22)
+        inv_b = FieldElement.one(system) / bracket(XY, system)
+        for _ in range(2):
+            c = Rat(rng.randint(-4, 4), rng.choice([1, 1, 2]))
+            for name, fam, _ in pole_families(rng, system, c):
+                total = FieldElement.zero(system)
+                for fm, hm in fam:
+                    total = total + fm * hm
+                total = total * inv_b
+                assert vanishing_den(total, c), name
+                assert dv_operator(total, c) == oracle_dv(total, c), name
+
+    @SYSTEMS
+    def test_squared_bracket_over_bracket(self, system):
+        rng = random.Random(23)
+        one = FieldElement.one(system)
+        b = bracket(XY, system)
+        inv_b = one / b
+        # a double inverse keeps [x-y]^2 as one numerator factor, and 1/[x-y]^2
+        # has one denominator factor of second order in X - Y
+        bb_factor = one / (one / (b * b))
+        inv_bb = one / (b * b)
+        for _ in range(4):
+            f = random_smooth(rng, system)
+            c = Rat(rng.randint(-3, 3), 2)
+            want = dv_operator(b * f, c)
+            for g in ((b * b * f) * inv_b, f * bb_factor * inv_b, (b * b * b * f) * inv_bb):
+                assert vanishing_den(g, c)
+                assert dv_operator(g, c) == oracle_dv(g, c) == want
+
+    @SYSTEMS
+    def test_uncancellable_pole_raises(self, system):
+        b = bracket(XY, system)
+        one = FieldElement.one(system)
+        for f in (one / b, (one + b) / (b * b)):
+            with pytest.raises(PoleAtEvaluation):
+                dv_operator(f, 1)
+            with pytest.raises(PoleAtEvaluation):
+                oracle_dv(f, 1)
