@@ -7,6 +7,7 @@ Subpackages:
 * action    -- module specs, basis vectors and the gated generator action
 * gtcenter  -- Gelfand-Tsetlin subalgebra action, character keys, blocks
 * verify    -- executable identity suites
+* cli       -- the ``gtsingular`` command (not imported here)
 """
 
 from .exactalg import (

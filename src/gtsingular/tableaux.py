@@ -526,29 +526,63 @@ def in_basis(T: Tableau, C: RelationSet, sp=GENERIC) -> bool:
 
 def enumerate_window(C: RelationSet, T: Tableau, B: int):
     """All shift vectors z with max-norm at most B whose tableau lies in the
-    orbit basis, in lexicographic order."""
+    orbit basis, in lexicographic order.
+
+    Every relation either compares two entries of the unshifted top row,
+    which holds for all z or for none, or bounds the entry in its lower row
+    by an entry of a higher row: z[pos] >= z[src] + const or
+    z[pos] <= z[src] + const, the constant being the integral base gap.  So
+    the rows are filled from n-1 down to 1.  Each entry ranges over [-B, B]
+    cut by its bounds against the rows already fixed, the entries of one
+    row are independent, and an empty range prunes the branch, so the
+    (2B+1)^(n(n-1)/2) box is never scanned.
+    """
     if B < 0:
         raise ValueError("window bound must be nonnegative")
     n = T.n
     nfree = n * (n - 1) // 2
-    compiled = [
-        (rel.lhs.row, rel.lhs.col, rel.rhs.row, rel.rhs.col, rel.strict)
-        for rel in C.relations
-    ]
-    base = T.base
+    top = nfree  # z[top] stands for the top row, whose shift is always 0
+    lower = [[] for _ in range(nfree)]
+    upper = [[] for _ in range(nfree)]
+    for rel in C.relations:
+        (lr, lc), (rr, rc), strict = rel
+        # entry(lhs) - entry(rhs) = gap + z[lhs] - z[rhs] must be >= step
+        gap = T.base[lr - 1][lc - 1] - T.base[rr - 1][rc - 1]
+        if not is_integral(gap):
+            return []
+        gap, step = as_int(gap), int(strict)
+        lz = z_index(lr, lc) if lr < n else top
+        rz = z_index(rr, rc) if rr < n else top
+        if lr == rr == n:
+            if gap < step:
+                return []
+        elif lr < rr:
+            lower[lz].append((rz, step - gap))
+        elif rr < lr:
+            upper[rz].append((lz, gap - step))
+        else:
+            raise ValueError(f"relation {rel!r} joins two shifted entries of one row")
+    z = [0] * (nfree + 1)
     out = []
-    rng = range(-B, B + 1)
-    for z in product(rng, repeat=nfree):
-        ok = True
-        for lr, lc, rr, rc, strict in compiled:
-            lv = base[lr - 1][lc - 1] + (z[z_index(lr, lc)] if lr < n else 0)
-            rv = base[rr - 1][rc - 1] + (z[z_index(rr, rc)] if rr < n else 0)
-            d = lv - rv
-            if not is_integral(d) or (d <= 0 if strict else d < 0):
-                ok = False
-                break
-        if ok:
-            out.append(z)
+
+    def fill(row):
+        if row == 0:
+            out.append(tuple(z[:nfree]))
+            return
+        start = z_index(row, 1)
+        ranges = []
+        for p in range(start, start + row):
+            lo = max([-B] + [z[src] + c for src, c in lower[p]])
+            hi = min([B] + [z[src] + c for src, c in upper[p]])
+            if lo > hi:
+                return
+            ranges.append(range(lo, hi + 1))
+        for entries in product(*ranges):
+            z[start:start + row] = entries
+            fill(row - 1)
+
+    fill(n - 1)
+    out.sort()
     return out
 
 

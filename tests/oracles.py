@@ -10,8 +10,9 @@ dv_operator against the expanded quotient rule.
 
 from collections import deque
 from fractions import Fraction
+from itertools import product
 
-from gtsingular._rat import Rat
+from gtsingular._rat import Rat, is_integral
 from gtsingular.exactalg import (
     QUANTUM,
     FieldElement,
@@ -19,7 +20,7 @@ from gtsingular.exactalg import (
     evaluate_at_singular,
     partial_derivative,
 )
-from gtsingular.tableaux import Position, Relation
+from gtsingular.tableaux import Position, Relation, z_index
 
 
 def naive_components(rels):
@@ -134,14 +135,45 @@ def oracle_admissible(n, rels):
 
 
 # ---------------------------------------------------------------------------
+# window oracle
+# ---------------------------------------------------------------------------
+
+def oracle_window(C, T, B):
+    """All shift vectors z with max-norm at most B whose tableau lies in the
+    orbit basis, in lexicographic order: every candidate of the
+    (2B+1)^(n(n-1)/2) box, filtered by every relation."""
+    if B < 0:
+        raise ValueError("window bound must be nonnegative")
+    n = T.n
+    nfree = n * (n - 1) // 2
+    compiled = [
+        (rel.lhs.row, rel.lhs.col, rel.rhs.row, rel.rhs.col, rel.strict)
+        for rel in C.relations
+    ]
+    base = T.base
+    out = []
+    rng = range(-B, B + 1)
+    for z in product(rng, repeat=nfree):
+        ok = True
+        for lr, lc, rr, rc, strict in compiled:
+            lv = base[lr - 1][lc - 1] + (z[z_index(lr, lc)] if lr < n else 0)
+            rv = base[rr - 1][rc - 1] + (z[z_index(rr, rc)] if rr < n else 0)
+            d = lv - rv
+            if not is_integral(d) or (d <= 0 if strict else d < 0):
+                ok = False
+                break
+        if ok:
+            out.append(z)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # finite-dimensional pattern oracles
 # ---------------------------------------------------------------------------
 
 def oracle_patterns(lam):
     """All interlacing integer patterns with the given top row, enumerated
     by nested range products in highest-weight coordinates."""
-    from itertools import product as iproduct
-
     n = len(lam)
     result = [[tuple(lam)]]
     for _ in range(n - 1):
@@ -150,7 +182,7 @@ def oracle_patterns(lam):
             top = p[-1]
             k = len(top) - 1
             ranges = [range(top[j + 1], top[j] + 1) for j in range(k)]
-            for row in iproduct(*ranges):
+            for row in product(*ranges):
                 nxt.append(p + [row])
         result = nxt
     return result

@@ -27,7 +27,7 @@ from gtsingular.tableaux import (
     succ_relation,
 )
 
-from oracles import oracle_admissible, oracle_patterns, oracle_weyl_dimension
+from oracles import oracle_admissible, oracle_patterns, oracle_weyl_dimension, oracle_window
 
 P = Position
 R = Relation
@@ -247,7 +247,7 @@ class TestBasisWindow:
         assert enumerate_window(RelationSet(2, []), T, 0) == [(0,)]
 
     def test_window_matches_pattern_oracle(self):
-        for lam in ([3, 0], [2, 1, 0], [3, 1, 0]):
+        for lam in ([3, 0], [2, 1, 0], [3, 1, 0], [3, 1, 0, 0], [2, 1, 0, 0, 0]):
             n = len(lam)
             T = highest_weight_tableau(lam)
             S = interlacing_relations(n)
@@ -267,6 +267,57 @@ class TestBasisWindow:
                 )
             expected = {tuple(tuple(row) for row in p) for p in pats}
             assert got == expected
+
+
+def random_window_case(rng, n):
+    """A base with entries in Z + {0, 1/2, 1/3}, so some gaps are not
+    integral, and either a random subset of the universe or a random
+    thinning of the base's maximal relation set (whose windows are mostly
+    non-empty)."""
+    offsets = (0, 0, 0, Rat(1, 2), Rat(1, 3))
+    base = [
+        [Rat(rng.randint(-3, 3)) + rng.choice(offsets) for _ in range(r)]
+        for r in range(1, n + 1)
+    ]
+    T = Tableau(n, base)
+    if rng.random() < 0.5:
+        p = rng.choice((0.05, 0.1, 0.2))
+        rels = [rel for rel in relation_universe(n) if rng.random() < p]
+    else:
+        keep = rng.random()
+        rels = [rel for rel in maximal_relation_set(T)[0].relations if rng.random() < keep]
+    return RelationSet(n, rels), T
+
+
+class TestWindowOracle:
+    @pytest.mark.parametrize("n, max_bound, cases", [(2, 3, 60), (3, 3, 80), (4, 2, 15)])
+    def test_random_cases(self, n, max_bound, cases):
+        rng = random.Random(100 + n)
+        nonempty = 0
+        for _ in range(cases):
+            C, T = random_window_case(rng, n)
+            B = rng.randint(0, max_bound)
+            got = enumerate_window(C, T, B)
+            assert got == oracle_window(C, T, B), (C, T, B)
+            nonempty += bool(got)
+        assert 3 * nonempty >= cases
+
+    def test_failing_top_row_relation(self):
+        rel = R(P(2, 1), P(2, 2), False)
+        for top in ([0, 1], [Rat(1, 2), 0]):  # gap -1, and a non-integral gap
+            T = Tableau(2, [[0], top])
+            assert enumerate_window(RelationSet(2, [rel]), T, 2) == []
+            assert oracle_window(RelationSet(2, [rel]), T, 2) == []
+        T = Tableau(2, [[0], [1, 0]])
+        assert enumerate_window(RelationSet(2, [rel]), T, 1) == [(-1,), (0,), (1,)]
+
+    def test_bad_input_raises(self):
+        T = highest_weight_tableau([2, 1, 0])
+        with pytest.raises(ValueError):
+            enumerate_window(interlacing_relations(3), T, -1)
+        same_row = RelationSet(3, [R(P(2, 1), P(2, 2), False)], validate=False)
+        with pytest.raises(ValueError):
+            enumerate_window(same_row, T, 1)
 
 
 class TestEnumerate:

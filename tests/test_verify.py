@@ -8,6 +8,7 @@ from gtsingular.tableaux import (
     highest_weight_tableau,
     interlacing_relations,
 )
+from gtsingular import verify
 from gtsingular.action import Fault, ModuleSpec
 from gtsingular.verify import (
     check_appendix,
@@ -19,6 +20,7 @@ from gtsingular.verify import (
 )
 
 from test_action import generic_spec_n2, singular_spec_n3
+from test_exactalg import vanishing_den
 
 
 def test_relations_generic_n2():
@@ -84,6 +86,20 @@ def test_appendix_quick():
     assert rep, rep.render()
 
 
+def test_appendix_classical_exercises_poles(monkeypatch):
+    # the classical pole-family and difference-quotient inputs must keep their
+    # vanishing denominator factor, so that pole cancellation is exercised
+    seen = {}
+    for name in ("dv_operator", "evaluate_at_singular"):
+        def record(f, c, _fn=getattr(verify, name), _name=name):
+            seen[_name] = seen.get(_name, False) or vanishing_den(f, c)
+            return _fn(f, c)
+        monkeypatch.setattr(verify, name, record)
+    rep = check_appendix(CLASSICAL, samples=3, seed=11)
+    assert rep, rep.render()
+    assert seen == {"dv_operator": True, "evaluate_at_singular": True}
+
+
 def test_gamma_generic_and_singular():
     rep = check_gamma(generic_spec_n2(), 2)
     assert rep, rep.render()
@@ -96,6 +112,14 @@ def test_finite_dimensional_small():
     assert rep, rep.render()
     rep = check_finite_dimensional([2, 1, 0], CLASSICAL)
     assert rep, rep.render()
+
+
+@pytest.mark.parametrize("mode", [QUANTUM, CLASSICAL])
+@pytest.mark.parametrize("lam, dim", [([3, 1, 0, 0], 45), ([2, 1, 0, 0, 0], 40)])
+def test_finite_dimensional_n4_n5(lam, dim, mode):
+    rep = check_finite_dimensional(lam, mode)
+    assert rep, rep.render()
+    assert f"basis {dim}, Weyl {dim}" in rep.summary
 
 
 def test_irreducibility_generic():
