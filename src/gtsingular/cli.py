@@ -1,15 +1,13 @@
 """Command-line entry point for the checks that need no module spec.
 
-    gtsingular findim 3 1 0 0 [--classical] [--json]
-    gtsingular appendix [--samples N] [--seed S] [--classical] [--json]
+    gtsingular findim 3 1 0 0 [--classical]
+    gtsingular appendix [--samples N] [--seed S] [--classical]
 
-Prints the check's report (``--json``: its fields as a JSON object) and
-exits 0 on PASS, 1 on FAIL.
+Prints the check's report and exits 0 on PASS, 1 on FAIL and 2 on a usage
+error, such as a weight that is not weakly decreasing.
 """
 
 import argparse
-import dataclasses
-import json
 import sys
 
 from . import verify
@@ -21,7 +19,6 @@ def _parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--classical", action="store_true",
                         help="classical gl(n) instead of quantum")
-    common.add_argument("--json", action="store_true", help="print the report as JSON")
     sub = parser.add_subparsers(dest="check", required=True)
     findim = sub.add_parser("findim", parents=[common],
                             help="finite-dimensional module of a dominant integral weight")
@@ -34,18 +31,19 @@ def _parser():
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
     mode = CLASSICAL if args.classical else QUANTUM
     # looked up in verify at call time, so a rebinding there is honoured
-    if args.check == "findim":
-        report = verify.check_finite_dimensional(args.lam, mode)
-    else:
-        given = {k: getattr(args, k) for k in ("samples", "seed") if getattr(args, k) is not None}
-        report = verify.check_appendix(mode, **given)
-    if args.json:
-        print(json.dumps(dataclasses.asdict(report)))
-    else:
-        print(report.render())
+    try:
+        if args.check == "findim":
+            report = verify.check_finite_dimensional(args.lam, mode)
+        else:
+            given = {k: getattr(args, k) for k in ("samples", "seed") if getattr(args, k) is not None}
+            report = verify.check_appendix(mode, **given)
+    except ValueError as exc:
+        parser.error(str(exc))
+    print(report.render())
     return 0 if report.passed else 1
 
 

@@ -528,11 +528,12 @@ def enumerate_window(C: RelationSet, T: Tableau, B: int):
     """All shift vectors z with max-norm at most B whose tableau lies in the
     orbit basis, in lexicographic order.
 
-    Every relation either compares two entries of the unshifted top row,
-    which holds for all z or for none, or bounds the entry in its lower row
-    by an entry of a higher row: z[pos] >= z[src] + const or
-    z[pos] <= z[src] + const, the constant being the integral base gap.  So
-    the rows are filled from n-1 down to 1.  Each entry ranges over [-B, B]
+    The relations of C must come from relation_universe(n), as RelationSet
+    checks unless built with validate=False.  So every relation either
+    compares two entries of the unshifted top row, which holds for all z or
+    for none, or bounds the entry in its lower row by an entry of a higher
+    row: z[pos] >= z[src] + const or z[pos] <= z[src] + const, the constant
+    being the integral base gap.  So the rows are filled from n-1 down to 1.  Each entry ranges over [-B, B]
     cut by its bounds against the rows already fixed, the entries of one
     row are independent, and an empty range prunes the branch, so the
     (2B+1)^(n(n-1)/2) box is never scanned.
@@ -558,10 +559,8 @@ def enumerate_window(C: RelationSet, T: Tableau, B: int):
                 return []
         elif lr < rr:
             lower[lz].append((rz, step - gap))
-        elif rr < lr:
-            upper[rz].append((lz, gap - step))
         else:
-            raise ValueError(f"relation {rel!r} joins two shifted entries of one row")
+            upper[rz].append((lz, gap - step))
     z = [0] * (nfree + 1)
     out = []
 

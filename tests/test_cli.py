@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from gtsingular import cli, verify
@@ -11,13 +9,6 @@ def test_findim_pass(capsys):
     out = capsys.readouterr().out
     assert out.startswith("[PASS] finite-dimensional: highest weight (2, 1, 0): basis 8")
     assert "(classical)" in out
-
-
-def test_appendix_json(capsys):
-    assert cli.main(["appendix", "--samples", "1", "--seed", "3", "--json"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["name"] == "appendix-identities" and report["passed"]
-    assert report["seed"] == 3
 
 
 def test_failing_check_exits_one(monkeypatch, capsys):
@@ -38,3 +29,11 @@ def test_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["findim"])
     assert exc.value.code == 2
+
+
+def test_bad_weight_is_a_usage_error(capsys):
+    # a malformed weight exits 2, not 1, so a script can tell it from a FAIL
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["findim", "0", "1"])
+    assert exc.value.code == 2
+    assert "weakly decreasing" in capsys.readouterr().err
