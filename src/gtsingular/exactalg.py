@@ -125,33 +125,14 @@ def _pswap_xy(a):
     return {(q, y, x): c for (q, x, y), c in a.items()}
 
 
-def _collapse_y_to_x(a):
-    """Substitute Y -> X; zero result iff (X - Y) divides."""
-    out = {}
-    for (q, x, y), c in a.items():
-        k = (q, x + y, 0)
-        s = out.get(k)
-        if s is None:
-            out[k] = c
-        else:
-            s = s + c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-    return out
-
-
 def _pdiv_x_minus_y(a):
     """Exact division by X - Y; returns the quotient dict or None.
 
     Works on Laurent terms: negative exponents are allowed since X - Y
-    divides P exactly when it divides X^m Y^m P.
+    divides P exactly when it divides X^m Y^m P.  The chains along
+    X/Y are keyed by (Q, X*Y), so the chain-sum test of _pdiv_binomial
+    is the substitution Y -> X.
     """
-    if not a:
-        return {}
-    if _collapse_y_to_x(a):
-        return None
     return _pdiv_binomial(a, (0, 1, 0), Rat(1), (0, 0, 1), Rat(-1))
 
 
@@ -166,12 +147,13 @@ def _floor_div(a, b):
 
 def _pdiv_binomial(a, lead, lc, trail, tc):
     """Exact division by lc*M_lead + tc*M_trail along exponent chains in the
-    direction lead - trail; returns the quotient dict or None."""
-    if lc == 1 and tc == -1:
-        # the factor vanishes at Q = X = Y = 1, so a zero coefficient sum is
-        # necessary for divisibility: a cheap rejection for most attempts
-        if sum(a.values()):
-            return None
+    direction lead - trail; returns the quotient dict or None.
+
+    The factor maps each chain into itself, so it divides a exactly when it
+    divides every chain.  For M_lead - M_trail, which is M_trail*(s - 1)
+    with s the chain step, that holds exactly when every chain's
+    coefficients sum to zero; this is tested on all chains before any is
+    divided."""
     dq = lead[0] - trail[0]
     dx = lead[1] - trail[1]
     dy = lead[2] - trail[2]
@@ -187,6 +169,8 @@ def _pdiv_binomial(a, lead, lc, trail, tc):
         t = param(k)
         cid = (_eq_key(k[0] - t * dq), k[1] - t * dx, k[2] - t * dy)
         chains.setdefault(cid, {})[t] = c
+    if lc == 1 and tc == -1 and any(sum(d.values()) for d in chains.values()):
+        return None
     quo = {}
     for cid, d in chains.items():
         ts = sorted(d, reverse=True)
@@ -223,8 +207,14 @@ def _pdiv_binomial(a, lead, lc, trail, tc):
 def _pdiv_exact(a, f):
     """Exact sparse division of a by the canonical factor f, or None.
 
-    Aborting early is always safe: a skipped cancellation only leaves the
-    fraction unreduced.
+    f must be normalized (_normalize_factor): zero minimal exponents in Q,
+    X and Y.  The lowest parts in each variable then multiply, so an exact
+    quotient has the minimal exponents of a.  Factors of 3 or 4 terms are
+    divided by Laurent long division, which emits quotient terms in
+    decreasing lex order and stops at the first one below min(a) in any
+    variable; binomials go to _pdiv_binomial.  Aborting early is always
+    safe: a skipped cancellation only leaves the fraction unreduced, so a
+    factor that is not normalized may be rejected but never divides wrongly.
     """
     if not a:
         return {}
@@ -239,6 +229,7 @@ def _pdiv_exact(a, f):
     if len(a) > _TRINOMIAL_NUM_LIMIT:
         return None
     guard = 4 * len(a) + 64
+    mq, mx, my = (min(k[i] for k in a) for i in range(3))
     lq, lx, ly = lead
     rest = [(k, c) for k, c in f.items() if k != lead]
     rem = dict(a)
@@ -248,14 +239,12 @@ def _pdiv_exact(a, f):
         if guard < 0:
             return None
         k = max(rem)
-        c = rem.pop(k)
         dq, dx, dy = k[0] - lq, k[1] - lx, k[2] - ly
-        qc = c / lc
-        qk = (_eq_key(dq), dx, dy)
-        s = quo.get(qk)
-        quo[qk] = s + qc if s is not None else qc
-        if not quo[qk]:
-            del quo[qk]
+        if dq < mq or dx < mx or dy < my:
+            return None
+        # the leading term of rem strictly decreases, so quotient keys are new
+        qc = rem.pop(k) / lc
+        quo[(_eq_key(dq), dx, dy)] = qc
         for (fq, fx, fy), fc in rest:
             kk = (_eq_key(fq + dq), fx + dx, fy + dy)
             v = qc * fc
@@ -668,7 +657,10 @@ def _build(num, raw_num_factors, raw_den_factors, system, pre_den=None):
 def _reduce(num, fden):
     """Cancel denominator factors that divide num exactly.  Binomial factors
     are always tried (cheap dedicated division); bigger factors only while
-    num stays small."""
+    num stays small.  The factors are normalized, which _pdiv_exact needs
+    to reject a non-divisor at its first impossible quotient term; a
+    binomial M_lead - M_trail is rejected by its chain sums before any
+    division."""
     out = []
     changed = False
     for k in fden:

@@ -406,7 +406,11 @@ def pole_families(rng, system, c):
 
 def check_appendix(system=QUANTUM, samples=100, seed=20240901) -> CheckReport:
     """Identities of the singular-point functional on seeded random smooth
-    elements, plus constructed families with first-order poles on X = Y."""
+    elements, plus constructed families with first-order poles on X = Y.
+    Raises ValueError when samples < 1: a check of no samples shows
+    nothing."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     t0 = time.time()
     rng = random.Random(seed)
     b = bracket(LinearExpr(Rat(0), 1, -1), system)
@@ -652,7 +656,12 @@ def run_suite(spec: ModuleSpec, suite: str, B: int, seed=20240901, samples=100):
     if suite == "gamma":
         return [check_gamma(spec, B)]
     if suite == "findim":
-        lam = [4, 2, 0][: spec.n] if spec.n <= 3 else [5, 3, 1, 0][: spec.n]
+        if spec.n <= 3:
+            lam = [4, 2, 0][: spec.n]
+        elif spec.n == 4:
+            lam = [5, 3, 1, 0]
+        else:
+            lam = [2, 1] + [0] * (spec.n - 2)
         return [check_finite_dimensional(lam, spec.mode)]
     if suite == "irreducible":
         return [irreducibility_evidence(spec, B)]

@@ -221,3 +221,34 @@ def oracle_dv(f, c, scale=1):
         diff = partial_derivative(f, "x") - partial_derivative(f, "y")
         pre = FieldElement.scalar(Rat(1, 2), f.system)
     return pre * evaluate_at_singular(diff, c)
+
+
+# ---------------------------------------------------------------------------
+# exact division oracle
+# ---------------------------------------------------------------------------
+
+def oracle_long_division(a, f):
+    """Laurent long division of the term dict a by the term dict f, taking
+    leading terms in lex order, for at most 4*len(a) + 64 steps: the
+    quotient if the remainder empties, else None.  The remainder of a
+    non-divisor never empties, so it always runs to the step bound."""
+    lead = max(f)
+    rem = dict(a)
+    quo = {}
+    for _ in range(4 * len(a) + 64):
+        if not rem:
+            return quo
+        k = max(rem)
+        shift = (k[0] - lead[0], k[1] - lead[1], k[2] - lead[2])
+        c = rem.pop(k) / f[lead]
+        quo[shift] = quo.get(shift, 0) + c
+        if not quo[shift]:
+            del quo[shift]
+        for fk, fc in f.items():
+            if fk == lead:
+                continue
+            kk = (fk[0] + shift[0], fk[1] + shift[1], fk[2] + shift[2])
+            rem[kk] = rem.get(kk, 0) - c * fc
+            if not rem[kk]:
+                del rem[kk]
+    return None if rem else quo

@@ -37,3 +37,12 @@ def test_bad_weight_is_a_usage_error(capsys):
         cli.main(["findim", "0", "1"])
     assert exc.value.code == 2
     assert "weakly decreasing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_no_samples_is_a_usage_error(samples, capsys):
+    # a check of no samples would pass vacuously
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["appendix", "--samples", samples])
+    assert exc.value.code == 2
+    assert "samples must be at least 1" in capsys.readouterr().err

@@ -22,10 +22,13 @@ from gtsingular.exactalg import (
     q_pochhammer_factorial,
     q_power,
     tau_swap,
+    _normalize_factor,
+    _pdiv_exact,
+    _pmul,
 )
 from gtsingular.verify import pole_families
 
-from oracles import oracle_dv
+from oracles import oracle_dv, oracle_long_division
 
 
 def mono(coeff, eq=0, ex=0, ey=0, system=QUANTUM):
@@ -411,3 +414,52 @@ class TestDvPoleInputs:
                 dv_operator(f, 1)
             with pytest.raises(PoleAtEvaluation):
                 oracle_dv(f, 1)
+
+
+def random_factor(rng, system):
+    """A normalized factor of 2-4 terms: leading coefficient 1 and zero
+    minimal exponents.  Quantum factors have rational Q exponents; a third
+    of the classical ones are x - y + c."""
+    if system == CLASSICAL and rng.random() < 1 / 3:
+        c = Rat(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2]))
+        return {(0, 1, 0): Rat(1), (0, 0, 1): Rat(-1), (0, 0, 0): c}
+    nterms = rng.randint(2, 4)
+    terms = {}
+    while len(terms) < nterms:
+        q = Rat(rng.randint(-3, 3), rng.choice([1, 2, 3])) if system == QUANTUM else 0
+        key = (q, rng.randint(0, 2), rng.randint(0, 2))
+        terms[key] = Rat(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2]))
+    return _normalize_factor(terms)[0]
+
+
+def random_laurent(rng, system, nterms):
+    out = {}
+    for _ in range(nterms):
+        q = Rat(rng.randint(-4, 4), rng.choice([1, 2])) if system == QUANTUM else 0
+        key = (q, rng.randint(-2, 2), rng.randint(-2, 2))
+        out[key] = Rat(rng.choice([-2, -1, 1, 3]), rng.choice([1, 3]))
+    return out
+
+
+@SYSTEMS
+def test_pdiv_exact_against_long_division(system):
+    """Exact division returns the quotient of every product and rejects
+    every perturbed product, as the step-bounded long division does."""
+    rng = random.Random(31)
+    sizes = set()
+    for _ in range(150):
+        f = random_factor(rng, system)
+        sizes.add(len(f))
+        g = random_laurent(rng, system, rng.randint(1, 5))
+        a = _pmul(f, g)
+        assert _pdiv_exact(a, f) == oracle_long_division(a, f) == g
+        # f has two or more terms, so it divides no monomial and a + c*m is
+        # no multiple of f
+        bad = dict(a)
+        key = (Rat(rng.randint(-4, 4), 2) if system == QUANTUM else 0,
+               rng.randint(-3, 4), rng.randint(-3, 4))
+        bad[key] = bad.get(key, 0) + Rat(rng.choice([-1, 1, 2]))
+        bad = {k: v for k, v in bad.items() if v}
+        assert _pdiv_exact(bad, f) is None
+        assert oracle_long_division(bad, f) is None
+    assert sizes == {2, 3, 4}

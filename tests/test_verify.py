@@ -122,6 +122,16 @@ def test_finite_dimensional_n4_n5(lam, dim, mode):
     assert f"basis {dim}, Weyl {dim}" in rep.summary
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_run_suite_findim_weight_has_length_n(n):
+    spec = ModuleSpec(highest_weight_tableau(list(range(n - 1, -1, -1))),
+                      interlacing_relations(n), mode=CLASSICAL)
+    [rep] = verify.run_suite(spec, "findim", 0)
+    assert rep, rep.render()
+    weight = rep.summary.split("highest weight (")[1].split(")")[0]
+    assert len(weight.split(",")) == n, rep.summary
+
+
 def test_irreducibility_generic():
     rep = irreducibility_evidence(singular_spec_n3(), 2)
     assert rep, rep.render()
