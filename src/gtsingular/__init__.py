@@ -8,6 +8,12 @@ Subpackages:
 * gtcenter  -- Gelfand-Tsetlin subalgebra action, character keys, blocks
 * verify    -- executable identity suites
 * cli       -- the ``gtsingular`` command (not imported here)
+
+The top level exports the coefficient field and the singular-point
+functional (``dv_operator``, ``evaluate_at_singular``).  The module
+pipeline needs no general derivative and no two-point evaluation, so the
+package has neither; the test oracles in ``tests/oracles.py`` keep their
+own.
 """
 
 from .exactalg import (
@@ -17,8 +23,6 @@ from .exactalg import (
     LinearExpr,
     bracket,
     dv_operator,
-    euler_derivative,
-    evaluate_at,
     evaluate_at_singular,
     q_pochhammer_factorial,
     tau_swap,
@@ -35,8 +39,6 @@ __all__ = [
     "LinearExpr",
     "bracket",
     "dv_operator",
-    "euler_derivative",
-    "evaluate_at",
     "evaluate_at_singular",
     "q_pochhammer_factorial",
     "tau_swap",

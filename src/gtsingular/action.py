@@ -130,18 +130,7 @@ class ModuleElement:
         return ModuleElement._raw(out)
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            cur = out.get(k)
-            if cur is None:
-                out[k] = -v
-            else:
-                s = cur - v
-                if s.is_zero():
-                    del out[k]
-                else:
-                    out[k] = s
-        return ModuleElement._raw(out)
+        return self + (-other)
 
     def __neg__(self):
         return ModuleElement._raw({k: -v for k, v in self.terms.items()})
@@ -483,18 +472,6 @@ class ModuleSpec:
         return hr - hr1
 
 
-def weight_exponent(spec: ModuleSpec, k: int, z=None) -> LinearExpr:
-    if z is None:
-        z = (0,) * spec.nfree
-    return spec.weight_exponent(k, z)
-
-
-def raw_coeff(spec: ModuleSpec, kind: str, k: int, r: int, z=None) -> FieldElement:
-    if z is None:
-        z = (0,) * spec.nfree
-    return spec.raw_coeff(kind, k, r, z)
-
-
 # ---------------------------------------------------------------------------
 # the action
 # ---------------------------------------------------------------------------
@@ -640,9 +617,3 @@ def combine(elements, spec: ModuleSpec) -> ModuleElement:
             out[bv] = v
     return ModuleElement._raw(out)
 
-
-def act_word(word, elem: ModuleElement, spec: ModuleSpec) -> ModuleElement:
-    """Apply a product of generators, leftmost factor acting last."""
-    for g in reversed(list(word)):
-        elem = act_element(g, elem, spec)
-    return elem

@@ -544,17 +544,6 @@ class FieldElement:
             self.fden,
         )
 
-    def constant_value(self):
-        """The element as a plain rational; defined for constants only."""
-        if not self.num:
-            return Rat(0)
-        if self.fden:
-            raise ValueError("not a constant")
-        num = self.expanded_num()
-        if len(num) != 1 or (0, 0, 0) not in num:
-            raise ValueError("not a constant")
-        return num[(0, 0, 0)]
-
     def __repr__(self):
         return f"<FieldElement {format_element(self)}>"
 
@@ -565,12 +554,20 @@ class FieldElement:
 def fe_sum(elems, system):
     """Sum a list of field elements in one pass: shared numerator factors
     stay factored, the denominator union is taken once, and every term is
-    expanded only against what it is missing."""
+    expanded only against what it is missing.  Parts that all carry the
+    same factors, as FieldElement.__add__'s fast path, just add their
+    numerators."""
     elems = [e for e in elems if e.num]
     if not elems:
         return FieldElement.zero(system)
     if len(elems) == 1:
         return elems[0]
+    nfac, fden = elems[0].nfac, elems[0].fden
+    if all(e.nfac == nfac and e.fden == fden for e in elems):
+        acc = {}
+        for e in elems:
+            acc = _padd(acc, e.num)
+        return _build_raw(acc, nfac, fden, system)
     common_n = Counter(elems[0].nfac)
     lcd = Counter(elems[0].fden)
     for e in elems[1:]:
@@ -787,37 +784,6 @@ def _diff_terms(a, system):
     return _psub(_ppartial(a, "x"), _ppartial(a, "y"))
 
 
-def euler_derivative(f: FieldElement, var: str) -> FieldElement:
-    """X d/dX (var='x') or Y d/dY (var='y'), by the exact quotient rule."""
-    if f.system != QUANTUM:
-        raise ValueError("euler_derivative requires the quantum system")
-    return _quotient_rule(f, lambda a: _peuler(a, var))
-
-
-def partial_derivative(f: FieldElement, var: str) -> FieldElement:
-    """d/dx or d/dy in the classical system, by the exact quotient rule."""
-    if f.system != CLASSICAL:
-        raise ValueError("partial_derivative requires the classical system")
-    return _quotient_rule(f, lambda a: _ppartial(a, var))
-
-
-def _quotient_rule(f, deriv):
-    n = f.expanded_num()
-    facs = [dict(k) for k in f.fden]
-    dpoly = dict(_PONE)
-    for d in facs:
-        dpoly = _pmul(dpoly, d)
-    ddash = {}
-    for i, d in enumerate(facs):
-        term = deriv(d)
-        for j, other in enumerate(facs):
-            if j != i:
-                term = _pmul(term, other)
-        ddash = _padd(ddash, term)
-    num = _psub(_pmul(deriv(n), dpoly), _pmul(n, ddash))
-    return _build_raw(num, (), tuple(sorted(f.fden + f.fden)), f.system)
-
-
 def tau_swap(f: FieldElement) -> FieldElement:
     """Exchange X and Y (classical: x and y)."""
     return _build(
@@ -911,20 +877,6 @@ def evaluate_at_singular(f: FieldElement, c) -> FieldElement:
     return _build(vals[0], vals[1:], [v for _, v in dens], system)
 
 
-def evaluate_at(f: FieldElement, cx, cy) -> FieldElement:
-    """Two-point substitution X -> Q^cx, Y -> Q^cy (classical x, y values)."""
-    cx, cy = rat(cx), rat(cy)
-    num = _eval_terms(f.num, cx, cy, f.system)
-    nfs = [_eval_terms(dict(k), cx, cy, f.system) for k in f.nfac]
-    goods = []
-    for k in f.fden:
-        v = _eval_terms(dict(k), cx, cy, f.system)
-        if not v:
-            raise PoleAtEvaluation("denominator vanishes at the evaluation point")
-        goods.append(v)
-    return _build(num, nfs, goods, f.system)
-
-
 def dv_operator(f: FieldElement, c, scale=1) -> FieldElement:
     """The singular-point functional:
 
@@ -980,22 +932,6 @@ def dv_operator(f: FieldElement, c, scale=1) -> FieldElement:
     evf = _build(dict(_PONE), [v for _, v in num_parts],
                  [v for _, v in den_parts], system)
     return evf * total
-
-
-def scale_q_exponents(f: FieldElement, factor) -> FieldElement:
-    """Relabel Q -> Q^factor: multiply every Q-exponent by an exact rational.
-    Used to move elements between scaled and unscaled exponent conventions."""
-    factor = rat(factor)
-
-    def stretch(d):
-        return {(_eq_key(q * factor), x, y): c for (q, x, y), c in d.items()}
-
-    return _build(
-        stretch(f.num),
-        [stretch(dict(k)) for k in f.nfac],
-        [stretch(dict(k)) for k in f.fden],
-        f.system,
-    )
 
 
 # ---------------------------------------------------------------------------

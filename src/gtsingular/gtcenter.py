@@ -41,12 +41,6 @@ from .action import (
 )
 
 
-class GammaValue(NamedTuple):
-    m: int
-    k: int
-    value: FieldElement
-
-
 def _gamma_symbolic(spec: ModuleSpec, m: int, k: int, z, faulted=False) -> FieldElement:
     """gamma_mk at base+z with the singular entries kept symbolic."""
     if not 0 <= k <= m <= spec.n:
@@ -83,12 +77,12 @@ def _gamma_symbolic(spec: ModuleSpec, m: int, k: int, z, faulted=False) -> Field
     return out
 
 
-def gamma(spec: ModuleSpec, m: int, k: int, z=None) -> GammaValue:
+def gamma(spec: ModuleSpec, m: int, k: int, z=None) -> FieldElement:
     """The multiplication scalar of c_mk, symbolic in X, Y when row m
     carries the singular pair."""
     if z is None:
         z = (0,) * spec.nfree
-    return GammaValue(m, k, _gamma_symbolic(spec, m, k, z))
+    return _gamma_symbolic(spec, m, k, z)
 
 
 def gamma_evaluated(spec: ModuleSpec, m: int, k: int, z) -> FieldElement:
@@ -170,33 +164,41 @@ class BlockRow(NamedTuple):
     members: tuple
     dimension: int
     jordan: tuple  # ((m, k, size) for indices with a size-2 cell)
+    moved: tuple  # per member, the (m, k) with (c_mk - gamma_mk) bv != 0
+    unsquared: tuple  # per member, the (m, k) with (c_mk - gamma_mk)^2 bv != 0
+
+
+def _sweep(bv: BasisVector, spec: ModuleSpec):
+    """The (m, k), k = 0..m, whose c_mk - gamma_mk moves bv, and those among
+    them whose square does not annihilate it."""
+    moved = []
+    unsquared = []
+    for m in range(1, spec.n + 1):
+        for k in range(0, m + 1):
+            gval = gamma_evaluated(spec, m, k, bv.z)
+            res = act_central(m, k, bv, spec) - ModuleElement({bv: gval})
+            if not res.is_zero():
+                moved.append((m, k))
+                res2 = act_central_element(m, k, res, spec) - res.scale(gval)
+                if not res2.is_zero():
+                    unsquared.append((m, k))
+    return tuple(moved), tuple(unsquared)
 
 
 def block_report(spec: ModuleSpec, B: int):
-    """Group the window basis by character key and measure Jordan sizes of
-    every central generator on each block."""
+    """Group the window basis by character key and apply every c_mk -
+    gamma_mk (k = 0..m), and its square where it does not vanish, to every
+    member: the one sweep of the central generators over the window.  An
+    index has a size-2 cell on a block when it moves some member and its
+    square annihilates every member."""
     blocks = {}
     for bv in spec.window(B):
         blocks.setdefault(character_key(bv, spec), []).append(bv)
     out = []
-    system = spec.mode
     for key, members in blocks.items():
-        jordan = []
-        for m in range(1, spec.n + 1):
-            for k in range(1, m + 1):
-                size = 1
-                for bv in members:
-                    gval = gamma_evaluated(spec, m, k, bv.z)
-                    res = act_central(m, k, bv, spec) - ModuleElement({bv: gval})
-                    if not res.is_zero():
-                        res2 = act_central_element(m, k, res, spec) - res.scale(gval)
-                        if not res2.is_zero():
-                            raise AssertionError(
-                                f"(c-gamma)^2 does not annihilate {bv!r} at ({m},{k})"
-                            )
-                        size = 2
-                if size == 2:
-                    jordan.append((m, k, 2))
-        out.append(BlockRow(key, tuple(members), len(members), tuple(jordan)))
+        moved, unsquared = zip(*(_sweep(bv, spec) for bv in members))
+        cells = set().union(*moved) - set().union(*unsquared)
+        jordan = tuple((m, k, 2) for m, k in sorted(cells))
+        out.append(BlockRow(key, tuple(members), len(members), jordan, moved, unsquared))
     out.sort(key=lambda row: tuple(sorted(b.z for b in row.members)))
     return out

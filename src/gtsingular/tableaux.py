@@ -64,9 +64,8 @@ def positions(n):
     return [Position(r, c) for r in range(1, n + 1) for c in range(1, r + 1)]
 
 
-def position_index(n, pos):
-    r, c = pos
-    return r * (r - 1) // 2 + c - 1
+def z_index(row, col):
+    return row * (row - 1) // 2 + col - 1
 
 
 def relation_universe(n):
@@ -142,7 +141,7 @@ class RelationSet:
             return
         n = self.n
         self._edges = [
-            (position_index(n, r.lhs), position_index(n, r.rhs), r.strict)
+            (z_index(r.lhs.row, r.lhs.col), z_index(r.rhs.row, r.rhs.col), r.strict)
             for r in self.relations
         ]
         npos = n * (n + 1) // 2
@@ -213,13 +212,14 @@ class RelationSet:
     def support(self):
         """All positions touched by some relation."""
         self._build()
-        n = self.n
-        return frozenset(p for p in positions(n) if (self._vset >> position_index(n, p)) & 1)
+        return frozenset(
+            p for p in positions(self.n) if (self._vset >> z_index(p.row, p.col)) & 1
+        )
 
     def component_of(self, pos):
         """Component id of a position, or None if outside the support."""
         self._build()
-        c = self._comp[position_index(self.n, pos)]
+        c = self._comp[z_index(pos.row, pos.col)]
         return None if c < 0 else c
 
     def components(self):
@@ -227,15 +227,15 @@ class RelationSet:
         self._build()
         out = {}
         for p in positions(self.n):
-            c = self._comp[position_index(self.n, p)]
+            c = self._comp[z_index(p.row, p.col)]
             if c >= 0:
                 out.setdefault(c, set()).add(p)
         return [frozenset(out[c]) for c in sorted(out)]
 
     def same_component(self, p, q):
         self._build()
-        a = self._comp[position_index(self.n, p)]
-        return a >= 0 and a == self._comp[position_index(self.n, q)]
+        a = self._comp[z_index(p.row, p.col)]
+        return a >= 0 and a == self._comp[z_index(q.row, q.col)]
 
 
 def succ_relation(C: RelationSet, p: Position, r: Position) -> str:
@@ -243,8 +243,8 @@ def succ_relation(C: RelationSet, p: Position, r: Position) -> str:
     from p to r uses a strict step, 'weak' if chains exist but none do,
     'none' otherwise."""
     C._build()
-    pi = position_index(C.n, p)
-    ri = position_index(C.n, r)
+    pi = z_index(p.row, p.col)
+    ri = z_index(r.row, r.col)
     if (C._sreach[pi] >> ri) & 1:
         return "strict"
     if (C._reach[pi] >> ri) & 1:
@@ -284,11 +284,11 @@ def is_admissible(C: RelationSet) -> AdmissibilityReport:
     # (i) and (ii): chain order within a row
     for k, rowpos in rows.items():
         for p in rowpos:
-            pi = position_index(n, p)
+            pi = z_index(p.row, p.col)
             if comp[pi] < 0:
                 continue
             for q in rowpos:
-                qi = position_index(n, q)
+                qi = z_index(q.row, q.col)
                 if comp[qi] < 0:
                     continue
                 if (sreach[pi] >> qi) & 1 and not p.col < q.col:
@@ -359,9 +359,9 @@ def implies(C: RelationSet, D: RelationSet) -> bool:
     D._build()
     n = C.n
     for p in positions(n):
-        pi = position_index(n, p)
+        pi = z_index(p.row, p.col)
         for q in positions(n):
-            qi = position_index(n, q)
+            qi = z_index(q.row, q.col)
             if (D._sreach[pi] >> qi) & 1 and not (C._sreach[pi] >> qi) & 1:
                 return False
             if (D._reach[pi] >> qi) & 1 and not (C._reach[pi] >> qi) & 1:
@@ -372,15 +372,6 @@ def implies(C: RelationSet, D: RelationSet) -> bool:
 # ---------------------------------------------------------------------------
 # tableaux
 # ---------------------------------------------------------------------------
-
-def free_positions(n):
-    """Positions that carry shifts (everything below the top row)."""
-    return [Position(r, c) for r in range(1, n) for c in range(1, r + 1)]
-
-
-def z_index(row, col):
-    return row * (row - 1) // 2 + col - 1
-
 
 class Tableau:
     """Triangular array of exact rationals plus an integer shift vector.

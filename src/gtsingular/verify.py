@@ -48,13 +48,7 @@ from .action import (
     gen_qeps,
     gen_qh,
 )
-from .gtcenter import (
-    act_central,
-    act_central_element,
-    block_report,
-    eigen_index_set,
-    gamma_evaluated,
-)
+from .gtcenter import block_report, eigen_index_set
 
 
 @dataclass
@@ -101,160 +95,111 @@ def _sample_weights(n):
     return eps + [mixed]
 
 
-def _quantum_relation_instances(spec):
-    """(label, residual function) pairs covering the defining relations."""
-    n = spec.n
-    qs = spec.qscale
+def _relation_instances(spec):
+    """(label, residual function) pairs covering the defining relations.
+
+    The weight, [e_r, f_s], Serre and distant-commutation instances are
+    built once for both systems.  The systems differ in four places only,
+    all set in the branch below: the Cartan identities (q^0 = 1 and
+    q^h q^h' = q^(h+h') against [h, h'] = 0), how h meets a generator g
+    (the conjugation q^h g q^-h against the commutator [h, g]), the Cartan
+    part of [e_r, f_r] and the Serre coefficient ([2]_q or 2).  Every
+    residual is a list of module elements summed by combine.
+    """
+    n, qs = spec.n, spec.qscale
     weights = _sample_weights(n)
-    inv = FieldElement(
-        {(0, 0, 0): Rat(1)}, {(qs, 0, 0): Rat(1), (-qs, 0, 0): Rat(-1)}, QUANTUM
-    )
     instances = []
 
-    def scalar_q(e):
-        return FieldElement.monomial(QUANTUM, 1, expq=e * qs)
+    def add(label, parts):
+        instances.append((label, lambda b: combine(parts(b), spec)))
 
-    zero_h = tuple(0 for _ in range(n))
+    def word(b, *gens):
+        """The product of gens on the basis vector b, rightmost first."""
+        out = act(gens[-1], b, spec)
+        for g in reversed(gens[:-1]):
+            out = act_element(g, out, spec)
+        return out
 
-    def unit_rel(b, v):
-        return act(gen_qh(zero_h), b, spec) - v
+    def commutator(b, g1, g2):
+        return [word(b, g1, g2), -word(b, g2, g1)]
 
-    instances.append(("q^0 = 1", unit_rel))
+    def qh(h, sign=1):
+        return gen_qh(tuple(sign * t for t in h))
 
-    for h1, h2 in [(weights[0], weights[-1]), (weights[n - 1], weights[-1])]:
-        hsum = tuple(a + b for a, b in zip(h1, h2))
+    h0, hmix = weights[0], weights[-1]
+    if spec.mode == QUANTUM:
+        add("q^0 = 1", lambda b: [act(qh((0,) * n), b, spec),
+                                  -ModuleElement.basis(b, QUANTUM)])
+        for h in (h0, weights[n - 1]):
+            hsum = tuple(a + c for a, c in zip(h, hmix))
+            add(f"q^h q^h' = q^(h+h'), h={h}, h'={hmix}",
+                lambda b, h=h, hsum=hsum: [word(b, qh(hmix), qh(h)),
+                                           -act(qh(hsum), b, spec)])
+        meet_label = "q^h {g} q^-h = q^<h,a_{r}> {g}, h={h}"
 
-        def prod_rel(b, v, h1=h1, h2=h2, hsum=hsum):
-            lhs = act(gen_qh(h1), b, spec)
-            lhs = act_element(gen_qh(h2), lhs, spec)
-            return lhs - act(gen_qh(hsum), b, spec)
+        def meet(b, h, g):
+            return [word(b, qh(h), g, qh(h, -1))]
 
-        instances.append((f"q^h q^h' = q^(h+h'), h={h1}, h'={h2}", prod_rel))
+        def weight_scalar(c):
+            return FieldElement.monomial(QUANTUM, 1, expq=c * qs)
+
+        # 1/(q - q^-1): [e_r, f_r] = (q^alpha - q^-alpha)/(q - q^-1)
+        inv = FieldElement(
+            {(0, 0, 0): Rat(1)}, {(qs, 0, 0): Rat(1), (-qs, 0, 0): Rat(-1)}, QUANTUM
+        )
+
+        def cartan_part(b, alpha):
+            return [-act(qh(alpha), b, spec).scale(inv),
+                    act(qh(alpha, -1), b, spec).scale(inv)]
+
+        serre_coeff = FieldElement(
+            {(qs, 0, 0): Rat(1), (-qs, 0, 0): Rat(1)}, None, QUANTUM
+        )
+    else:
+        add(f"[h, h'] = 0, h={h0}, h'={hmix}",
+            lambda b: commutator(b, qh(h0), qh(hmix)))
+        meet_label = "[h, {g}] = <h,a_{r}> {g}, h={h}"
+
+        def meet(b, h, g):
+            return commutator(b, qh(h), g)
+
+        def weight_scalar(c):
+            return FieldElement.scalar(c, CLASSICAL)
+
+        def cartan_part(b, alpha):
+            return [-act(qh(alpha), b, spec)]
+
+        serre_coeff = FieldElement.scalar(2, CLASSICAL)
 
     for h in weights:
         for r in range(1, n):
             for kind, gen, sgn in (("e", gen_e, 1), ("f", gen_f, -1)):
-                pair = sgn * spec.pairing_alpha(h, r)
-
-                def weight_rel(b, v, h=h, r=r, gen=gen, pair=pair):
-                    mh = tuple(-t for t in h)
-                    lhs = act(gen_qh(mh), b, spec)
-                    lhs = act_element(gen(r), lhs, spec)
-                    lhs = act_element(gen_qh(h), lhs, spec)
-                    rhs = act(gen(r), b, spec).scale(scalar_q(pair))
-                    return combine([lhs, -rhs], spec)
-
-                instances.append(
-                    (f"q^h {kind}_{r} q^-h = q^<h,a_{r}> {kind}_{r}, h={h}", weight_rel)
-                )
+                g, c = gen(r), weight_scalar(sgn * spec.pairing_alpha(h, r))
+                add(meet_label.format(g=f"{kind}_{r}", r=r, h=h),
+                    lambda b, h=h, g=g, c=c:
+                        meet(b, h, g) + [-act(g, b, spec).scale(c)])
 
     for r in range(1, n):
+        alpha = tuple(1 if t == r else (-1 if t == r + 1 else 0) for t in range(1, n + 1))
         for s in range(1, n):
+            add(f"[e_{r}, f_{s}] commutator",
+                lambda b, r=r, s=s, alpha=alpha: commutator(b, gen_e(r), gen_f(s))
+                + (cartan_part(b, alpha) if r == s else []))
 
-            def ef_rel(b, v, r=r, s=s):
-                parts = [
-                    act_element(gen_e(r), act(gen_f(s), b, spec), spec),
-                    -act_element(gen_f(s), act(gen_e(r), b, spec), spec),
-                ]
-                if r == s:
-                    alpha = tuple(
-                        1 if t == r else (-1 if t == r + 1 else 0)
-                        for t in range(1, n + 1)
-                    )
-                    malpha = tuple(-t for t in alpha)
-                    parts.append(-act(gen_qh(alpha), b, spec).scale(inv))
-                    parts.append(act(gen_qh(malpha), b, spec).scale(inv))
-                return combine(parts, spec)
-
-            instances.append((f"[e_{r}, f_{s}] commutator", ef_rel))
-
-    qcoeff = FieldElement(
-        {(qs, 0, 0): Rat(1), (-qs, 0, 0): Rat(1)}, {(0, 0, 0): Rat(1)}, QUANTUM
-    )
-    return instances + _serre_and_distant_instances(spec, qcoeff)
-
-
-def _classical_relation_instances(spec):
-    n = spec.n
-    weights = _sample_weights(n)
-    instances = []
-
-    for h1, h2 in [(weights[0], weights[-1])]:
-
-        def cartan_commute(b, v, h1=h1, h2=h2):
-            lhs = act_element(gen_qh(h1), act(gen_qh(h2), b, spec), spec)
-            rhs = act_element(gen_qh(h2), act(gen_qh(h1), b, spec), spec)
-            return lhs - rhs
-
-        instances.append((f"[h, h'] = 0, h={h1}, h'={h2}", cartan_commute))
-
-    for h in weights:
-        for r in range(1, n):
-            for kind, gen, sgn in (("e", gen_e, 1), ("f", gen_f, -1)):
-                pair = sgn * spec.pairing_alpha(h, r)
-
-                def weight_rel(b, v, h=h, r=r, gen=gen, pair=pair):
-                    lhs = act_element(gen_qh(h), act(gen(r), b, spec), spec) - act_element(
-                        gen(r), act(gen_qh(h), b, spec), spec
-                    )
-                    rhs = act(gen(r), b, spec).scale(
-                        FieldElement.scalar(pair, CLASSICAL)
-                    )
-                    return lhs - rhs
-
-                instances.append((f"[h, {kind}_{r}] = <h,a_{r}> {kind}_{r}, h={h}", weight_rel))
-
-    for r in range(1, n):
-        for s in range(1, n):
-
-            def ef_rel(b, v, r=r, s=s):
-                lhs = act_element(gen_e(r), act(gen_f(s), b, spec), spec) - act_element(
-                    gen_f(s), act(gen_e(r), b, spec), spec
-                )
-                if r != s:
-                    return lhs
-                alpha = tuple(
-                    1 if t == r else (-1 if t == r + 1 else 0) for t in range(1, n + 1)
-                )
-                return lhs - act(gen_qh(alpha), b, spec)
-
-            instances.append((f"[e_{r}, f_{s}] commutator", ef_rel))
-
-    two = FieldElement.scalar(2, CLASSICAL)
-    return instances + _serre_and_distant_instances(spec, two)
-
-
-def _serre_and_distant_instances(spec, serre_coeff):
-    """The Serre relations, with the system's middle coefficient ([2]_q or
-    2), and the commutation of distant e's and of distant f's."""
-    n = spec.n
-    instances = []
-    for gen, kind in ((gen_e, "e"), (gen_f, "f")):
+    for kind, gen in (("e", gen_e), ("f", gen_f)):
         for r in range(1, n):
             for s in range(1, n):
+                gr, gs = gen(r), gen(s)
                 if abs(r - s) == 1:
-
-                    def serre(b, v, r=r, s=s, gen=gen):
-                        A = act(gen(r), b, spec)
-                        B = act(gen(s), b, spec)
-                        t1 = act_element(gen(r), act_element(gen(r), B, spec), spec)
-                        t2 = act_element(gen(r), act_element(gen(s), A, spec), spec)
-                        t3 = act_element(gen(s), act_element(gen(r), A, spec), spec)
-                        return combine([t1, -t2.scale(serre_coeff), t3], spec)
-
-                    instances.append((f"Serre {kind}_{r}{kind}_{s}", serre))
-                elif r < s and s - r > 1:
-
-                    def distant(b, v, r=r, s=s, gen=gen):
-                        return combine(
-                            [
-                                act_element(gen(r), act(gen(s), b, spec), spec),
-                                -act_element(gen(s), act(gen(r), b, spec), spec),
-                            ],
-                            spec,
-                        )
-
-                    instances.append((f"[{kind}_{r}, {kind}_{s}] = 0", distant))
+                    add(f"Serre {kind}_{r}{kind}_{s}",
+                        lambda b, gr=gr, gs=gs: [
+                            word(b, gr, gr, gs),
+                            -word(b, gr, gs, gr).scale(serre_coeff),
+                            word(b, gs, gr, gr),
+                        ])
+                elif s - r > 1:
+                    add(f"[{kind}_{r}, {kind}_{s}] = 0",
+                        lambda b, gr=gr, gs=gs: commutator(b, gr, gs))
     return instances
 
 
@@ -281,11 +226,7 @@ def check_defining_relations(spec: ModuleSpec, B: int) -> CheckReport:
     """
     t0 = time.time()
     window = spec.window(B)
-    instances = (
-        _quantum_relation_instances(spec)
-        if spec.mode == QUANTUM
-        else _classical_relation_instances(spec)
-    )
+    instances = _relation_instances(spec)
     summary = (
         f"{len(instances)} relation instances on {len(window)} basis vectors "
         f"({spec.mode}, n={spec.n}, "
@@ -301,10 +242,9 @@ def check_defining_relations(spec: ModuleSpec, B: int) -> CheckReport:
             if failure:
                 return failure
         for bv in window:
-            v = ModuleElement.basis(bv, spec.mode)
             for label, residual in instances:
                 where = f"{label} on {bv!r}"
-                res = residual(bv, v)
+                res = residual(bv)
                 if not res.is_zero():
                     return f"{where}: residual {res!r}"
         return None
@@ -483,58 +423,48 @@ def check_appendix(system=QUANTUM, samples=100, seed=20240901) -> CheckReport:
 # Gelfand-Tsetlin structure
 # ---------------------------------------------------------------------------
 
+def _gamma_failure(spec, B, rows):
+    """The first violation in block_report's rows, or None.
+
+    Normal vectors are eigenvectors of every c_mk.  On a derivative vector
+    of the singular row m, c_mk - gamma_mk vanishes for k in
+    eigen_index_set and on every other row, and some (m, k) acts
+    non-semisimply: that is the Jordan claim, while a single c_mk may still
+    act semisimply at special shifts.  Every square (c - gamma)^2 vanishes.
+    """
+    for row in rows:
+        for bv, moved, unsquared in zip(row.members, row.moved, row.unsquared):
+            if bv.kind == NORMAL and moved:
+                m, k = moved[0]
+                return f"normal vector {bv!r} not an eigenvector of c_{m}{k}"
+            if bv.kind == DERIVATIVE:
+                for m, k in moved:
+                    if m != spec.singular.row or k in eigen_index_set(spec, m):
+                        return f"(c-gamma) c_{m}{k} does not vanish on {bv!r}"
+                if not moved:
+                    return f"every c_mk acts semisimply on {bv!r}"
+            if unsquared:
+                m, k = unsquared[0]
+                return f"(c-gamma)^2 c_{m}{k} does not vanish on {bv!r}"
+        if row.dimension > 2:
+            return f"block of dimension {row.dimension}"
+        if row.dimension == 2 and {bv.kind for bv in row.members} != {NORMAL, DERIVATIVE}:
+            return "dimension-2 block without a tableau/derivative pair"
+    if not spec.is_generic() and B >= 1 and all(row.dimension == 1 for row in rows):
+        return "no dimension-2 block for tau-unfixed shifts"
+    return None
+
+
 def check_gamma(spec: ModuleSpec, B: int) -> CheckReport:
     """Eigenvalue equations on normal vectors, the size-two Jordan structure
-    on derivative vectors, block dimensions and key separation."""
+    on derivative vectors, block dimensions and key separation, read from
+    block_report's single sweep of the central generators."""
     t0 = time.time()
-    window = spec.window(B)
-    pairs = [(m, k) for m in range(1, spec.n + 1) for k in range(0, m + 1)]
-    summary = f"{len(pairs)} central generators on {len(window)} vectors ({spec.mode})"
-    failure = None
-
-    for bv in window:
-        for m, k in pairs:
-            gval = gamma_evaluated(spec, m, k, bv.z)
-            res = act_central(m, k, bv, spec) - ModuleElement({bv: gval})
-            if bv.kind == NORMAL:
-                if not res.is_zero():
-                    failure = f"normal vector {bv!r} not an eigenvector of c_{m}{k}"
-                    break
-            else:
-                sing_row = spec.singular.row
-                should_vanish = m != sing_row or k in eigen_index_set(spec, m)
-                if should_vanish and not res.is_zero():
-                    failure = f"(c-gamma) c_{m}{k} does not vanish on {bv!r}"
-                    break
-                if not should_vanish and res.is_zero():
-                    failure = f"(c-gamma) c_{m}{k} unexpectedly vanishes on {bv!r}"
-                    break
-                res2 = act_central_element(m, k, res, spec) - res.scale(gval)
-                if not res2.is_zero():
-                    failure = f"(c-gamma)^2 c_{m}{k} does not vanish on {bv!r}"
-                    break
-        if failure:
-            break
-
-    if failure is None:
-        rows = block_report(spec, B)
-        seen_two = False
-        for row in rows:
-            if row.dimension > 2:
-                failure = f"block of dimension {row.dimension}"
-                break
-            if row.dimension == 2:
-                seen_two = True
-                kinds = {bv.kind for bv in row.members}
-                if kinds != {NORMAL, DERIVATIVE}:
-                    failure = f"dimension-2 block without a tableau/derivative pair"
-                    break
-        if failure is None and not spec.is_generic() and B >= 1 and not seen_two:
-            failure = "no dimension-2 block for tau-unfixed shifts"
-        if failure is None and spec.is_generic():
-            if any(row.dimension != 1 for row in rows):
-                failure = "generic spec with a block of dimension > 1"
-    return _finish("gamma-structure", summary, B, failure, t0)
+    rows = block_report(spec, B)
+    npairs = sum(m + 1 for m in range(1, spec.n + 1))
+    nvec = sum(row.dimension for row in rows)
+    summary = f"{npairs} central generators on {nvec} vectors ({spec.mode})"
+    return _finish("gamma-structure", summary, B, _gamma_failure(spec, B, rows), t0)
 
 
 def check_finite_dimensional(lam, mode=QUANTUM) -> CheckReport:

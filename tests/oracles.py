@@ -3,22 +3,38 @@
 These deliberately reimplement definitions in the most literal way
 (explicit chain search, naive component merging, nested pattern loops) so
 they share no code with the library paths they check.  The exception is
-the singular-point functional oracle, built from the public derivative
-and evaluation functions: it checks the factor-wise product rule of
-dv_operator against the expanded quotient rule.
+the singular-point functional oracle: it checks the factor-wise product
+rule of dv_operator against the expanded quotient rule, and it shares the
+term-dict derivatives ``_peuler`` and ``_ppartial`` and
+``evaluate_at_singular`` with the library.
+
+The helpers below the oracles (exact derivatives, two-point evaluation,
+relabeling Q, words of generators) are used by tests only.  Traced library
+functions are reached through their modules, so this module holds no
+reference that a tracer would have to rebind.
 """
 
 from collections import deque
 from fractions import Fraction
 from itertools import product
 
-from gtsingular._rat import Rat, is_integral
+from gtsingular import action, exactalg
+from gtsingular._rat import Rat, is_integral, rat
 from gtsingular.exactalg import (
+    _PONE,
+    CLASSICAL,
     QUANTUM,
     FieldElement,
-    euler_derivative,
-    evaluate_at_singular,
-    partial_derivative,
+    PoleAtEvaluation,
+    _build,
+    _build_raw,
+    _eq_key,
+    _eval_terms,
+    _padd,
+    _peuler,
+    _pmul,
+    _ppartial,
+    _psub,
 )
 from gtsingular.tableaux import Position, Relation, z_index
 
@@ -220,7 +236,7 @@ def oracle_dv(f, c, scale=1):
     else:
         diff = partial_derivative(f, "x") - partial_derivative(f, "y")
         pre = FieldElement.scalar(Rat(1, 2), f.system)
-    return pre * evaluate_at_singular(diff, c)
+    return pre * exactalg.evaluate_at_singular(diff, c)
 
 
 # ---------------------------------------------------------------------------
@@ -252,3 +268,75 @@ def oracle_long_division(a, f):
             if not rem[kk]:
                 del rem[kk]
     return None if rem else quo
+
+
+# ---------------------------------------------------------------------------
+# test-only helpers
+# ---------------------------------------------------------------------------
+
+def euler_derivative(f, var):
+    """X d/dX (var='x') or Y d/dY (var='y'), by the exact quotient rule."""
+    if f.system != QUANTUM:
+        raise ValueError("euler_derivative requires the quantum system")
+    return _quotient_rule(f, lambda a: _peuler(a, var))
+
+
+def partial_derivative(f, var):
+    """d/dx or d/dy in the classical system, by the exact quotient rule."""
+    if f.system != CLASSICAL:
+        raise ValueError("partial_derivative requires the classical system")
+    return _quotient_rule(f, lambda a: _ppartial(a, var))
+
+
+def _quotient_rule(f, deriv):
+    n = f.expanded_num()
+    facs = [dict(k) for k in f.fden]
+    dpoly = dict(_PONE)
+    for d in facs:
+        dpoly = _pmul(dpoly, d)
+    ddash = {}
+    for i, d in enumerate(facs):
+        term = deriv(d)
+        for j, other in enumerate(facs):
+            if j != i:
+                term = _pmul(term, other)
+        ddash = _padd(ddash, term)
+    num = _psub(_pmul(deriv(n), dpoly), _pmul(n, ddash))
+    return _build_raw(num, (), tuple(sorted(f.fden + f.fden)), f.system)
+
+
+def evaluate_at(f, cx, cy):
+    """Two-point substitution X -> Q^cx, Y -> Q^cy (classical x, y values)."""
+    cx, cy = rat(cx), rat(cy)
+    num = _eval_terms(f.num, cx, cy, f.system)
+    nfs = [_eval_terms(dict(k), cx, cy, f.system) for k in f.nfac]
+    goods = []
+    for k in f.fden:
+        v = _eval_terms(dict(k), cx, cy, f.system)
+        if not v:
+            raise PoleAtEvaluation("denominator vanishes at the evaluation point")
+        goods.append(v)
+    return _build(num, nfs, goods, f.system)
+
+
+def scale_q_exponents(f, factor):
+    """Relabel Q -> Q^factor: multiply every Q-exponent by an exact rational,
+    moving an element between scaled and unscaled exponent conventions."""
+    factor = rat(factor)
+
+    def stretch(d):
+        return {(_eq_key(q * factor), x, y): c for (q, x, y), c in d.items()}
+
+    return _build(
+        stretch(f.num),
+        [stretch(dict(k)) for k in f.nfac],
+        [stretch(dict(k)) for k in f.fden],
+        f.system,
+    )
+
+
+def act_word(word, elem, spec):
+    """Apply a product of generators, leftmost factor acting last."""
+    for g in reversed(list(word)):
+        elem = action.act_element(g, elem, spec)
+    return elem

@@ -9,8 +9,6 @@ from gtsingular.exactalg import (
     FieldElement,
     LinearExpr,
     bracket,
-    evaluate_at,
-    scale_q_exponents,
 )
 from gtsingular.tableaux import RelationSet, Tableau, interlacing_relations, highest_weight_tableau
 from gtsingular.action import (
@@ -21,7 +19,6 @@ from gtsingular.action import (
     ModuleSpec,
     act,
     act_element,
-    act_word,
     expand_derivative,
     expand_normal,
     gen_e,
@@ -29,6 +26,8 @@ from gtsingular.action import (
     gen_qeps,
     gen_qh,
 )
+
+from oracles import act_word, evaluate_at, scale_q_exponents
 
 
 def generic_spec_n2(mode=QUANTUM):

@@ -14,11 +14,9 @@ from gtsingular.exactalg import (
     PoleAtEvaluation,
     bracket,
     dv_operator,
-    euler_derivative,
-    evaluate_at,
     evaluate_at_singular,
+    fe_sum,
     linear_element,
-    partial_derivative,
     q_pochhammer_factorial,
     q_power,
     tau_swap,
@@ -26,9 +24,15 @@ from gtsingular.exactalg import (
     _pdiv_exact,
     _pmul,
 )
-from gtsingular.verify import pole_families
+from gtsingular.verify import pole_families, sample_smooth
 
-from oracles import oracle_dv, oracle_long_division
+from oracles import (
+    euler_derivative,
+    evaluate_at,
+    oracle_dv,
+    oracle_long_division,
+    partial_derivative,
+)
 
 
 def mono(coeff, eq=0, ex=0, ey=0, system=QUANTUM):
@@ -463,3 +467,24 @@ def test_pdiv_exact_against_long_division(system):
         assert _pdiv_exact(bad, f) is None
         assert oracle_long_division(bad, f) is None
     assert sizes == {2, 3, 4}
+
+
+@pytest.mark.parametrize("system", [QUANTUM, CLASSICAL])
+def test_fe_sum_agrees_with_repeated_addition(system):
+    # parts that share every factor take fe_sum's numerator-only branch;
+    # a differently factored part sends the same sum down the general path
+    rng = random.Random(17)
+    for _ in range(10):
+        base = sample_smooth(rng, system)
+        shared = [
+            FieldElement._raw(sample_smooth(rng, system).expanded_num(),
+                              base.nfac, base.fden, system)
+            for _ in range(3)
+        ]
+        other = sample_smooth(rng, system)
+        for parts in (shared, shared + [other]):
+            expected = FieldElement.zero(system)
+            for p in parts:
+                expected = expected + p
+            assert fe_sum(parts, system) == expected
+        assert fe_sum(shared + [-p for p in shared], system).is_zero()

@@ -3,13 +3,16 @@ import pytest
 from gtsingular._rat import Rat
 from gtsingular.exactalg import CLASSICAL, QUANTUM, DivisionByZero
 from gtsingular.tableaux import (
+    Position,
+    Relation,
     RelationSet,
     Tableau,
     highest_weight_tableau,
     interlacing_relations,
+    maximal_relation_set,
 )
-from gtsingular import verify
-from gtsingular.action import Fault, ModuleSpec
+from gtsingular import gtcenter, verify
+from gtsingular.action import Fault, ModuleElement, ModuleSpec
 from gtsingular.verify import (
     check_appendix,
     check_compatibility,
@@ -21,6 +24,20 @@ from gtsingular.verify import (
 
 from test_action import generic_spec_n2, singular_spec_n3
 from test_exactalg import vanishing_den
+
+
+def g4_spec(mode=CLASSICAL, fault=None):
+    """A gated singular n = 4 spec: the singular pair (2,1),(2,2) lies
+    outside the support of an admissible set of four relations."""
+    T = Tableau(4, [[Rat(1, 7)], [Rat(1, 2), Rat(1, 2)], [2, Rat(1, 5), Rat(1, 3)],
+                    [3, 1, Rat(1, 3), Rat(-2, 3)]])
+
+    def rel(lhs, rhs, strict):
+        return Relation(Position(*lhs), Position(*rhs), strict)
+
+    C = RelationSet(4, [rel((4, 1), (3, 1), False), rel((3, 1), (4, 2), True),
+                        rel((4, 3), (3, 3), False), rel((3, 3), (4, 4), True)])
+    return ModuleSpec(T, C, mode=mode, fault=fault)
 
 
 def test_relations_generic_n2():
@@ -107,6 +124,62 @@ def test_gamma_generic_and_singular():
     assert rep, rep.render()
 
 
+# Singular row 3, C = M(T).  On some derivative vectors only c_32 acts
+# non-semisimply, because the third entry of the singular row is 0 at that
+# shift: the Jordan claim holds per vector, not per index.
+SINGULAR_ROW_3 = [
+    [[Rat(-5, 3)], [Rat(-9, 5), Rat(-2, 3)], [Rat(5, 2), -1, Rat(3, 2)],
+     [Rat(-12, 7), Rat(7, 3), Rat(-9, 5), 0]],
+    [[Rat(16, 7)], [Rat(1, 2), Rat(-12, 7)], [Rat(1, 5), Rat(1, 5), 1],
+     [Rat(1, 3), Rat(-2, 3), Rat(2, 7), Rat(3, 2)]],
+]
+
+
+@pytest.mark.parametrize("mode", [QUANTUM, CLASSICAL])
+@pytest.mark.parametrize("rows", SINGULAR_ROW_3)
+def test_gamma_singular_row_3(rows, mode):
+    T = Tableau(4, rows)
+    C, _ = maximal_relation_set(T)
+    spec = ModuleSpec(T, C, mode=mode)
+    assert spec.singular.row == 3
+    rep = check_gamma(spec, 1)
+    assert rep, rep.render()
+
+
+def test_gamma_square_is_a_failed_report(monkeypatch):
+    # a (c - gamma)^2 that does not vanish names the vector and the index
+    real = gtcenter.act_central_element
+
+    def not_nilpotent(m, k, elem, spec):
+        return real(m, k, elem, spec) + elem
+
+    monkeypatch.setattr(gtcenter, "act_central_element", not_nilpotent)
+    rep = check_gamma(singular_spec_n3(CLASSICAL), 1)
+    assert not rep.passed
+    assert rep.counterexample == "(c-gamma)^2 c_22 does not vanish on DT[-1,0,-1]"
+
+
+def test_gamma_semisimple_derivative_vector_fails(monkeypatch):
+    # an action under which every central generator is diagonal breaks the
+    # Jordan claim on the first derivative vector
+    def diagonal(m, k, bv, spec):
+        return ModuleElement({bv: gtcenter.gamma_evaluated(spec, m, k, bv.z)})
+
+    monkeypatch.setattr(gtcenter, "act_central", diagonal)
+    rep = check_gamma(singular_spec_n3(), 1)
+    assert not rep.passed
+    assert rep.counterexample == "every c_mk acts semisimply on DT[-1,0,-1]"
+
+
+def test_relations_g4():
+    rep = check_defining_relations(g4_spec(CLASSICAL), 1)
+    assert rep, rep.render()
+    assert rep.summary.startswith("50 relation instances on 162 basis vectors")
+    rep = check_defining_relations(g4_spec(QUANTUM), 0)
+    assert rep, rep.render()
+    assert rep.summary.startswith("52 relation instances")
+
+
 def test_finite_dimensional_small():
     rep = check_finite_dimensional([3, 0])
     assert rep, rep.render()
@@ -178,3 +251,16 @@ class TestMutations:
         bad = ModuleSpec(spec.base, spec.relations, fault=Fault(gamma_prefactor=True))
         rep = check_gamma(bad, 1)
         assert not rep.passed
+
+    @pytest.mark.parametrize("fault, check, expected", [
+        (Fault(drop_gate=True), check_defining_relations,
+         "f3 leaves the basis from T[-1,-1,-1,0,-1,0]"),
+        (Fault(sign_flip=True), check_defining_relations,
+         "[e_1, f_1] commutator on T[-1,-1,-1,0,-1,0]: residual"),
+        (Fault(gamma_prefactor=True), check_gamma,
+         "normal vector T[-1,-1,-1,0,-1,0] not an eigenvector of c_10"),
+    ])
+    def test_faults_detected_g4(self, fault, check, expected):
+        rep = check(g4_spec(CLASSICAL, fault), 1)
+        assert not rep.passed
+        assert rep.counterexample.startswith(expected), rep.counterexample
