@@ -9,9 +9,6 @@ try:
 except ImportError:  # pragma: no cover
     from fractions import Fraction as Rat
 
-ZERO = Rat(0)
-ONE = Rat(1)
-
 
 def rat(a, b=None):
     """Coerce to an exact rational.  Accepts ints, rationals and 'p/q' strings."""

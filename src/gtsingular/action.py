@@ -24,6 +24,7 @@ from .exactalg import (
     FieldElement,
     LinearExpr,
     PoleAtEvaluation,
+    _collect,
     bracket,
     dv_operator,
     evaluate_at_singular,
@@ -116,18 +117,7 @@ class ModuleElement:
         return not self.terms
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            cur = out.get(k)
-            if cur is None:
-                out[k] = v
-            else:
-                s = cur + v
-                if s.is_zero():
-                    del out[k]
-                else:
-                    out[k] = s
-        return ModuleElement._raw(out)
+        return ModuleElement._raw(_collect(other.terms.items(), self.terms))
 
     def __sub__(self, other):
         return self + (-other)
@@ -425,14 +415,6 @@ class ModuleSpec:
             acc = acc - self.entry_linear(k - 1, c, z)
         return acc
 
-    def weight_exponent(self, k, z) -> LinearExpr:
-        """a_k = sum(row k) - sum(row k-1) + k as an exact unscaled linear
-        expression in the entries."""
-        a = self._weight_scaled(k, z)
-        if self.qscale == 1:
-            return a
-        return LinearExpr(rat(a.const, self.qscale), a.cx, a.cy)
-
     def weight_element(self, h, z) -> FieldElement:
         """q^(sum h_k a_k) in the quantum system; the scalar sum h_k a_k in
         the classical system (the Cartan element h acting on the tableau)."""
@@ -501,20 +483,14 @@ def _split_targets(spec, tag, g, z):
     its dv piece on the normal vector and its ev piece on the derivative
     vector.  tag is the _pieces tag of the input kind ('N' or 'D')."""
     k = g.index
-    terms = {}
+    pairs = []
     for r, w in _expand_targets(spec, g.kind, k, z):
         dvp, evp = spec._pieces(tag, g.kind, k, r, z)
-        if not dvp.is_zero():
-            key = spec.canonical_normal(w)
-            cur = terms.get(key)
-            terms[key] = dvp if cur is None else cur + dvp
-        if not evp.is_zero():
-            bv, sign = spec.canonical_derivative(w)
-            if bv is not None:
-                val = evp if sign > 0 else -evp
-                cur = terms.get(bv)
-                terms[bv] = val if cur is None else cur + val
-    return ModuleElement(terms)
+        pairs.append((spec.canonical_normal(w), dvp))
+        bv, sign = spec.canonical_derivative(w)
+        if bv is not None:
+            pairs.append((bv, evp if sign > 0 else -evp))
+    return ModuleElement._raw(_collect(pairs))
 
 
 def expand_normal(spec: ModuleSpec, g: Generator, z) -> ModuleElement:
@@ -590,30 +566,31 @@ def act(g: Generator, bv: BasisVector, spec: ModuleSpec) -> ModuleElement:
     return out
 
 
-def act_element(g: Generator, elem: ModuleElement, spec: ModuleSpec) -> ModuleElement:
+def _sum_by_vector(pairs, spec: ModuleSpec) -> ModuleElement:
+    """Sum (basis vector, coefficient) pairs with one fe_sum pass per basis
+    vector."""
     buckets = {}
-    for bv, c in elem.terms.items():
-        for tgt, coeff in act(g, bv, spec).terms.items():
-            buckets.setdefault(tgt, []).append(coeff * c)
+    for bv, c in pairs:
+        buckets.setdefault(bv, []).append(c)
     out = {}
-    for tgt, parts in buckets.items():
+    for bv, parts in buckets.items():
         v = fe_sum(parts, spec.mode)
-        if not v.is_zero():
-            out[tgt] = v
+        if v:
+            out[bv] = v
     return ModuleElement._raw(out)
+
+
+def act_element(g: Generator, elem: ModuleElement, spec: ModuleSpec) -> ModuleElement:
+    return _sum_by_vector(
+        ((tgt, coeff * c)
+         for bv, c in elem.terms.items()
+         for tgt, coeff in act(g, bv, spec).terms.items()),
+        spec,
+    )
 
 
 def combine(elements, spec: ModuleSpec) -> ModuleElement:
     """Sum several module elements with one shared-denominator pass per
     basis vector (residual assembly without intermediate expansion)."""
-    buckets = {}
-    for el in elements:
-        for bv, c in el.terms.items():
-            buckets.setdefault(bv, []).append(c)
-    out = {}
-    for bv, parts in buckets.items():
-        v = fe_sum(parts, spec.mode)
-        if not v.is_zero():
-            out[bv] = v
-    return ModuleElement._raw(out)
+    return _sum_by_vector((kv for el in elements for kv in el.terms.items()), spec)
 

@@ -16,6 +16,7 @@ factor-by-factor cancellation keep intermediate results small.
 """
 
 from collections import Counter
+from itertools import chain
 from typing import NamedTuple
 
 from ._rat import Rat, rat, is_integral, as_int
@@ -55,12 +56,16 @@ def _eq_key(e):
     return int(e.numerator) if e.denominator == 1 else e
 
 
-def _padd(a, b):
-    out = dict(a)
-    for k, c in b.items():
+def _collect(pairs, into=None):
+    """Sum the coefficients of equal keys over (key, coeff) pairs, on top of
+    a copy of into; a key whose sum is zero is dropped, and a zero
+    coefficient at a new key is skipped."""
+    out = dict(into) if into else {}
+    for k, c in pairs:
         s = out.get(k)
         if s is None:
-            out[k] = c
+            if c:
+                out[k] = c
         else:
             s = s + c
             if s:
@@ -70,23 +75,16 @@ def _padd(a, b):
     return out
 
 
+def _padd(a, b):
+    return _collect(b.items(), a)
+
+
 def _pneg(a):
     return {k: -c for k, c in a.items()}
 
 
 def _psub(a, b):
-    out = dict(a)
-    for k, c in b.items():
-        s = out.get(k)
-        if s is None:
-            out[k] = -c
-        else:
-            s = s - c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-    return out
+    return _padd(a, _pneg(b))
 
 
 def _pmul(a, b):
@@ -94,6 +92,8 @@ def _pmul(a, b):
         return {}
     if len(b) < len(a):
         a, b = b, a
+    # inline rather than _collect over a generator of pairs: this is the
+    # hottest loop, and the generator made it about 8% slower
     out = {}
     for (q1, x1, y1), c1 in a.items():
         for (q2, x2, y2), c2 in b.items():
@@ -109,6 +109,13 @@ def _pmul(a, b):
                 else:
                     del out[k]
     return out
+
+
+def _times(t, keys):
+    """t times dict(k) for each factor key k, repeats included."""
+    for k in keys:
+        t = _pmul(t, dict(k))
+    return t
 
 
 def _pscale(a, c):
@@ -261,19 +268,9 @@ def _pdiv_exact(a, f):
 
 
 def _peval_quantum(a, cx, cy):
-    out = {}
-    for (q, x, y), c in a.items():
-        k = (_eq_key(q + x * cx + y * cy), 0, 0)
-        s = out.get(k)
-        if s is None:
-            out[k] = c
-        else:
-            s = s + c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-    return out
+    return _collect(
+        ((_eq_key(q + x * cx + y * cy), 0, 0), c) for (q, x, y), c in a.items()
+    )
 
 
 def _peval_classical(a, cx, cy):
@@ -392,18 +389,12 @@ class FieldElement:
 
     def expanded_num(self):
         """num with all numerator factors multiplied out."""
-        out = self.num
-        for k in self.nfac:
-            out = _pmul(out, dict(k))
-        return out
+        return _times(self.num, self.nfac)
 
     @property
     def den(self):
         """The denominator expanded to a single term dict."""
-        out = dict(_PONE)
-        for k in self.fden:
-            out = _pmul(out, dict(k))
-        return out
+        return _times(dict(_PONE), self.fden)
 
     def is_zero(self):
         return not self.num
@@ -425,14 +416,8 @@ class FieldElement:
             return self.num == other.num
         ca, cb = Counter(self.fden), Counter(other.fden)
         common = ca & cb
-        left = self.expanded_num()
-        for k, mult in (cb - common).items():
-            for _ in range(mult):
-                left = _pmul(left, dict(k))
-        right = other.expanded_num()
-        for k, mult in (ca - common).items():
-            for _ in range(mult):
-                right = _pmul(right, dict(k))
+        left = _times(self.expanded_num(), (cb - common).elements())
+        right = _times(other.expanded_num(), (ca - common).elements())
         return left == right
 
     def __hash__(self):
@@ -463,20 +448,8 @@ class FieldElement:
         common_n = na & nb
         da, db = Counter(self.fden), Counter(other.fden)
         common_d = da & db
-        left = self.num
-        for k, mult in (na - common_n).items():
-            for _ in range(mult):
-                left = _pmul(left, dict(k))
-        for k, mult in (db - common_d).items():
-            for _ in range(mult):
-                left = _pmul(left, dict(k))
-        right = other.num
-        for k, mult in (nb - common_n).items():
-            for _ in range(mult):
-                right = _pmul(right, dict(k))
-        for k, mult in (da - common_d).items():
-            for _ in range(mult):
-                right = _pmul(right, dict(k))
+        left = _times(self.num, ((na - common_n) + (db - common_d)).elements())
+        right = _times(other.num, ((nb - common_n) + (da - common_d)).elements())
         num = _padd(left, right)
         if not num:
             return FieldElement._raw({}, (), (), self.system)
@@ -529,11 +502,6 @@ class FieldElement:
             return FieldElement._raw({}, (), (), self.system)
         return FieldElement._raw(_pscale(self.num, c), self.nfac, self.fden, self.system)
 
-    def inverse(self):
-        if not self.num:
-            raise DivisionByZero("inverse of zero")
-        return FieldElement.one(self.system) / self
-
     # -- canonical views ----------------------------------------------------
 
     def canonical_key(self):
@@ -564,29 +532,21 @@ def fe_sum(elems, system):
         return elems[0]
     nfac, fden = elems[0].nfac, elems[0].fden
     if all(e.nfac == nfac and e.fden == fden for e in elems):
-        acc = {}
-        for e in elems:
-            acc = _padd(acc, e.num)
-        return _build_raw(acc, nfac, fden, system)
-    common_n = Counter(elems[0].nfac)
-    lcd = Counter(elems[0].fden)
-    for e in elems[1:]:
-        common_n &= Counter(e.nfac)
-        lcd |= Counter(e.fden)
-    acc = {}
-    for e in elems:
-        t = e.num
-        extra = (Counter(e.nfac) - common_n) + (lcd - Counter(e.fden))
-        for k, mult in extra.items():
-            d = dict(k)
-            for _ in range(mult):
-                t = _pmul(t, d)
-        acc = _padd(acc, t)
-    if not acc:
-        return FieldElement.zero(system)
-    return _build_raw(
-        acc, tuple(sorted(common_n.elements())), tuple(sorted(lcd.elements())), system
-    )
+        parts = [e.num for e in elems]
+    else:
+        common_n = Counter(nfac)
+        lcd = Counter(fden)
+        for e in elems[1:]:
+            common_n &= Counter(e.nfac)
+            lcd |= Counter(e.fden)
+        parts = [
+            _times(e.num, ((Counter(e.nfac) - common_n) + (lcd - Counter(e.fden))).elements())
+            for e in elems
+        ]
+        nfac = tuple(sorted(common_n.elements()))
+        fden = tuple(sorted(lcd.elements()))
+    num = _collect(chain.from_iterable(t.items() for t in parts[1:]), parts[0])
+    return _build_raw(num, nfac, fden, system)
 
 
 def _cancel_pairs(nfac, fden):
@@ -706,15 +666,8 @@ class LinearExpr(NamedTuple):
     def __neg__(self):
         return LinearExpr(-self.const, -self.cx, -self.cy)
 
-    def shift(self, c):
-        return LinearExpr(self.const + c, self.cx, self.cy)
-
     def is_zero(self):
         return not self.const and not self.cx and not self.cy
-
-    def is_symmetric(self):
-        """Invariant under swapping x and y."""
-        return self.cx == self.cy
 
 
 def linear_element(d: LinearExpr, system) -> FieldElement:

@@ -38,6 +38,7 @@ from .action import (
     BasisVector,
     ModuleElement,
     ModuleSpec,
+    combine,
 )
 
 
@@ -131,10 +132,7 @@ def act_central(m: int, k: int, bv: BasisVector, spec: ModuleSpec) -> ModuleElem
 
 
 def act_central_element(m: int, k: int, elem: ModuleElement, spec: ModuleSpec) -> ModuleElement:
-    out = ModuleElement._raw({})
-    for bv, c in elem.terms.items():
-        out = out + act_central(m, k, bv, spec).scale(c)
-    return out
+    return combine((act_central(m, k, bv, spec).scale(c) for bv, c in elem.terms.items()), spec)
 
 
 def eigen_index_set(spec: ModuleSpec, m: int):

@@ -10,7 +10,7 @@ component by component.
 from itertools import product
 from typing import NamedTuple
 
-from ._rat import Rat, rat, is_integral, as_int
+from ._rat import rat, is_integral, as_int
 
 
 class MultiplySingular(ValueError):
@@ -99,8 +99,7 @@ class RelationSet:
     """A subset of the relation universe with cached component and closure
     data (closures are hot in enumeration, so they are computed once)."""
 
-    __slots__ = ("n", "relations", "_idx", "_edges", "_comp", "_reach", "_sreach",
-                 "_vset")
+    __slots__ = ("n", "relations", "_edges", "_comp", "_reach", "_sreach", "_vset")
 
     def __init__(self, n, relations=(), validate=True):
         self.n = n
@@ -110,7 +109,6 @@ class RelationSet:
                 if not _valid_relation(rel, n):
                     raise ValueError(f"relation {rel!r} is not in the universe for n={n}")
         self.relations = rels
-        self._idx = None
         self._edges = None
         self._comp = None
         self._reach = None
@@ -221,16 +219,6 @@ class RelationSet:
         self._build()
         c = self._comp[z_index(pos.row, pos.col)]
         return None if c < 0 else c
-
-    def components(self):
-        """Position sets of the indecomposable components."""
-        self._build()
-        out = {}
-        for p in positions(self.n):
-            c = self._comp[z_index(p.row, p.col)]
-            if c >= 0:
-                out.setdefault(c, set()).add(p)
-        return [frozenset(out[c]) for c in sorted(out)]
 
     def same_component(self, p, q):
         self._build()
@@ -507,7 +495,7 @@ def normalized_singular_base(T: Tableau, sp: SingularPair) -> Tableau:
     return Tableau(T.n, rows)
 
 
-def in_basis(T: Tableau, C: RelationSet, sp=GENERIC) -> bool:
+def in_basis(T: Tableau, C: RelationSet) -> bool:
     """Orbit membership under C.  Relations never touch the singular pair
     (its positions lie outside the support), and the integral-difference
     pattern is invariant under integer shifts, so membership is decided on

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from ._rat import Rat
+from ._rat import Rat, is_integral
 from .exactalg import (
     CLASSICAL,
     QUANTUM,
@@ -506,24 +506,15 @@ def irreducibility_evidence(spec: ModuleSpec, B: int) -> CheckReport:
     off the support) and, separately, window-reachability evidence."""
     t0 = time.time()
     M, _ = maximal_relation_set(spec.base)
-    hypothesis = implies(spec.relations, M)
     support = spec.relations.support
-    if hypothesis:
-        for r in range(2, spec.n + 1):
-            for s in range(1, r + 1):
-                for tcol in range(1, r):
-                    a = (r, s)
-                    b = (r - 1, tcol)
-                    if all(p in support for p in (a, b)):
-                        continue
-                    d = spec.base.entry(*a) - spec.base.entry(*b)
-                    if d.denominator == 1:
-                        hypothesis = False
-                        break
-                if not hypothesis:
-                    break
-            if not hypothesis:
-                break
+    entry = spec.base.entry
+    hypothesis = implies(spec.relations, M) and not any(
+        is_integral(entry(r, s) - entry(r - 1, t))
+        for r in range(2, spec.n + 1)
+        for s in range(1, r + 1)
+        for t in range(1, r)
+        if not ((r, s) in support and (r - 1, t) in support)
+    )
 
     window = spec.window(B)
     index = {bv: t for t, bv in enumerate(window)}
@@ -564,16 +555,6 @@ def irreducibility_evidence(spec: ModuleSpec, B: int) -> CheckReport:
     )
     failure = None if hypothesis and connected else summary
     return _finish("irreducibility-evidence", summary, B, failure, t0)
-
-
-SUITES = (
-    "relations",
-    "compatibility",
-    "appendix",
-    "gamma",
-    "findim",
-    "irreducible",
-)
 
 
 def run_suite(spec: ModuleSpec, suite: str, B: int, seed=20240901, samples=100):

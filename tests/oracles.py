@@ -9,13 +9,12 @@ term-dict derivatives ``_peuler`` and ``_ppartial`` and
 ``evaluate_at_singular`` with the library.
 
 The helpers below the oracles (exact derivatives, two-point evaluation,
-relabeling Q, words of generators) are used by tests only.  Traced library
-functions are reached through their modules, so this module holds no
-reference that a tracer would have to rebind.
+relabeling Q, words of generators, weight exponents) are used by tests
+only.  Traced library functions are reached through their modules, so this
+module holds no reference that a tracer would have to rebind.
 """
 
 from collections import deque
-from fractions import Fraction
 from itertools import product
 
 from gtsingular import action, exactalg
@@ -25,6 +24,7 @@ from gtsingular.exactalg import (
     CLASSICAL,
     QUANTUM,
     FieldElement,
+    LinearExpr,
     PoleAtEvaluation,
     _build,
     _build_raw,
@@ -37,6 +37,14 @@ from gtsingular.exactalg import (
     _psub,
 )
 from gtsingular.tableaux import Position, Relation, z_index
+
+
+def naive_collect(pairs, into):
+    """Sum every coefficient per key (into included), then drop the zeros."""
+    sums = dict(into)
+    for k, c in pairs:
+        sums[k] = sums.get(k, 0) + c
+    return {k: c for k, c in sums.items() if c}
 
 
 def naive_components(rels):
@@ -340,3 +348,12 @@ def act_word(word, elem, spec):
     for g in reversed(list(word)):
         elem = action.act_element(g, elem, spec)
     return elem
+
+
+def weight_exponent(spec, k, z):
+    """a_k = sum(row k) - sum(row k-1) + k at shift z, as an exact unscaled
+    linear expression in the entries."""
+    a = spec._weight_scaled(k, z)
+    if spec.qscale == 1:
+        return a
+    return LinearExpr(rat(a.const, spec.qscale), a.cx, a.cy)

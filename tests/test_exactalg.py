@@ -20,15 +20,19 @@ from gtsingular.exactalg import (
     q_pochhammer_factorial,
     q_power,
     tau_swap,
+    _collect,
+    _fkey,
     _normalize_factor,
     _pdiv_exact,
     _pmul,
+    _times,
 )
 from gtsingular.verify import pole_families, sample_smooth
 
 from oracles import (
     euler_derivative,
     evaluate_at,
+    naive_collect,
     oracle_dv,
     oracle_long_division,
     partial_derivative,
@@ -488,3 +492,32 @@ def test_fe_sum_agrees_with_repeated_addition(system):
                 expected = expected + p
             assert fe_sum(parts, system) == expected
         assert fe_sum(shared + [-p for p in shared], system).is_zero()
+
+
+def test_collect_against_naive_sum():
+    """Per-key sums with zeros dropped, on top of an unmutated copy of into."""
+    rng = random.Random(5)
+    keys = [(q, x, 0) for q in (0, 1) for x in (-1, 0, 1)]
+    for _ in range(300):
+        into = {k: Rat(rng.choice([-2, -1, 1, 2])) for k in rng.sample(keys, rng.randint(0, 3))}
+        before = dict(into)
+        pairs = [(rng.choice(keys), Rat(rng.randint(-2, 2), rng.choice([1, 2])))
+                 for _ in range(rng.randint(0, 12))]
+        assert _collect(pairs, into) == naive_collect(pairs, into)
+        assert into == before
+    # a key that cancels to zero and then appears again, and a zero pair at
+    # a new key
+    k, j = keys[:2]
+    assert _collect([(k, Rat(1)), (k, Rat(-1)), (j, Rat(0)), (k, Rat(2))]) == {k: 2}
+    assert _collect([(k, Rat(-3))], {k: Rat(3), j: Rat(1)}) == {j: 1}
+
+
+@SYSTEMS
+def test_times_against_repeated_pmul(system):
+    rng = random.Random(41)
+    for _ in range(40):
+        t = random_laurent(rng, system, rng.randint(1, 4))
+        f, g = random_factor(rng, system), random_factor(rng, system)
+        expected = _pmul(_pmul(_pmul(t, f), g), f)
+        assert _times(t, [_fkey(f), _fkey(g), _fkey(f)]) == expected
+    assert _times(t, []) == t

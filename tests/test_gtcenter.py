@@ -1,7 +1,5 @@
 from itertools import permutations
 
-import pytest
-
 from gtsingular._rat import Rat
 from gtsingular.exactalg import CLASSICAL, QUANTUM, FieldElement, q_pochhammer_factorial
 from gtsingular.tableaux import RelationSet, Tableau
