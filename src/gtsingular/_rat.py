@@ -2,6 +2,10 @@
 
 gmpy2.mpq when available (much faster), fractions.Fraction otherwise.  Both
 hash compatibly with int, so they can share dict keys.
+
+Rat holds the contents of field elements, rational Q exponents, tableau
+entries and scalars only: term-dict coefficients in ``exactalg`` are
+Python ints, with one rational content per element.
 """
 
 try:

@@ -5,8 +5,18 @@ Elements are rational functions over Q in three formal quantities:
 * quantum system: Q (the quantum parameter q), X (= q^x) and Y (= q^y),
   where x, y are the two entries of a singular pair.  Monomials carry a
   rational exponent of Q and integer exponents of X, Y.
-* classical system: the polynomial variables x and y themselves, with
-  rational coefficients (the Q slot of a monomial is unused).
+* classical system: the polynomial variables x and y themselves (the Q
+  slot of a monomial is unused).
+
+Polynomials are term dicts {(expQ, expX, expY): c} whose coefficients are
+Python ints; the rational part of an element lives in one content per
+element (the content / primitive-part split).  A stored polynomial is
+primitive: its coefficients have gcd 1 and its leading coefficient, at
+the lexicographically largest key, is positive.  By Gauss's lemma a
+product of primitive polynomials is again primitive with a positive
+leading coefficient, so products need no gcd pass, and an exact quotient
+of integer polynomials by a primitive one has integer coefficients, so
+exact division never leaves the integers.  Only sums need a gcd pass.
 
 Everything is immutable and exact.  Equality is decided by cross
 multiplication, so no multivariate gcd is ever required; instead the
@@ -17,6 +27,7 @@ factor-by-factor cancellation keep intermediate results small.
 
 from collections import Counter
 from itertools import chain
+from math import gcd, lcm
 from typing import NamedTuple
 
 from ._rat import Rat, rat, is_integral, as_int
@@ -46,7 +57,7 @@ class NegativeArgument(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# term dictionaries: {(expQ, expX, expY): coeff}, no zero coefficients stored
+# term dictionaries: {(expQ, expX, expY): int}, no zero coefficients stored
 # ---------------------------------------------------------------------------
 
 def _eq_key(e):
@@ -54,6 +65,41 @@ def _eq_key(e):
     if isinstance(e, int):
         return e
     return int(e.numerator) if e.denominator == 1 else e
+
+
+def _div(a, b):
+    """Exact a / b of two contents (ints or Rats); an integral quotient of
+    two ints stays an int, and int / int never becomes a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Rat(a, b) if r else q
+    return a / b
+
+
+def _primitive(d):
+    """(content, primitive part) of a nonzero int term dict.  The content
+    is the gcd of the coefficients, signed so that the primitive part has
+    a positive leading coefficient."""
+    g = gcd(*d.values())
+    if d[max(d)] < 0:
+        g = -g
+    if g == 1:
+        return 1, d
+    return g, {k: c // g for k, c in d.items()}
+
+
+def _integral(d):
+    """(content, primitive part) of a term dict with exact rational or int
+    coefficients, the form a caller outside this module may pass; (0, {})
+    when every coefficient is zero."""
+    d = {k: c for k, c in d.items() if c}
+    if not d:
+        return 0, {}
+    den = lcm(*(int(c.denominator) for c in d.values()))
+    g, prim = _primitive(
+        {k: int(c.numerator) * (den // int(c.denominator)) for k, c in d.items()}
+    )
+    return _div(g, den), prim
 
 
 def _collect(pairs, into=None):
@@ -75,16 +121,34 @@ def _collect(pairs, into=None):
     return out
 
 
-def _padd(a, b):
-    return _collect(b.items(), a)
-
-
-def _pneg(a):
-    return {k: -c for k, c in a.items()}
-
-
 def _psub(a, b):
-    return _padd(a, _pneg(b))
+    return _collect(((k, -c) for k, c in b.items()), a)
+
+
+def _sum(parts):
+    """Sum content * dict over nonempty (content, int dict) parts, as
+    (content, primitive part), or (0, {}) when the sum vanishes.
+
+    Every content is rescaled to the common one, the gcd of the
+    numerators over the lcm of the denominators, so each part enters the
+    sum with an integer multiplier."""
+    g = gcd(*(int(c.numerator) for c, _ in parts))
+    den = lcm(*(int(c.denominator) for c, _ in parts))
+    scaled = [
+        ((int(c.numerator) // g) * (den // int(c.denominator)), d) for c, d in parts
+    ]
+    (m0, d0), rest = scaled[0], scaled[1:]
+    num = _collect(
+        chain.from_iterable(
+            d.items() if m == 1 else ((k, m * v) for k, v in d.items())
+            for m, d in rest
+        ),
+        d0 if m0 == 1 else {k: m0 * v for k, v in d0.items()},
+    )
+    if not num:
+        return 0, num
+    h, num = _primitive(num)
+    return _div(g * h, den), num
 
 
 def _pmul(a, b):
@@ -118,12 +182,6 @@ def _times(t, keys):
     return t
 
 
-def _pscale(a, c):
-    if not c:
-        return {}
-    return {k: v * c for k, v in a.items()}
-
-
 def _pshift(a, dq, dx, dy):
     return {(_eq_key(q + dq), x + dx, y + dy): c for (q, x, y), c in a.items()}
 
@@ -140,44 +198,41 @@ def _pdiv_x_minus_y(a):
     X/Y are keyed by (Q, X*Y), so the chain-sum test of _pdiv_binomial
     is the substitution Y -> X.
     """
-    return _pdiv_binomial(a, (0, 1, 0), Rat(1), (0, 0, 1), Rat(-1))
-
-
-def _floor_div(a, b):
-    """floor(a/b) for exact rationals, b > 0."""
-    if isinstance(a, int):
-        an, ad = a, 1
-    else:
-        an, ad = a.numerator, a.denominator
-    return (an * b.denominator) // (ad * b.numerator)
+    return _pdiv_binomial(a, (0, 1, 0), 1, (0, 0, 1), -1)
 
 
 def _pdiv_binomial(a, lead, lc, trail, tc):
-    """Exact division by lc*M_lead + tc*M_trail along exponent chains in the
-    direction lead - trail; returns the quotient dict or None.
+    """Exact division of the int dict a by lc*M_lead + tc*M_trail (lc > 0)
+    along exponent chains in the direction lead - trail; returns the
+    quotient dict or None.
 
     The factor maps each chain into itself, so it divides a exactly when it
     divides every chain.  For M_lead - M_trail, which is M_trail*(s - 1)
     with s the chain step, that holds exactly when every chain's
-    coefficients sum to zero; this is tested on all chains before any is
-    divided."""
+    coefficients sum to zero; a first pass sums the chains into one dict
+    and rejects before any chain dict is built.  An exact quotient has
+    integer coefficients when the factor is primitive, so a quotient term
+    that lc does not divide rejects too."""
     dq = lead[0] - trail[0]
     dx = lead[1] - trail[1]
     dy = lead[2] - trail[2]
-    # chain parameter: integer steps along the direction vector
-    if dx:
-        param = lambda k: k[1] // dx
-    elif dy:
-        param = lambda k: k[2] // dy
-    else:
-        param = lambda k: _floor_div(k[0], dq)
+    # chain parameter: integer steps k[i] // step along the direction vector
+    # (floor division is exact for rational Q exponents as well); a chain id
+    # is only a dict key, so an integral Rat in it needs no _eq_key
+    i, step = (1, dx) if dx else (2, dy) if dy else (0, dq)
+    if lc == 1 and tc == -1:
+        sums = {}
+        get = sums.get
+        for k, c in a.items():
+            t = k[i] // step
+            cid = (k[0] - t * dq, k[1] - t * dx, k[2] - t * dy)
+            sums[cid] = get(cid, 0) + c
+        if any(sums.values()):
+            return None
     chains = {}
     for k, c in a.items():
-        t = param(k)
-        cid = (_eq_key(k[0] - t * dq), k[1] - t * dx, k[2] - t * dy)
-        chains.setdefault(cid, {})[t] = c
-    if lc == 1 and tc == -1 and any(sum(d.values()) for d in chains.values()):
-        return None
+        t = k[i] // step
+        chains.setdefault((k[0] - t * dq, k[1] - t * dx, k[2] - t * dy), {})[t] = c
     quo = {}
     for cid, d in chains.items():
         ts = sorted(d, reverse=True)
@@ -186,9 +241,14 @@ def _pdiv_binomial(a, lead, lc, trail, tc):
             return None
         for t in range(tmax, tmin - 1, -1):
             c = d.pop(t, None)
-            if c is None or not c:
+            if not c:
                 continue
-            qc = c / lc
+            if lc == 1:
+                qc = c
+            else:
+                qc, r = divmod(c, lc)
+                if r:
+                    return None
             qk = (
                 _eq_key(cid[0] + t * dq - lead[0]),
                 cid[1] + t * dx - lead[1],
@@ -212,22 +272,24 @@ def _pdiv_binomial(a, lead, lc, trail, tc):
 
 
 def _pdiv_exact(a, f):
-    """Exact sparse division of a by the canonical factor f, or None.
+    """Exact sparse division of the int dict a by the canonical factor f,
+    or None.
 
-    f must be normalized (_normalize_factor): zero minimal exponents in Q,
-    X and Y.  The lowest parts in each variable then multiply, so an exact
-    quotient has the minimal exponents of a.  Factors of 3 or 4 terms are
+    f must be normalized (_normalize_factor): a primitive integer
+    polynomial with a positive leading coefficient and zero minimal
+    exponents in Q, X and Y.  The lowest parts in each variable then
+    multiply, so an exact quotient has the minimal exponents of a, and by
+    Gauss's lemma it has integer coefficients.  Factors of 3 or 4 terms are
     divided by Laurent long division, which emits quotient terms in
     decreasing lex order and stops at the first one below min(a) in any
-    variable; binomials go to _pdiv_binomial.  Aborting early is always
-    safe: a skipped cancellation only leaves the fraction unreduced, so a
-    factor that is not normalized may be rejected but never divides wrongly.
+    variable or not divisible by the leading coefficient; binomials go to
+    _pdiv_binomial.  Aborting early is always safe: a skipped cancellation
+    only leaves the fraction unreduced, so a factor that is not normalized
+    may be rejected but never divides wrongly.  The quotient of a
+    primitive a is primitive with a positive leading coefficient.
     """
     if not a:
         return {}
-    if len(f) == 1:
-        ((fq, fx, fy), fc), = f.items()
-        return {(_eq_key(q - fq), x - fx, y - fy): c / fc for (q, x, y), c in a.items()}
     lead = max(f)
     lc = f[lead]
     if len(f) == 2:
@@ -250,7 +312,9 @@ def _pdiv_exact(a, f):
         if dq < mq or dx < mx or dy < my:
             return None
         # the leading term of rem strictly decreases, so quotient keys are new
-        qc = rem.pop(k) / lc
+        qc, r = divmod(rem.pop(k), lc)
+        if r:
+            return None
         quo[(_eq_key(dq), dx, dy)] = qc
         for (fq, fx, fy), fc in rest:
             kk = (_eq_key(fq + dq), fx + dx, fy + dy)
@@ -268,16 +332,41 @@ def _pdiv_exact(a, f):
 
 
 def _peval_quantum(a, cx, cy):
-    return _collect(
+    d = _collect(
         ((_eq_key(q + x * cx + y * cy), 0, 0), c) for (q, x, y), c in a.items()
     )
+    return _primitive(d) if d else (0, d)
 
 
 def _peval_classical(a, cx, cy):
-    val = Rat(0)
-    for (_, x, y), c in a.items():
-        val += c * cx**x * cy**y
-    return {(0, 0, 0): val} if val else {}
+    """Sum c * cx^x * cy^y in the integers: with cx = px/rx and cy = py/ry
+    every term is brought over rx^max(x) * ry^max(y), and one division
+    remains.  A negative exponent of a variable evaluated at zero is a
+    pole."""
+    if not a:
+        return 0, {}
+    px, rx = int(cx.numerator), int(cx.denominator)
+    py, ry = int(cy.numerator), int(cy.denominator)
+    mx = min(k[1] for k in a)
+    my = min(k[2] for k in a)
+    if (not px and mx < 0) or (not py and my < 0):
+        raise PoleAtEvaluation("a negative power of a variable evaluated at zero")
+    tx = max(k[1] for k in a)
+    ty = max(k[2] for k in a)
+    s = sum(
+        c * px ** (x - mx) * rx ** (tx - x) * py ** (y - my) * ry ** (ty - y)
+        for (_, x, y), c in a.items()
+    )
+    # value = s * px^mx * rx^-tx * py^my * ry^-ty
+    num, den = s, 1
+    for base, e in ((px, mx), (rx, -tx), (py, my), (ry, -ty)):
+        if e >= 0:
+            num *= base ** e
+        else:
+            den *= base ** -e
+    if not num:
+        return 0, {}
+    return _div(num, den), _PONE
 
 
 def _peuler(a, var):
@@ -304,23 +393,27 @@ def _ppartial(a, var):
     return out
 
 
-_PONE = {(0, 0, 0): Rat(1)}
+# shared by every element equal to a scalar: no term dict is mutated once built
+_PONE = {(0, 0, 0): 1}
+_HALF = Rat(1, 2)
+_QUARTER = Rat(1, 4)
 
 
 def _normalize_factor(d):
-    """Scale a factor to leading coefficient 1 and zero minimal exponents;
-    returns (canonical dict, removed scalar, removed exponent shift)."""
-    lead = max(d)
-    lc = d[lead]
+    """Split a nonzero int term dict into its canonical factor, the
+    removed scalar and the removed exponent shift.
+
+    The canonical factor is the primitive part with a positive leading
+    coefficient, shifted to zero minimal exponents in Q, X and Y; the
+    removed scalar is the signed content (an int).  Two factors that differ
+    by a rational scalar and a monomial get the same canonical factor."""
+    g, d = _primitive(d)
     mq = min(k[0] for k in d)
     mx = min(k[1] for k in d)
     my = min(k[2] for k in d)
     if mq or mx or my:
         d = _pshift(d, -mq, -mx, -my)
-    if lc != 1:
-        inv = 1 / lc
-        d = {k: v * inv for k, v in d.items()}
-    return d, lc, (mq, mx, my)
+    return d, g, (mq, mx, my)
 
 
 def _fkey(d):
@@ -328,27 +421,33 @@ def _fkey(d):
 
 
 class FieldElement:
-    """num * product(nfac) over a multiset of denominator factors.
+    """cont * num * product(nfac) / product(fden).
 
-    Both sides keep small normalized factors (bracket numerators and the
-    like): products concatenate factor multisets, and only sums expand,
-    after extracting shared factors.  Every factor has leading coefficient
-    1 and zero minimal exponents (removed content is pushed into num),
-    trivial factors are dropped, and sums are opportunistically divided by
-    denominator factors that cancel.  Equality is exact via cross
-    multiplication.
+    cont is the content, an exact rational (an int or a Rat), nonzero
+    unless the element is zero; num is a primitive int term dict with a
+    positive leading coefficient, empty for zero.  nfac and fden are
+    sorted multisets of factor keys (_fkey of a canonical factor from
+    _normalize_factor: primitive, positive leading coefficient, zero
+    minimal exponents).  Products concatenate factor multisets, and only
+    sums expand, after extracting shared factors; trivial factors are
+    dropped, and sums are opportunistically divided by denominator factors
+    that cancel.  All parts being primitive with a positive leading
+    coefficient, two equal elements have equal contents, and equality is
+    exact via cross multiplication of the integer parts.
     """
 
-    __slots__ = ("num", "nfac", "fden", "system")
+    __slots__ = ("cont", "num", "nfac", "fden", "system")
 
-    def __init__(self, num, den=None, system=None, _normalize=True):
+    def __init__(self, num, den=None, system=None):
+        """num / den for term dicts with exact rational or int coefficients."""
         if system is None:
             raise TypeError("system is required")
-        if den is None:
-            den = dict(_PONE)
+        dc, den = _integral(_PONE if den is None else den)
         if not den:
             raise DivisionByZero("zero denominator")
-        built = _build(num, [], [den], system)
+        nc, num = _integral(num)
+        built = _build(_div(nc, dc), num, [], [den], system)
+        self.cont = built.cont
         self.num = built.num
         self.nfac = built.nfac
         self.fden = built.fden
@@ -357,8 +456,9 @@ class FieldElement:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def _raw(cls, num, nfac, fden, system):
+    def _raw(cls, cont, num, nfac, fden, system):
         e = object.__new__(cls)
+        e.cont = cont
         e.num = num
         e.nfac = nfac
         e.fden = fden
@@ -367,28 +467,31 @@ class FieldElement:
 
     @classmethod
     def zero(cls, system):
-        return cls._raw({}, (), (), system)
+        return cls._raw(0, {}, (), (), system)
 
     @classmethod
     def one(cls, system):
-        return cls._raw(dict(_PONE), (), (), system)
+        return cls._raw(1, _PONE, (), (), system)
 
     @classmethod
     def scalar(cls, value, system):
         c = rat(value)
-        return cls._raw({(0, 0, 0): c} if c else {}, (), (), system)
+        if not c:
+            return cls.zero(system)
+        return cls._raw(c, _PONE, (), (), system)
 
     @classmethod
     def monomial(cls, system, coeff, expq=0, expx=0, expy=0):
         c = rat(coeff)
         if not c:
-            return cls._raw({}, (), (), system)
-        return cls._raw({(_eq_key(rat(expq)), expx, expy): c}, (), (), system)
+            return cls.zero(system)
+        return cls._raw(c, {(_eq_key(rat(expq)), expx, expy): 1}, (), (), system)
 
     # -- views ---------------------------------------------------------------
 
     def expanded_num(self):
-        """num with all numerator factors multiplied out."""
+        """num with all numerator factors multiplied out (the content is
+        not included)."""
         return _times(self.num, self.nfac)
 
     @property
@@ -400,6 +503,8 @@ class FieldElement:
         return not self.num
 
     def is_one(self):
+        if self.cont != 1:
+            return False
         if not self.fden and not self.nfac:
             return self.num == _PONE
         return self.expanded_num() == self.den
@@ -410,7 +515,7 @@ class FieldElement:
     def __eq__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
-        if self.system != other.system:
+        if self.system != other.system or self.cont != other.cont:
             return False
         if self.fden == other.fden and self.nfac == other.nfac:
             return self.num == other.num
@@ -440,32 +545,32 @@ class FieldElement:
         if not other.num:
             return self
         if self.fden == other.fden and self.nfac == other.nfac:
-            num = _padd(self.num, other.num)
+            cont, num = _sum([(self.cont, self.num), (other.cont, other.num)])
             if not num:
-                return FieldElement._raw({}, (), (), self.system)
-            return _build_raw(num, self.nfac, self.fden, self.system)
+                return FieldElement.zero(self.system)
+            return _build_raw(cont, num, self.nfac, self.fden, self.system)
         na, nb = Counter(self.nfac), Counter(other.nfac)
         common_n = na & nb
         da, db = Counter(self.fden), Counter(other.fden)
         common_d = da & db
         left = _times(self.num, ((na - common_n) + (db - common_d)).elements())
         right = _times(other.num, ((nb - common_n) + (da - common_d)).elements())
-        num = _padd(left, right)
+        cont, num = _sum([(self.cont, left), (other.cont, right)])
         if not num:
-            return FieldElement._raw({}, (), (), self.system)
+            return FieldElement.zero(self.system)
         fden = tuple(sorted((da | db).elements()))
-        return _build_raw(num, tuple(sorted(common_n.elements())), fden, self.system)
+        return _build_raw(cont, num, tuple(sorted(common_n.elements())), fden, self.system)
 
     def __sub__(self, other):
         return self.__add__(-other)
 
     def __neg__(self):
-        return FieldElement._raw(_pneg(self.num), self.nfac, self.fden, self.system)
+        return FieldElement._raw(-self.cont, self.num, self.nfac, self.fden, self.system)
 
     def __mul__(self, other):
         self._check(other)
         if not self.num or not other.num:
-            return FieldElement._raw({}, (), (), self.system)
+            return FieldElement.zero(self.system)
         if other.num == _PONE:
             num = self.num
         elif self.num == _PONE:
@@ -475,32 +580,29 @@ class FieldElement:
         nfac, fden = _cancel_pairs(
             self.nfac + other.nfac, self.fden + other.fden
         )
-        return FieldElement._raw(num, nfac, fden, self.system)
+        return FieldElement._raw(self.cont * other.cont, num, nfac, fden, self.system)
 
     def __truediv__(self, other):
         self._check(other)
         if not other.num:
             raise DivisionByZero("division by the zero element")
         if not self.num:
-            return FieldElement._raw({}, (), (), self.system)
-        extra_den = list(other.nfac)
-        num = self.num
-        nfac = list(self.nfac) + list(other.fden)
+            return FieldElement.zero(self.system)
+        cont = _div(self.cont, other.cont)
+        nfac = self.nfac + other.fden
         if other.num != _PONE:
-            built = _build(num, nfac, [other.num], self.system,
-                           pre_den=list(self.fden))
-            nfac2, fden2 = _cancel_pairs(
-                built.nfac, built.fden + tuple(extra_den)
-            )
-            return FieldElement._raw(built.num, nfac2, fden2, self.system)
-        nfac2, fden2 = _cancel_pairs(tuple(nfac), self.fden + tuple(extra_den))
-        return FieldElement._raw(num, nfac2, fden2, self.system)
+            built = _build(cont, self.num, nfac, [other.num], self.system,
+                           pre_den=self.fden)
+            nfac2, fden2 = _cancel_pairs(built.nfac, built.fden + other.nfac)
+            return FieldElement._raw(built.cont, built.num, nfac2, fden2, self.system)
+        nfac2, fden2 = _cancel_pairs(nfac, self.fden + other.nfac)
+        return FieldElement._raw(cont, self.num, nfac2, fden2, self.system)
 
     def scale(self, c):
         c = rat(c)
-        if not c:
-            return FieldElement._raw({}, (), (), self.system)
-        return FieldElement._raw(_pscale(self.num, c), self.nfac, self.fden, self.system)
+        if not c or not self.num:
+            return FieldElement.zero(self.system)
+        return FieldElement._raw(self.cont * c, self.num, self.nfac, self.fden, self.system)
 
     # -- canonical views ----------------------------------------------------
 
@@ -508,6 +610,7 @@ class FieldElement:
         """Hashable exact identity for fully reduced (evaluated) elements."""
         return (
             self.system,
+            self.cont,
             tuple(sorted(self.expanded_num().items())),
             self.fden,
         )
@@ -532,7 +635,7 @@ def fe_sum(elems, system):
         return elems[0]
     nfac, fden = elems[0].nfac, elems[0].fden
     if all(e.nfac == nfac and e.fden == fden for e in elems):
-        parts = [e.num for e in elems]
+        parts = [(e.cont, e.num) for e in elems]
     else:
         common_n = Counter(nfac)
         lcd = Counter(fden)
@@ -540,13 +643,16 @@ def fe_sum(elems, system):
             common_n &= Counter(e.nfac)
             lcd |= Counter(e.fden)
         parts = [
-            _times(e.num, ((Counter(e.nfac) - common_n) + (lcd - Counter(e.fden))).elements())
+            (e.cont, _times(e.num, ((Counter(e.nfac) - common_n)
+                                    + (lcd - Counter(e.fden))).elements()))
             for e in elems
         ]
         nfac = tuple(sorted(common_n.elements()))
         fden = tuple(sorted(lcd.elements()))
-    num = _collect(chain.from_iterable(t.items() for t in parts[1:]), parts[0])
-    return _build_raw(num, nfac, fden, system)
+    cont, num = _sum(parts)
+    if not num:
+        return FieldElement.zero(system)
+    return _build_raw(cont, num, nfac, fden, system)
 
 
 def _cancel_pairs(nfac, fden):
@@ -563,52 +669,59 @@ def _cancel_pairs(nfac, fden):
     )
 
 
-def _build_raw(num, nfac, fden, system):
-    """Fast path: factors already canonical, just reduce the expanded part."""
+def _build_raw(cont, num, nfac, fden, system):
+    """Fast path: num primitive and factors already canonical, just reduce
+    the expanded part."""
     if not num:
-        return FieldElement._raw({}, (), (), system)
+        return FieldElement.zero(system)
     if fden and len(num) <= _REDUCE_NUM_LIMIT:
         num, fden = _reduce(num, fden)
         nfac, fden = _cancel_pairs(nfac, fden)
-    return FieldElement._raw(num, nfac, fden, system)
+    return FieldElement._raw(cont, num, nfac, fden, system)
 
 
-def _build(num, raw_num_factors, raw_den_factors, system, pre_den=None):
-    """Normalize raw factors on both sides, folding content into num."""
+def _build(cont, num, raw_num_factors, raw_den_factors, system, pre_den=()):
+    """cont * num * product(raw_num_factors) / product(raw_den_factors).
+
+    num and the raw factors are int term dicts of any content and sign (a
+    factor may also be a factor key, taken as canonical); the contents and
+    monomial shifts of num and of every raw factor are folded into cont
+    and num.  pre_den holds factor keys already in the denominator."""
+    if not num:
+        return FieldElement.zero(system)
+    g, num = _primitive(num)
+    cont = cont * g
     nfac = []
     for d in raw_num_factors:
         if isinstance(d, tuple):
             nfac.append(d)
             continue
         if not d:
-            return FieldElement._raw({}, (), (), system)
-        canon, lc, (mq, mx, my) = _normalize_factor(d)
-        if lc != 1:
-            num = _pscale(num, lc)
+            return FieldElement.zero(system)
+        canon, g, (mq, mx, my) = _normalize_factor(d)
+        cont = cont * g
         if mq or mx or my:
             num = _pshift(num, mq, mx, my)
         if canon != _PONE:
             nfac.append(_fkey(canon))
-    fden = list(pre_den or ())
+    fden = list(pre_den)
     for d in raw_den_factors:
         if isinstance(d, tuple):
             fden.append(d)
             continue
         if not d:
             raise DivisionByZero("zero denominator factor")
-        canon, lc, (mq, mx, my) = _normalize_factor(d)
-        if lc != 1:
-            num = _pscale(num, 1 / lc)
+        canon, g, (mq, mx, my) = _normalize_factor(d)
+        if g != 1:
+            cont = _div(cont, g)
         if mq or mx or my:
             num = _pshift(num, -mq, -mx, -my)
         if canon != _PONE:
             fden.append(_fkey(canon))
-    if not num:
-        return FieldElement._raw({}, (), (), system)
     nfac, fden = _cancel_pairs(tuple(nfac), tuple(fden))
     if fden and len(num) <= _REDUCE_NUM_LIMIT:
         num, fden = _reduce(num, fden)
-    return FieldElement._raw(num, nfac, fden, system)
+    return FieldElement._raw(cont, num, nfac, fden, system)
 
 
 def _reduce(num, fden):
@@ -674,14 +787,10 @@ def linear_element(d: LinearExpr, system) -> FieldElement:
     """The expression itself as a field element (classical building block)."""
     if system == QUANTUM:
         raise ValueError("linear_element is a classical-system construction")
-    terms = {}
-    if d.const:
-        terms[(0, 0, 0)] = rat(d.const)
-    if d.cx:
-        terms[(0, 1, 0)] = rat(d.cx)
-    if d.cy:
-        terms[(0, 0, 1)] = rat(d.cy)
-    return FieldElement._raw(terms, (), (), system)
+    cont, num = _integral({(0, 0, 0): rat(d.const), (0, 1, 0): d.cx, (0, 0, 1): d.cy})
+    if not num:
+        return FieldElement.zero(system)
+    return FieldElement._raw(cont, num, (), (), system)
 
 
 def q_power(d: LinearExpr, system) -> FieldElement:
@@ -702,12 +811,9 @@ def bracket(d: LinearExpr, system=QUANTUM, scale=1) -> FieldElement:
     if system == CLASSICAL:
         return linear_element(d, system)
     c = rat(d.const)
-    num = _psub(
-        {(_eq_key(c), d.cx, d.cy): Rat(1)},
-        {(_eq_key(-c), -d.cx, -d.cy): Rat(1)},
-    )
-    den = {(scale, 0, 0): Rat(1), (-scale, 0, 0): Rat(-1)}
-    return _build(num, [], [den], system)
+    num = _psub({(_eq_key(c), d.cx, d.cy): 1}, {(_eq_key(-c), -d.cx, -d.cy): 1})
+    den = {(scale, 0, 0): 1, (-scale, 0, 0): -1}
+    return _build(1, num, [], [den], system)
 
 
 def q_pochhammer_factorial(m: int, system=QUANTUM, scale=1) -> FieldElement:
@@ -725,9 +831,9 @@ def q_pochhammer_factorial(m: int, system=QUANTUM, scale=1) -> FieldElement:
         return FieldElement.scalar(v, system)
     out = FieldElement.one(system)
     for t in range(2, m + 1):
-        # (t)_{q^-2} = 1 + q^-2 + ... + q^(-2(t-1))
-        terms = {(-2 * s * scale, 0, 0): Rat(1) for s in range(t)}
-        out = out * FieldElement._raw(terms, (), (), system)
+        # (t)_{q^-2} = 1 + q^-2 + ... + q^(-2(t-1)), primitive as it stands
+        terms = {(-2 * s * scale, 0, 0): 1 for s in range(t)}
+        out = out * FieldElement._raw(1, terms, (), (), system)
     return out
 
 
@@ -740,6 +846,7 @@ def _diff_terms(a, system):
 def tau_swap(f: FieldElement) -> FieldElement:
     """Exchange X and Y (classical: x and y)."""
     return _build(
+        f.cont,
         _pswap_xy(f.num),
         [_pswap_xy(dict(k)) for k in f.nfac],
         [_pswap_xy(dict(k)) for k in f.fden],
@@ -748,6 +855,9 @@ def tau_swap(f: FieldElement) -> FieldElement:
 
 
 def _eval_terms(terms, c1, c2, system):
+    """Substitute X -> Q^c1, Y -> Q^c2 (classical: x -> c1, y -> c2) in a
+    nonempty int term dict, as a (content, primitive part) pair; (0, {})
+    when the value is zero."""
     if system == QUANTUM:
         return _peval_quantum(terms, c1, c2)
     return _peval_classical(terms, c1, c2)
@@ -756,24 +866,25 @@ def _eval_terms(terms, c1, c2, system):
 def _diffval(d, c, system, scale):
     """The singular-point functional applied to a bare term dict, assuming
     it does not vanish identically: prefactor times the evaluated
-    antisymmetric derivative."""
-    dv = _eval_terms(_diff_terms(d, system), c, c, system)
+    antisymmetric derivative, as a (content, primitive part) pair."""
+    cont, dv = _eval_terms(_diff_terms(d, system), c, c, system)
+    if not dv:
+        return cont, dv
     if system == QUANTUM:
-        dv = _pmul(dv, {(scale, 0, 0): Rat(1), (-scale, 0, 0): Rat(-1)})
-        return _pscale(dv, Rat(1, 4))
-    return _pscale(dv, Rat(1, 2))
+        return cont * _QUARTER, _pmul(dv, {(scale, 0, 0): 1, (-scale, 0, 0): -1})
+    return cont * _HALF, dv
 
 
 def _split_xy_factor(d, c, system):
     """Split the X - Y content off one factor at x = y = c.
 
     Returns (order, value, rest) with d = (X - Y)^order * rest.  value is
-    rest evaluated at the point, or None when rest still vanishes there
-    for a reason other than X - Y."""
+    rest evaluated at the point, as a (content, primitive part) pair, or
+    None when rest still vanishes there for a reason other than X - Y."""
     order = 0
     for _ in range(POLE_CANCEL_DEPTH + 1):
         v = _eval_terms(d, c, c, system)
-        if v:
+        if v[1]:
             return order, v, d
         q = _pdiv_x_minus_y(d)
         if q is None:
@@ -789,9 +900,9 @@ def _cancel_xy(f, c):
 
     X - Y is prime, so it divides the numerator product only through one of
     its parts (num or an nfac factor).  Returns (numerator dicts,
-    [(denominator dict, value at the point)]) with f equal to the product
-    of the numerator dicts over the product of the denominator dicts; no
-    denominator value is zero."""
+    [(denominator dict, value at the point)]) with f equal to f.cont times
+    the product of the numerator dicts over the product of the denominator
+    dicts; no denominator value is zero."""
     system = f.system
     nums = [f.num] + [dict(k) for k in f.nfac]
     dens = []
@@ -814,6 +925,16 @@ def _cancel_xy(f, c):
     return nums, dens
 
 
+def _build_values(cont, num, num_vals, den_vals, system):
+    """cont * num * product(num_vals) / product(den_vals) for evaluated
+    (content, primitive part) pairs."""
+    for vc, _ in num_vals:
+        cont = cont * vc
+    for vc, _ in den_vals:
+        cont = _div(cont, vc)
+    return _build(cont, num, [v for _, v in num_vals], [v for _, v in den_vals], system)
+
+
 def evaluate_at_singular(f: FieldElement, c) -> FieldElement:
     """Substitute X -> Q^c and Y -> Q^c (classical: x, y -> c).
 
@@ -825,9 +946,10 @@ def evaluate_at_singular(f: FieldElement, c) -> FieldElement:
         return FieldElement.zero(system)
     nums, dens = _cancel_xy(f, c)
     vals = [_eval_terms(d, c, c, system) for d in nums]
-    if not all(vals):
+    if not all(v for _, v in vals):
         return FieldElement.zero(system)
-    return _build(vals[0], vals[1:], [v for _, v in dens], system)
+    (vc, vd), rest = vals[0], vals[1:]
+    return _build_values(f.cont * vc, vd, rest, [v for _, v in dens], system)
 
 
 def dv_operator(f: FieldElement, c, scale=1) -> FieldElement:
@@ -853,38 +975,37 @@ def dv_operator(f: FieldElement, c, scale=1) -> FieldElement:
     if not f.num:
         return FieldElement.zero(system)
     nums, den_parts = _cancel_xy(f, c)
+    den_vals = [v for _, v in den_parts]
     vanishing = None
     num_parts = []
     for d in nums:
         v = _eval_terms(d, c, c, system)
-        if v:
+        if v[1]:
             num_parts.append((d, v))
         elif vanishing is None:
             vanishing = d
         else:
             return FieldElement.zero(system)
+    num_vals = [v for _, v in num_parts]
     if vanishing is not None:
         # only the vanishing factor's derivative survives the product rule
-        out = _diffval(vanishing, c, system, scale)
+        oc, out = _diffval(vanishing, c, system, scale)
         if not out:
             return FieldElement.zero(system)
-        return _build(out, [v for _, v in num_parts],
-                      [v for _, v in den_parts], system)
+        return _build_values(f.cont * oc, out, num_vals, den_vals, system)
     # logarithmic derivative over all factors
     total = FieldElement.zero(system)
-    for d, v in num_parts:
-        dv = _diffval(d, c, system, scale)
+    for d, (vc, vd) in num_parts:
+        dc, dv = _diffval(d, c, system, scale)
         if dv:
-            total = total + _build(dv, [], [v], system)
-    for d, v in den_parts:
-        dv = _diffval(d, c, system, scale)
+            total = total + _build(_div(dc, vc), dv, [], [vd], system)
+    for d, (vc, vd) in den_parts:
+        dc, dv = _diffval(d, c, system, scale)
         if dv:
-            total = total - _build(dv, [], [v], system)
+            total = total - _build(_div(dc, vc), dv, [], [vd], system)
     if total.is_zero():
         return FieldElement.zero(system)
-    evf = _build(dict(_PONE), [v for _, v in num_parts],
-                 [v for _, v in den_parts], system)
-    return evf * total
+    return _build_values(f.cont, _PONE, num_vals, den_vals, system) * total
 
 
 # ---------------------------------------------------------------------------
@@ -915,15 +1036,20 @@ def _fmt_term(key, coeff, system):
     return " * ".join(parts)
 
 
-def format_terms(terms, system):
+def format_terms(terms, system, scale=1):
+    """The terms, each coefficient multiplied by scale, in decreasing order."""
     if not terms:
         return "0"
     keys = sorted(terms, reverse=True)
-    return " + ".join(_fmt_term(k, terms[k], system) for k in keys)
+    return " + ".join(_fmt_term(k, scale * terms[k], system) for k in keys)
 
 
 def format_element(f: FieldElement) -> str:
-    num = format_terms(f.expanded_num(), f.system)
+    num = f.expanded_num()
     if not f.fden:
-        return num
-    return f"({num}) / ({format_terms(f.den, f.system)})"
+        return format_terms(num, f.system, f.cont)
+    # the denominator is shown with leading coefficient 1
+    den = f.den
+    lc = den[max(den)]
+    return (f"({format_terms(num, f.system, _div(f.cont, lc))}) / "
+            f"({format_terms(den, f.system, Rat(1, lc))})")

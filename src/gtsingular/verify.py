@@ -145,7 +145,7 @@ def _relation_instances(spec):
 
         # 1/(q - q^-1): [e_r, f_r] = (q^alpha - q^-alpha)/(q - q^-1)
         inv = FieldElement(
-            {(0, 0, 0): Rat(1)}, {(qs, 0, 0): Rat(1), (-qs, 0, 0): Rat(-1)}, QUANTUM
+            {(0, 0, 0): 1}, {(qs, 0, 0): 1, (-qs, 0, 0): -1}, QUANTUM
         )
 
         def cartan_part(b, alpha):
@@ -153,7 +153,7 @@ def _relation_instances(spec):
                     act(qh(alpha, -1), b, spec).scale(inv)]
 
         serre_coeff = FieldElement(
-            {(qs, 0, 0): Rat(1), (-qs, 0, 0): Rat(1)}, None, QUANTUM
+            {(qs, 0, 0): 1, (-qs, 0, 0): 1}, None, QUANTUM
         )
     else:
         add(f"[h, h'] = 0, h={h0}, h'={hmix}",

@@ -8,6 +8,10 @@ rule of dv_operator against the expanded quotient rule, and it shares the
 term-dict derivatives ``_peuler`` and ``_ppartial`` and
 ``evaluate_at_singular`` with the library.
 
+The Fraction-coefficient term-dict product and exact division are the
+library's arithmetic from before its coefficients became integers with one
+rational content per element; they check the integer-content primitives.
+
 The helpers below the oracles (exact derivatives, two-point evaluation,
 relabeling Q, words of generators, weight exponents) are used by tests
 only.  Traced library functions are reached through their modules, so this
@@ -21,16 +25,16 @@ from gtsingular import action, exactalg
 from gtsingular._rat import Rat, is_integral, rat
 from gtsingular.exactalg import (
     _PONE,
+    _TRINOMIAL_NUM_LIMIT,
     CLASSICAL,
     QUANTUM,
     FieldElement,
     LinearExpr,
     PoleAtEvaluation,
     _build,
-    _build_raw,
+    _collect,
     _eq_key,
     _eval_terms,
-    _padd,
     _peuler,
     _pmul,
     _ppartial,
@@ -279,6 +283,98 @@ def oracle_long_division(a, f):
 
 
 # ---------------------------------------------------------------------------
+# Fraction-coefficient term dicts: the exact arithmetic before coefficients
+# became integers with one content per element
+# ---------------------------------------------------------------------------
+
+def fraction_pmul(a, b):
+    """Product of two term dicts with exact rational coefficients."""
+    return naive_collect(
+        (((_eq_key(q1 + q2), x1 + x2, y1 + y2), c1 * c2)
+         for (q1, x1, y1), c1 in a.items() for (q2, x2, y2), c2 in b.items()),
+        {},
+    )
+
+
+def fraction_normalize(d):
+    """A factor scaled to leading coefficient 1 and shifted to zero minimal
+    exponents, the canonical form of Fraction-coefficient factors."""
+    mins = [min(k[i] for k in d) for i in range(3)]
+    lc = d[max(d)]
+    return {(_eq_key(q - mins[0]), x - mins[1], y - mins[2]): c / lc
+            for (q, x, y), c in d.items()}
+
+
+def fraction_pdiv_exact(a, f):
+    """Exact division of a Fraction-coefficient term dict a by a factor f
+    in fraction_normalize form, or None, with the library's give-ups (the
+    3/4-term size limit, the step guard and the chain-length cap): chain
+    sums and chain-by-chain division for binomials, Laurent long division
+    stopping below min(a) otherwise."""
+    if not a:
+        return {}
+    lead = max(f)
+    lc = f[lead]
+    if len(f) == 2:
+        (trail, tc), = ((k, c) for k, c in f.items() if k != lead)
+        return _fraction_pdiv_binomial(a, lead, lc, trail, tc)
+    if len(a) > _TRINOMIAL_NUM_LIMIT:
+        return None
+    guard = 4 * len(a) + 64
+    mins = [min(k[i] for k in a) for i in range(3)]
+    rem = dict(a)
+    quo = {}
+    while rem:
+        guard -= 1
+        if guard < 0:
+            return None
+        k = max(rem)
+        shift = (k[0] - lead[0], k[1] - lead[1], k[2] - lead[2])
+        if any(s < m for s, m in zip(shift, mins)):
+            return None
+        qc = rem.pop(k) / lc
+        quo[(_eq_key(shift[0]),) + shift[1:]] = qc
+        for fk, fc in f.items():
+            if fk != lead:
+                kk = (_eq_key(fk[0] + shift[0]), fk[1] + shift[1], fk[2] + shift[2])
+                rem = naive_collect([(kk, -qc * fc)], rem)
+    return quo
+
+
+def _fraction_pdiv_binomial(a, lead, lc, trail, tc):
+    step = tuple(lead[i] - trail[i] for i in range(3))
+    i = 1 if step[1] else 2 if step[2] else 0
+
+    def param(k):
+        return k[i] // step[i]
+
+    chains = {}
+    for k, c in a.items():
+        t = param(k)
+        cid = (_eq_key(k[0] - t * step[0]), k[1] - t * step[1], k[2] - t * step[2])
+        chains.setdefault(cid, {})[t] = c
+    if lc == 1 and tc == -1 and any(sum(d.values()) for d in chains.values()):
+        return None
+    quo = {}
+    for cid, d in chains.items():
+        tmax, tmin = max(d), min(d)
+        if tmax - tmin > 10000:
+            return None
+        for t in range(tmax, tmin - 1, -1):
+            c = d.pop(t, 0)
+            if not c:
+                continue
+            qc = c / lc
+            quo[(_eq_key(cid[0] + t * step[0] - lead[0]),
+                 cid[1] + t * step[1] - lead[1],
+                 cid[2] + t * step[2] - lead[2])] = qc
+            d[t - 1] = d.get(t - 1, 0) - qc * tc
+        if any(d.values()):
+            return None
+    return quo
+
+
+# ---------------------------------------------------------------------------
 # test-only helpers
 # ---------------------------------------------------------------------------
 
@@ -308,23 +404,28 @@ def _quotient_rule(f, deriv):
         for j, other in enumerate(facs):
             if j != i:
                 term = _pmul(term, other)
-        ddash = _padd(ddash, term)
+        ddash = _collect(term.items(), ddash)
     num = _psub(_pmul(deriv(n), dpoly), _pmul(n, ddash))
-    return _build_raw(num, (), tuple(sorted(f.fden + f.fden)), f.system)
+    return _build(f.cont, num, [], [], f.system, pre_den=f.fden + f.fden)
 
 
 def evaluate_at(f, cx, cy):
     """Two-point substitution X -> Q^cx, Y -> Q^cy (classical x, y values)."""
     cx, cy = rat(cx), rat(cy)
-    num = _eval_terms(f.num, cx, cy, f.system)
-    nfs = [_eval_terms(dict(k), cx, cy, f.system) for k in f.nfac]
-    goods = []
+    cont = f.cont
+    nums = []
+    for d in [f.num] + [dict(k) for k in f.nfac]:
+        vc, vd = _eval_terms(d, cx, cy, f.system)
+        cont *= vc
+        nums.append(vd)
+    dens = []
     for k in f.fden:
-        v = _eval_terms(dict(k), cx, cy, f.system)
-        if not v:
+        vc, vd = _eval_terms(dict(k), cx, cy, f.system)
+        if not vd:
             raise PoleAtEvaluation("denominator vanishes at the evaluation point")
-        goods.append(v)
-    return _build(num, nfs, goods, f.system)
+        cont = rat(cont) / vc
+        dens.append(vd)
+    return _build(cont, nums[0], nums[1:], dens, f.system)
 
 
 def scale_q_exponents(f, factor):
@@ -336,6 +437,7 @@ def scale_q_exponents(f, factor):
         return {(_eq_key(q * factor), x, y): c for (q, x, y), c in d.items()}
 
     return _build(
+        f.cont,
         stretch(f.num),
         [stretch(dict(k)) for k in f.nfac],
         [stretch(dict(k)) for k in f.fden],

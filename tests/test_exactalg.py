@@ -1,9 +1,11 @@
 import random
+from itertools import chain
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gtsingular._rat import Rat
+from gtsingular._rat import Rat, rat
 from gtsingular.exactalg import (
     CLASSICAL,
     QUANTUM,
@@ -21,10 +23,13 @@ from gtsingular.exactalg import (
     q_power,
     tau_swap,
     _collect,
+    _eq_key,
     _fkey,
+    _integral,
     _normalize_factor,
     _pdiv_exact,
     _pmul,
+    _sum,
     _times,
 )
 from gtsingular.verify import pole_families, sample_smooth
@@ -32,6 +37,9 @@ from gtsingular.verify import pole_families, sample_smooth
 from oracles import (
     euler_derivative,
     evaluate_at,
+    fraction_normalize,
+    fraction_pdiv_exact,
+    fraction_pmul,
     naive_collect,
     oracle_dv,
     oracle_long_division,
@@ -259,6 +267,18 @@ class TestEvaluation:
             evaluate_at_singular(f, 3)
         assert evaluate_at_singular(f, 4) == ONE / bracket(LinearExpr.constant(1))
 
+    def test_classical_laurent_term_at_zero_is_a_pole(self):
+        # a classical monomial denominator becomes a negative exponent
+        x = FieldElement.monomial(CLASSICAL, 1, 0, 1, 0)
+        y = FieldElement.monomial(CLASSICAL, 1, 0, 0, 1)
+        one = FieldElement.one(CLASSICAL)
+        for f in (one / x, x / y, (x + one) / (x * y)):
+            for functional in (evaluate_at_singular, dv_operator):
+                with pytest.raises(PoleAtEvaluation):
+                    functional(f, 0)
+        assert evaluate_at_singular(one / x, 2) == FieldElement.scalar(Rat(1, 2), CLASSICAL)
+        assert dv_operator(one / x, 2) == FieldElement.scalar(Rat(-1, 8), CLASSICAL)
+
     def test_classical_evaluation(self):
         x = linear_element(LinearExpr(Rat(0), 1, 0), CLASSICAL)
         y = linear_element(LinearExpr(Rat(0), 0, 1), CLASSICAL)
@@ -425,9 +445,10 @@ class TestDvPoleInputs:
 
 
 def random_factor(rng, system):
-    """A normalized factor of 2-4 terms: leading coefficient 1 and zero
-    minimal exponents.  Quantum factors have rational Q exponents; a third
-    of the classical ones are x - y + c."""
+    """A normalized factor of 2-4 terms: primitive with integer
+    coefficients, a positive leading coefficient and zero minimal
+    exponents.  Quantum factors have rational Q exponents; a third of the
+    classical ones are x - y + c."""
     if system == CLASSICAL and rng.random() < 1 / 3:
         c = Rat(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2]))
         return {(0, 1, 0): Rat(1), (0, 0, 1): Rat(-1), (0, 0, 0): c}
@@ -437,15 +458,15 @@ def random_factor(rng, system):
         q = Rat(rng.randint(-3, 3), rng.choice([1, 2, 3])) if system == QUANTUM else 0
         key = (q, rng.randint(0, 2), rng.randint(0, 2))
         terms[key] = Rat(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2]))
-    return _normalize_factor(terms)[0]
+    return _normalize_factor(_integral(terms)[1])[0]
 
 
 def random_laurent(rng, system, nterms):
     out = {}
     for _ in range(nterms):
         q = Rat(rng.randint(-4, 4), rng.choice([1, 2])) if system == QUANTUM else 0
-        key = (q, rng.randint(-2, 2), rng.randint(-2, 2))
-        out[key] = Rat(rng.choice([-2, -1, 1, 3]), rng.choice([1, 3]))
+        key = (_eq_key(q), rng.randint(-2, 2), rng.randint(-2, 2))
+        out[key] = rng.choice([-2, -1, 1, 3]) * rng.choice([1, 3])
     return out
 
 
@@ -466,7 +487,7 @@ def test_pdiv_exact_against_long_division(system):
         bad = dict(a)
         key = (Rat(rng.randint(-4, 4), 2) if system == QUANTUM else 0,
                rng.randint(-3, 4), rng.randint(-3, 4))
-        bad[key] = bad.get(key, 0) + Rat(rng.choice([-1, 1, 2]))
+        bad[key] = bad.get(key, 0) + rng.choice([-1, 1, 2])
         bad = {k: v for k, v in bad.items() if v}
         assert _pdiv_exact(bad, f) is None
         assert oracle_long_division(bad, f) is None
@@ -481,9 +502,8 @@ def test_fe_sum_agrees_with_repeated_addition(system):
     for _ in range(10):
         base = sample_smooth(rng, system)
         shared = [
-            FieldElement._raw(sample_smooth(rng, system).expanded_num(),
-                              base.nfac, base.fden, system)
-            for _ in range(3)
+            FieldElement._raw(s.cont, s.expanded_num(), base.nfac, base.fden, system)
+            for s in (sample_smooth(rng, system) for _ in range(3))
         ]
         other = sample_smooth(rng, system)
         for parts in (shared, shared + [other]):
@@ -521,3 +541,104 @@ def test_times_against_repeated_pmul(system):
         expected = _pmul(_pmul(_pmul(t, f), g), f)
         assert _times(t, [_fkey(f), _fkey(g), _fkey(f)]) == expected
     assert _times(t, []) == t
+
+
+def is_canonical_poly(d):
+    """A stored polynomial: int coefficients with gcd 1 and a positive
+    leading coefficient."""
+    return (all(type(c) is int for c in d.values())
+            and gcd(*d.values()) == 1 and d[max(d)] > 0)
+
+
+def is_canonical_element(f):
+    """Every stored part of f is primitive, and every factor key also has
+    zero minimal exponents."""
+    if not f.num:
+        return True
+    factors = [dict(k) for k in f.nfac + f.fden]
+    return (f.cont != 0 and is_canonical_poly(f.num)
+            and all(is_canonical_poly(d) for d in factors)
+            and all(min(k[i] for k in d) == 0 for d in factors for i in range(3)))
+
+
+def scaled(c, d):
+    return {k: c * v for k, v in d.items()}
+
+
+# Term dicts with exact rational coefficients, rational Q exponents and
+# negative exponents: the inputs of the Fraction-coefficient oracles.
+term_keys = st.tuples(
+    st.sampled_from([0, 1, -2, Rat(1, 2), Rat(-3, 2), Rat(2, 3)]),
+    st.integers(min_value=-2, max_value=2),
+    st.integers(min_value=-2, max_value=2),
+).map(lambda k: (_eq_key(rat(k[0])), k[1], k[2]))
+nonzero_rats = st.builds(
+    Rat,
+    st.integers(min_value=-6, max_value=6).filter(bool),
+    st.integers(min_value=1, max_value=4),
+)
+rational_dicts = st.dictionaries(term_keys, nonzero_rats, min_size=1, max_size=5)
+rational_factors = st.dictionaries(term_keys, nonzero_rats, min_size=2, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_dicts, rational_dicts)
+def test_pmul_matches_fraction_oracle(a, b):
+    """The product of the primitive parts is primitive (Gauss's lemma) and,
+    times the two contents, is the Fraction-coefficient product."""
+    (ca, pa), (cb, pb) = _integral(a), _integral(b)
+    got = _pmul(pa, pb)
+    assert is_canonical_poly(got)
+    assert scaled(ca * cb, got) == fraction_pmul(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(rational_dicts, min_size=1, max_size=4), st.booleans())
+def test_sum_matches_fraction_oracle(ds, cancel):
+    """Contents rescaled to a common one, integer sums, one gcd pass."""
+    if cancel:
+        ds = ds + [{k: -c for k, c in ds[0].items()}]
+    cont, got = _sum([_integral(d) for d in ds])
+    want = naive_collect(chain.from_iterable(d.items() for d in ds[1:]), ds[0])
+    assert scaled(cont, got) == want
+    assert not got or is_canonical_poly(got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_factors, rational_dicts,
+       st.one_of(st.none(), st.tuples(term_keys, nonzero_rats)))
+def test_pdiv_exact_matches_fraction_oracle(f, g, extra):
+    """Integer division by the primitive factor against the Fraction
+    division by the monic one, on multiples (extra None) and on multiples
+    plus a monomial, which no factor of two or more terms divides."""
+    old = fraction_normalize(f)
+    canon = _normalize_factor(_integral(f)[1])[0]
+    a = fraction_pmul(old, g)
+    if extra is not None:
+        a = naive_collect([extra], a)
+    want = fraction_pdiv_exact(a, old)
+    ca, pa = _integral(a)
+    got = _pdiv_exact(pa, canon)
+    assert (want is None) == (extra is not None)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert all(type(c) is int for c in got.values())
+        assert scaled(ca * canon[max(canon)], got) == want == g
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_elems(), nonzero_rats, st.integers(min_value=-3, max_value=3),
+       st.integers(min_value=1, max_value=3))
+def test_canonical_key_agrees_with_eq_for_scalar_multiples(a, c, point, m):
+    """Equal scalar multiples of an evaluated element have one canonical
+    key and one hash; a multiple by c != 1 is neither equal nor keyed
+    alike."""
+    f = evaluate_at_singular(a / bracket(LinearExpr(Rat(m), 1, -1)), point)
+    assert is_canonical_element(f)
+    back = f.scale(c).scale(1 / c)
+    assert back == f and hash(back) == hash(f)
+    assert back.canonical_key() == f.canonical_key()
+    assert (-(-f)).canonical_key() == f.canonical_key()
+    other = f.scale(c)
+    assert (other == f) == (other.canonical_key() == f.canonical_key()) == (
+        c == 1 or f.is_zero())

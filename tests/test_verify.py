@@ -1,7 +1,7 @@
 import pytest
 
 from gtsingular._rat import Rat
-from gtsingular.exactalg import CLASSICAL, QUANTUM, DivisionByZero
+from gtsingular.exactalg import CLASSICAL, QUANTUM, DivisionByZero, FieldElement
 from gtsingular.tableaux import (
     Position,
     Relation,
@@ -23,7 +23,7 @@ from gtsingular.verify import (
 )
 
 from test_action import generic_spec_n2, singular_spec_n3
-from test_exactalg import vanishing_den
+from test_exactalg import is_canonical_element, vanishing_den
 
 
 def g4_spec(mode=CLASSICAL, fault=None):
@@ -53,6 +53,28 @@ def test_relations_singular_n3_small():
 def test_relations_classical_singular_small():
     rep = check_defining_relations(singular_spec_n3(CLASSICAL), 1)
     assert rep, rep.render()
+
+
+def _field_elements(value):
+    """The field elements in a cached action or coefficient value."""
+    if isinstance(value, FieldElement):
+        return [value]
+    if isinstance(value, ModuleElement):
+        return list(value.terms.values())
+    return [e for v in value for e in _field_elements(v)]
+
+
+@pytest.mark.parametrize("mode", [QUANTUM, CLASSICAL])
+def test_cached_coefficients_keep_integer_primitive_parts(mode):
+    """No silent fallback to rational term-dict coefficients: after a
+    relation check every cached coefficient has int, primitive parts."""
+    spec = singular_spec_n3(mode)
+    rep = check_defining_relations(spec, 0)
+    assert rep, rep.render()
+    cached = list(spec._act_cache.values()) + list(spec._piece_cache.values())
+    elems = [e for v in cached for e in _field_elements(v)]
+    assert len(elems) > 50
+    assert all(is_canonical_element(e) for e in elems)
 
 
 @pytest.mark.parametrize("lam", [[2, 1, 0], [1, 0, 0]])
