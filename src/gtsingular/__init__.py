@@ -2,7 +2,8 @@
 
 Subpackages:
 
-* exactalg  -- the exact coefficient field (rational functions in Q, X, Y)
+* exactalg  -- the exact coefficient field: rational functions in Q, X, Y
+               before the singular point is evaluated, in Q alone after
 * tableaux  -- tableaux, relation sets, admissibility, windows
 * action    -- module specs, basis vectors and the gated generator action
 * gtcenter  -- Gelfand-Tsetlin subalgebra action, character keys, blocks

@@ -17,7 +17,7 @@ derivative: z_i > z_j, and derivative vectors with z_i = z_j are zero).
 from math import gcd as _gcd
 from typing import NamedTuple
 
-from ._rat import Rat, rat
+from ._rat import rat
 from .exactalg import (
     CLASSICAL,
     QUANTUM,
@@ -29,8 +29,7 @@ from .exactalg import (
     dv_operator,
     evaluate_at_singular,
     fe_sum,
-    linear_element,
-    q_power,
+    univariate,
 )
 from .tableaux import (
     GENERIC,
@@ -106,7 +105,8 @@ def gen_qh(h):
 
 
 class ModuleElement:
-    """Finite combination of canonical basis vectors with field coefficients."""
+    """Finite combination of canonical basis vectors with univariate field
+    coefficients (values of the evaluated module stage)."""
 
     __slots__ = ("terms",)
 
@@ -156,7 +156,7 @@ class ModuleElement:
 
     @classmethod
     def basis(cls, bv, system):
-        return cls._raw({bv: FieldElement.one(system)})
+        return cls._raw({bv: FieldElement.q_monomial(system, 1)})
 
 
 def _zadd(z, idx, step):
@@ -376,7 +376,8 @@ class ModuleSpec:
     def _pieces(self, tag, kind, k, r, z):
         """Evaluated coefficient data, memoized by the shift rows it uses.
 
-        tag 'G': plain evaluated coefficient (generic spec);
+        tag 'G': plain coefficient of a generic spec, moved to the
+        univariate form once here;
         tag 'N': (dv, ev) of [x-y]_q * coeff (normal input);
         tag 'D': (dv, ev) of coeff (derivative input).
         """
@@ -388,8 +389,7 @@ class ModuleSpec:
         c = self.eval_scaled
         try:
             if tag == "G":
-                coeff = self.raw_coeff(kind, k, r, z)
-                val = coeff if self.is_generic() else evaluate_at_singular(coeff, c)
+                val = univariate(self.raw_coeff(kind, k, r, z))
             elif tag == "N":
                 fac = bracket(LinearExpr(0, 1, -1), self.mode, self.qscale) * \
                     self.raw_coeff(kind, k, r, z)
@@ -416,24 +416,11 @@ class ModuleSpec:
         return acc
 
     def weight_element(self, h, z) -> FieldElement:
-        """q^(sum h_k a_k) in the quantum system; the scalar sum h_k a_k in
-        the classical system (the Cartan element h acting on the tableau)."""
-        acc = LinearExpr(Rat(0), 0, 0)
-        for k, coeff in enumerate(h, start=1):
-            if coeff:
-                a = self._weight_scaled(k, z)
-                acc = LinearExpr(
-                    acc.const + coeff * a.const,
-                    acc.cx + coeff * a.cx,
-                    acc.cy + coeff * a.cy,
-                )
-        if self.mode == QUANTUM:
-            return q_power(acc, QUANTUM)
-        return linear_element(acc, CLASSICAL)
-
-    def _eval_weight(self, h, z) -> FieldElement:
-        """The weight element evaluated at the singular point (weights have
-        equal x and y coefficients, so they are tau-symmetric)."""
+        """q^(sum h_k a_k) in the quantum system, the scalar sum h_k a_k in
+        the classical system: the Cartan element h acting on the tableau at
+        shift z, univariate.  On a singular spec it is evaluated at the
+        singular point (weights have equal x and y coefficients, so they
+        are tau-symmetric)."""
         const = 0
         cxy = 0
         for k, coeff in enumerate(h, start=1):
@@ -441,11 +428,11 @@ class ModuleSpec:
                 a = self._weight_scaled(k, z)
                 const = const + coeff * a.const
                 cxy += coeff * a.cx
+        if cxy:
+            const = const + 2 * cxy * self.eval_scaled
         if self.mode == QUANTUM:
-            return FieldElement.monomial(
-                QUANTUM, 1, expq=const + 2 * cxy * self.eval_scaled
-            )
-        return FieldElement.scalar(const + 2 * cxy * self.eval_scaled, CLASSICAL)
+            return FieldElement.q_monomial(QUANTUM, 1, const)
+        return FieldElement.q_monomial(CLASSICAL, const)
 
     def pairing_alpha(self, h, r) -> int:
         """<h, alpha_r> = h_r - h_{r+1} for the weight commutation relations."""
@@ -500,7 +487,7 @@ def expand_normal(spec: ModuleSpec, g: Generator, z) -> ModuleElement:
     if g.kind in ("qeps", "qh"):
         # weights are symmetric in x, y: dv([x-y] W) = ev(W) and the
         # derivative part vanishes identically
-        val = spec._eval_weight(_cartan_vector(spec, g), z)
+        val = spec.weight_element(_cartan_vector(spec, g), z)
         if val.is_zero():
             return ModuleElement._raw({})
         return ModuleElement._raw({spec.canonical_normal(z): val})
@@ -515,7 +502,7 @@ def expand_derivative(spec: ModuleSpec, g: Generator, z) -> ModuleElement:
     if g.kind in ("qeps", "qh"):
         # symmetric weight: dv(W) = 0, so derivative tableaux stay honest
         # weight vectors
-        val = spec._eval_weight(_cartan_vector(spec, g), z)
+        val = spec.weight_element(_cartan_vector(spec, g), z)
         bv, sign = spec.canonical_derivative(z)
         if bv is None or val.is_zero():
             return ModuleElement._raw({})

@@ -8,15 +8,31 @@ Elements are rational functions over Q in three formal quantities:
 * classical system: the polynomial variables x and y themselves (the Q
   slot of a monomial is unused).
 
-Polynomials are term dicts {(expQ, expX, expY): c} whose coefficients are
-Python ints; the rational part of an element lives in one content per
-element (the content / primitive-part split).  A stored polynomial is
-primitive: its coefficients have gcd 1 and its leading coefficient, at
-the lexicographically largest key, is positive.  By Gauss's lemma a
-product of primitive polynomials is again primitive with a positive
-leading coefficient, so products need no gcd pass, and an exact quotient
-of integer polynomials by a primitive one has integer coefficients, so
-exact division never leaves the integers.  Only sums need a gcd pass.
+Polynomials are term dicts whose coefficients are Python ints; the
+rational part of an element lives in one content per element (the
+content / primitive-part split).  A stored polynomial is primitive: its
+coefficients have gcd 1 and its leading coefficient, at the largest key,
+is positive.  By Gauss's lemma a product of primitive polynomials is
+again primitive with a positive leading coefficient, so products need no
+gcd pass, and an exact quotient of integer polynomials by a primitive one
+has integer coefficients, so exact division never leaves the integers.
+Only sums need a gcd pass.
+
+Term dicts come in two key forms, one per stage of the module pipeline:
+
+* trivariate, {(expQ, expX, expY): c}: the tableau-formula coefficients,
+  symbolic in X and Y, before the singular point is evaluated;
+* univariate, {expQ: c}: everything evaluate_at_singular and dv_operator
+  return, and every module-stage value built from them (the action, its
+  caches, gtcenter's evaluated gammas).  In a module spec the exponent is
+  an int in units of 1/qscale; check_appendix evaluates at half-integer
+  points, where it may be a Rat.  A classical value is a scalar {0: c}.
+
+One element holds one form, and each operation picks the primitives of
+that form once (_TRI or _UNI), never per term; an operation that meets
+both forms raises TypeError.  The zero element has no terms and belongs
+to both.  univariate() moves an element free of X and Y across the
+boundary, as a generic spec does with its coefficients.
 
 Everything is immutable and exact.  Equality is decided by cross
 multiplication, so no multivariate gcd is ever required; instead the
@@ -57,7 +73,8 @@ class NegativeArgument(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# term dictionaries: {(expQ, expX, expY): int}, no zero coefficients stored
+# term dictionaries: {(expQ, expX, expY): int} or {expQ: int}, no zero
+# coefficients stored; the helpers up to _sum serve both key forms
 # ---------------------------------------------------------------------------
 
 def _eq_key(e):
@@ -131,7 +148,17 @@ def _sum(parts):
 
     Every content is rescaled to the common one, the gcd of the
     numerators over the lcm of the denominators, so each part enters the
-    sum with an integer multiplier."""
+    sum with an integer multiplier.  Parts that share one monomial, as
+    every classical module-stage value {0: 1} does, just add contents."""
+    d0 = parts[0][1]
+    if len(d0) == 1 and all(d == d0 for _, d in parts):
+        (k, v), = d0.items()
+        s = sum(c for c, _ in parts) * v
+        if not s:
+            return 0, {}
+        if type(s) is not int and s.denominator == 1:
+            s = int(s.numerator)
+        return s, {k: 1}
     g = gcd(*(int(c.numerator) for c, _ in parts))
     den = lcm(*(int(c.denominator) for c, _ in parts))
     scaled = [
@@ -175,15 +202,43 @@ def _pmul(a, b):
     return out
 
 
-def _times(t, keys):
+def _upmul(a, b):
+    """_pmul on univariate dicts: the key of a product term is the sum of
+    the two exponents."""
+    if not a or not b:
+        return {}
+    if len(b) < len(a):
+        a, b = b, a
+    out = {}
+    get = out.get
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            k = e1 + e2
+            out[k] = get(k, 0) + c1 * c2
+    if len(out) == len(a) * len(b):
+        return out
+    return {k: c for k, c in out.items() if c}
+
+
+def _times(t, keys, mul=_pmul):
     """t times dict(k) for each factor key k, repeats included."""
     for k in keys:
-        t = _pmul(t, dict(k))
+        t = mul(t, dict(k))
     return t
 
 
-def _pshift(a, dq, dx, dy):
+def _pshift(a, s, sign=1):
+    """a times the monomial of key s (sign -1: divided by it)."""
+    dq, dx, dy = s
+    if sign < 0:
+        dq, dx, dy = -dq, -dx, -dy
     return {(_eq_key(q + dq), x + dx, y + dy): c for (q, x, y), c in a.items()}
+
+
+def _upshift(a, s, sign=1):
+    """_pshift on univariate dicts."""
+    s = sign * s
+    return {e + s: c for e, c in a.items()}
 
 
 def _pswap_xy(a):
@@ -331,10 +386,104 @@ def _pdiv_exact(a, f):
     return quo
 
 
+def _updiv_binomial(a, lead, lc, trail, tc):
+    """_pdiv_binomial on univariate dicts: with step = lead - trail, an
+    exponent e lies on chain e mod step at position e // step."""
+    step = lead - trail
+    if lc == 1 and tc == -1:
+        sums = {}
+        get = sums.get
+        for e, c in a.items():
+            r = e % step
+            sums[r] = get(r, 0) + c
+        if any(sums.values()):
+            return None
+    chains = {}
+    for e, c in a.items():
+        t, r = divmod(e, step)
+        chains.setdefault(r, {})[t] = c
+    quo = {}
+    for r, d in chains.items():
+        tmax, tmin = max(d), min(d)
+        if tmax - tmin > 10000:
+            return None
+        base = r - lead
+        for t in range(tmax, tmin - 1, -1):
+            c = d.pop(t, None)
+            if not c:
+                continue
+            if lc == 1:
+                qc = c
+            else:
+                qc, rem = divmod(c, lc)
+                if rem:
+                    return None
+            quo[base + t * step] = qc
+            lower = d.get(t - 1)
+            v = qc * tc
+            if lower is None:
+                if v:
+                    d[t - 1] = -v
+            else:
+                lower = lower - v
+                if lower:
+                    d[t - 1] = lower
+                else:
+                    del d[t - 1]
+        if any(d.values()):
+            return None
+    return quo
+
+
+def _updiv_exact(a, f):
+    """_pdiv_exact on univariate dicts, f normalized by _unormalize_factor;
+    a quotient term below min(a) rejects."""
+    if not a:
+        return {}
+    lead = max(f)
+    lc = f[lead]
+    if len(f) == 2:
+        (trail, tc), = ((k, c) for k, c in f.items() if k != lead)
+        return _updiv_binomial(a, lead, lc, trail, tc)
+    if len(a) > _TRINOMIAL_NUM_LIMIT:
+        return None
+    guard = 4 * len(a) + 64
+    low = min(a)
+    rest = [(k, c) for k, c in f.items() if k != lead]
+    rem = dict(a)
+    quo = {}
+    while rem:
+        guard -= 1
+        if guard < 0:
+            return None
+        k = max(rem)
+        d = k - lead
+        if d < low:
+            return None
+        # the leading term of rem strictly decreases, so quotient keys are new
+        qc, r = divmod(rem.pop(k), lc)
+        if r:
+            return None
+        quo[d] = qc
+        for fe, fc in rest:
+            kk = fe + d
+            v = qc * fc
+            s = rem.get(kk)
+            if s is None:
+                rem[kk] = -v
+            else:
+                s = s - v
+                if s:
+                    rem[kk] = s
+                else:
+                    del rem[kk]
+    return quo
+
+
 def _peval_quantum(a, cx, cy):
-    d = _collect(
-        ((_eq_key(q + x * cx + y * cy), 0, 0), c) for (q, x, y), c in a.items()
-    )
+    """X -> Q^cx, Y -> Q^cy in a trivariate dict, as a univariate
+    (content, primitive part) pair."""
+    d = _collect((_eq_key(q + x * cx + y * cy), c) for (q, x, y), c in a.items())
     return _primitive(d) if d else (0, d)
 
 
@@ -366,7 +515,7 @@ def _peval_classical(a, cx, cy):
             den *= base ** -e
     if not num:
         return 0, {}
-    return _div(num, den), _PONE
+    return _div(num, den), _UONE
 
 
 def _peuler(a, var):
@@ -395,6 +544,7 @@ def _ppartial(a, var):
 
 # shared by every element equal to a scalar: no term dict is mutated once built
 _PONE = {(0, 0, 0): 1}
+_UONE = {0: 1}
 _HALF = Rat(1, 2)
 _QUARTER = Rat(1, 4)
 
@@ -405,19 +555,54 @@ def _normalize_factor(d):
 
     The canonical factor is the primitive part with a positive leading
     coefficient, shifted to zero minimal exponents in Q, X and Y; the
-    removed scalar is the signed content (an int).  Two factors that differ
-    by a rational scalar and a monomial get the same canonical factor."""
+    removed scalar is the signed content (an int), and the removed shift
+    is the key of the minimal exponents, or None when they are all zero.
+    Two factors that differ by a rational scalar and a monomial get the
+    same canonical factor."""
     g, d = _primitive(d)
     mq = min(k[0] for k in d)
     mx = min(k[1] for k in d)
     my = min(k[2] for k in d)
-    if mq or mx or my:
-        d = _pshift(d, -mq, -mx, -my)
-    return d, g, (mq, mx, my)
+    if not (mq or mx or my):
+        return d, g, None
+    s = (mq, mx, my)
+    return _pshift(d, s, -1), g, s
+
+
+def _unormalize_factor(d):
+    """_normalize_factor on univariate dicts: the shift is the minimal
+    exponent."""
+    g, d = _primitive(d)
+    s = min(d)
+    if not s:
+        return d, g, None
+    return _upshift(d, s, -1), g, s
 
 
 def _fkey(d):
     return tuple(sorted(d.items()))
+
+
+class _Ring(NamedTuple):
+    """The term-dict primitives of one key form."""
+
+    one: dict
+    mul: object
+    shift: object
+    normalize: object
+    div_exact: object
+
+
+_TRI = _Ring(_PONE, _pmul, _pshift, _normalize_factor, _pdiv_exact)
+_UNI = _Ring(_UONE, _upmul, _upshift, _unormalize_factor, _updiv_exact)
+
+
+def _ring(d):
+    """The primitives of the nonempty term dict d's key form."""
+    return _TRI if type(next(iter(d))) is tuple else _UNI
+
+
+_MIXED = "an operation mixes trivariate (Q, X, Y) and univariate (Q) elements"
 
 
 class FieldElement:
@@ -434,18 +619,30 @@ class FieldElement:
     that cancel.  All parts being primitive with a positive leading
     coefficient, two equal elements have equal contents, and equality is
     exact via cross multiplication of the integer parts.
+
+    num and the factors of one element share one key form: trivariate
+    (Q, X, Y) keys before the singular point is evaluated, bare Q
+    exponents after it (see the module docstring).  The constructors
+    below build trivariate elements; evaluate_at_singular, dv_operator and
+    univariate() return univariate ones, and so does the constructor when
+    given dicts keyed by bare Q exponents.  Arithmetic and equality
+    between the two forms raise TypeError.
     """
 
     __slots__ = ("cont", "num", "nfac", "fden", "system")
 
     def __init__(self, num, den=None, system=None):
-        """num / den for term dicts with exact rational or int coefficients."""
+        """num / den for term dicts with exact rational or int coefficients,
+        both keyed alike."""
         if system is None:
             raise TypeError("system is required")
-        dc, den = _integral(_PONE if den is None else den)
+        nc, num = _integral(num)
+        one = _ring(num).one if num else _PONE
+        dc, den = _integral(one if den is None else den)
         if not den:
             raise DivisionByZero("zero denominator")
-        nc, num = _integral(num)
+        if num and _ring(den) is not _ring(num):
+            raise TypeError(_MIXED)
         built = _build(_div(nc, dc), num, [], [den], system)
         self.cont = built.cont
         self.num = built.num
@@ -487,17 +684,31 @@ class FieldElement:
             return cls.zero(system)
         return cls._raw(c, {(_eq_key(rat(expq)), expx, expy): 1}, (), (), system)
 
+    @classmethod
+    def q_monomial(cls, system, coeff, expq=0):
+        """coeff * Q^expq in the univariate form; in the classical system
+        expq is 0 and this is the scalar coeff."""
+        c = rat(coeff)
+        if not c:
+            return cls.zero(system)
+        return cls._raw(c, {_eq_key(rat(expq)): 1} if expq else _UONE, (), (), system)
+
     # -- views ---------------------------------------------------------------
 
     def expanded_num(self):
         """num with all numerator factors multiplied out (the content is
         not included)."""
-        return _times(self.num, self.nfac)
+        if not self.nfac:
+            return self.num
+        return _times(self.num, self.nfac, _ring(self.num).mul)
 
     @property
     def den(self):
         """The denominator expanded to a single term dict."""
-        return _times(dict(_PONE), self.fden)
+        if not self.num:
+            return dict(_PONE)
+        ring = _ring(self.num)
+        return _times(dict(ring.one), self.fden, ring.mul)
 
     def is_zero(self):
         return not self.num
@@ -506,7 +717,7 @@ class FieldElement:
         if self.cont != 1:
             return False
         if not self.fden and not self.nfac:
-            return self.num == _PONE
+            return self.num == _ring(self.num).one
         return self.expanded_num() == self.den
 
     def __bool__(self):
@@ -515,14 +726,19 @@ class FieldElement:
     def __eq__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
-        if self.system != other.system or self.cont != other.cont:
+        if self.system != other.system:
+            return False
+        ring = self._check(other)
+        if ring is None:
+            return not self.num and not other.num
+        if self.cont != other.cont:
             return False
         if self.fden == other.fden and self.nfac == other.nfac:
             return self.num == other.num
         ca, cb = Counter(self.fden), Counter(other.fden)
         common = ca & cb
-        left = _times(self.expanded_num(), (cb - common).elements())
-        right = _times(other.expanded_num(), (ca - common).elements())
+        left = _times(self.expanded_num(), (cb - common).elements(), ring.mul)
+        right = _times(other.expanded_num(), (ca - common).elements(), ring.mul)
         return left == right
 
     def __hash__(self):
@@ -533,33 +749,41 @@ class FieldElement:
     # -- arithmetic -----------------------------------------------------------
 
     def _check(self, other):
+        """The primitives of the two operands' key form, or None when
+        either is zero."""
         if not isinstance(other, FieldElement):
             raise TypeError(f"expected FieldElement, got {type(other).__name__}")
         if self.system != other.system:
             raise ValueError("mixed number systems")
+        a, b = self.num, other.num
+        if not a or not b:
+            return None
+        tri = type(next(iter(a))) is tuple
+        if tri is not (type(next(iter(b))) is tuple):
+            raise TypeError(_MIXED)
+        return _TRI if tri else _UNI
 
     def __add__(self, other):
-        self._check(other)
-        if not self.num:
-            return other
-        if not other.num:
-            return self
+        ring = self._check(other)
+        if ring is None:
+            return self if self.num else other
         if self.fden == other.fden and self.nfac == other.nfac:
             cont, num = _sum([(self.cont, self.num), (other.cont, other.num)])
             if not num:
                 return FieldElement.zero(self.system)
-            return _build_raw(cont, num, self.nfac, self.fden, self.system)
+            return _build_raw(cont, num, self.nfac, self.fden, self.system, ring)
         na, nb = Counter(self.nfac), Counter(other.nfac)
         common_n = na & nb
         da, db = Counter(self.fden), Counter(other.fden)
         common_d = da & db
-        left = _times(self.num, ((na - common_n) + (db - common_d)).elements())
-        right = _times(other.num, ((nb - common_n) + (da - common_d)).elements())
+        left = _times(self.num, ((na - common_n) + (db - common_d)).elements(), ring.mul)
+        right = _times(other.num, ((nb - common_n) + (da - common_d)).elements(), ring.mul)
         cont, num = _sum([(self.cont, left), (other.cont, right)])
         if not num:
             return FieldElement.zero(self.system)
         fden = tuple(sorted((da | db).elements()))
-        return _build_raw(cont, num, tuple(sorted(common_n.elements())), fden, self.system)
+        return _build_raw(cont, num, tuple(sorted(common_n.elements())), fden,
+                          self.system, ring)
 
     def __sub__(self, other):
         return self.__add__(-other)
@@ -568,29 +792,29 @@ class FieldElement:
         return FieldElement._raw(-self.cont, self.num, self.nfac, self.fden, self.system)
 
     def __mul__(self, other):
-        self._check(other)
-        if not self.num or not other.num:
+        ring = self._check(other)
+        if ring is None:
             return FieldElement.zero(self.system)
-        if other.num == _PONE:
+        if other.num == ring.one:
             num = self.num
-        elif self.num == _PONE:
+        elif self.num == ring.one:
             num = other.num
         else:
-            num = _pmul(self.num, other.num)
-        nfac, fden = _cancel_pairs(
-            self.nfac + other.nfac, self.fden + other.fden
-        )
+            num = ring.mul(self.num, other.num)
+        nfac, fden = self.nfac + other.nfac, self.fden + other.fden
+        if nfac or fden:
+            nfac, fden = _cancel_pairs(nfac, fden)
         return FieldElement._raw(self.cont * other.cont, num, nfac, fden, self.system)
 
     def __truediv__(self, other):
-        self._check(other)
+        ring = self._check(other)
         if not other.num:
             raise DivisionByZero("division by the zero element")
-        if not self.num:
+        if ring is None:
             return FieldElement.zero(self.system)
         cont = _div(self.cont, other.cont)
         nfac = self.nfac + other.fden
-        if other.num != _PONE:
+        if other.num != ring.one:
             built = _build(cont, self.num, nfac, [other.num], self.system,
                            pre_den=self.fden)
             nfac2, fden2 = _cancel_pairs(built.nfac, built.fden + other.nfac)
@@ -622,17 +846,44 @@ class FieldElement:
         return format_element(self)
 
 
+def univariate(f: FieldElement) -> FieldElement:
+    """f, which must be free of X and Y, in the univariate form: the same
+    value with every (q, 0, 0) key replaced by q.  A generic spec, whose
+    coefficients never involve X or Y, moves each cached value across once
+    with it."""
+    if not f.num or _ring(f.num) is _UNI:
+        return f
+
+    def drop(items):
+        out = {}
+        for (q, x, y), c in items:
+            if x or y:
+                raise ValueError("the element depends on X or Y")
+            out[q] = c
+        return out
+
+    def keys(factors):
+        return tuple(sorted(_fkey(drop(k)) for k in factors))
+
+    return FieldElement._raw(f.cont, drop(f.num.items()), keys(f.nfac), keys(f.fden),
+                             f.system)
+
+
 def fe_sum(elems, system):
     """Sum a list of field elements in one pass: shared numerator factors
     stay factored, the denominator union is taken once, and every term is
     expanded only against what it is missing.  Parts that all carry the
     same factors, as FieldElement.__add__'s fast path, just add their
-    numerators."""
+    numerators.  The parts share one key form."""
     elems = [e for e in elems if e.num]
     if not elems:
         return FieldElement.zero(system)
     if len(elems) == 1:
         return elems[0]
+    forms = {type(next(iter(e.num))) is tuple for e in elems}
+    if len(forms) > 1:
+        raise TypeError(_MIXED)
+    ring = _TRI if forms.pop() else _UNI
     nfac, fden = elems[0].nfac, elems[0].fden
     if all(e.nfac == nfac and e.fden == fden for e in elems):
         parts = [(e.cont, e.num) for e in elems]
@@ -644,7 +895,7 @@ def fe_sum(elems, system):
             lcd |= Counter(e.fden)
         parts = [
             (e.cont, _times(e.num, ((Counter(e.nfac) - common_n)
-                                    + (lcd - Counter(e.fden))).elements()))
+                                    + (lcd - Counter(e.fden))).elements(), ring.mul))
             for e in elems
         ]
         nfac = tuple(sorted(common_n.elements()))
@@ -652,7 +903,7 @@ def fe_sum(elems, system):
     cont, num = _sum(parts)
     if not num:
         return FieldElement.zero(system)
-    return _build_raw(cont, num, nfac, fden, system)
+    return _build_raw(cont, num, nfac, fden, system, ring)
 
 
 def _cancel_pairs(nfac, fden):
@@ -669,13 +920,13 @@ def _cancel_pairs(nfac, fden):
     )
 
 
-def _build_raw(cont, num, nfac, fden, system):
+def _build_raw(cont, num, nfac, fden, system, ring):
     """Fast path: num primitive and factors already canonical, just reduce
     the expanded part."""
     if not num:
         return FieldElement.zero(system)
     if fden and len(num) <= _REDUCE_NUM_LIMIT:
-        num, fden = _reduce(num, fden)
+        num, fden = _reduce(num, fden, ring)
         nfac, fden = _cancel_pairs(nfac, fden)
     return FieldElement._raw(cont, num, nfac, fden, system)
 
@@ -683,12 +934,15 @@ def _build_raw(cont, num, nfac, fden, system):
 def _build(cont, num, raw_num_factors, raw_den_factors, system, pre_den=()):
     """cont * num * product(raw_num_factors) / product(raw_den_factors).
 
-    num and the raw factors are int term dicts of any content and sign (a
-    factor may also be a factor key, taken as canonical); the contents and
-    monomial shifts of num and of every raw factor are folded into cont
-    and num.  pre_den holds factor keys already in the denominator."""
+    num and the raw factors are int term dicts of any content and sign,
+    keyed like num (a factor may also be a factor key, taken as
+    canonical); the contents and monomial shifts of num and of every raw
+    factor are folded into cont and num.  pre_den holds factor keys
+    already in the denominator."""
     if not num:
         return FieldElement.zero(system)
+    ring = _ring(num)
+    one = ring.one
     g, num = _primitive(num)
     cont = cont * g
     nfac = []
@@ -698,11 +952,11 @@ def _build(cont, num, raw_num_factors, raw_den_factors, system, pre_den=()):
             continue
         if not d:
             return FieldElement.zero(system)
-        canon, g, (mq, mx, my) = _normalize_factor(d)
+        canon, g, s = ring.normalize(d)
         cont = cont * g
-        if mq or mx or my:
-            num = _pshift(num, mq, mx, my)
-        if canon != _PONE:
+        if s is not None:
+            num = ring.shift(num, s)
+        if canon != one:
             nfac.append(_fkey(canon))
     fden = list(pre_den)
     for d in raw_den_factors:
@@ -711,38 +965,43 @@ def _build(cont, num, raw_num_factors, raw_den_factors, system, pre_den=()):
             continue
         if not d:
             raise DivisionByZero("zero denominator factor")
-        canon, g, (mq, mx, my) = _normalize_factor(d)
+        canon, g, s = ring.normalize(d)
         if g != 1:
             cont = _div(cont, g)
-        if mq or mx or my:
-            num = _pshift(num, -mq, -mx, -my)
-        if canon != _PONE:
+        if s is not None:
+            num = ring.shift(num, s, -1)
+        if canon != one:
             fden.append(_fkey(canon))
     nfac, fden = _cancel_pairs(tuple(nfac), tuple(fden))
     if fden and len(num) <= _REDUCE_NUM_LIMIT:
-        num, fden = _reduce(num, fden)
+        num, fden = _reduce(num, fden, ring)
     return FieldElement._raw(cont, num, nfac, fden, system)
 
 
-def _reduce(num, fden):
+def _reduce(num, fden, ring):
     """Cancel denominator factors that divide num exactly.  Binomial factors
     are always tried (cheap dedicated division); bigger factors only while
-    num stays small.  The factors are normalized, which _pdiv_exact needs
-    to reject a non-divisor at its first impossible quotient term; a
+    num stays small.  The factors are normalized, which exact division
+    needs to reject a non-divisor at its first impossible quotient term; a
     binomial M_lead - M_trail is rejected by its chain sums before any
-    division."""
+    division.  fden is sorted, so a repeated factor comes right after its
+    first copy; when that copy did not divide, num has not changed since,
+    and the repeat is not tried again."""
     out = []
     changed = False
+    div_exact = ring.div_exact
+    failed = None
     for k in fden:
         nf = len(k)
-        if not num or nf > _REDUCE_FACTOR_LIMIT or (
+        if not num or k == failed or nf > _REDUCE_FACTOR_LIMIT or (
             nf > 2 and len(num) > _TRINOMIAL_NUM_LIMIT
         ):
             out.append(k)
             continue
-        q = _pdiv_exact(num, dict(k))
+        q = div_exact(num, dict(k))
         if q is None:
             out.append(k)
+            failed = k
         else:
             num = q
             changed = True
@@ -856,22 +1115,23 @@ def tau_swap(f: FieldElement) -> FieldElement:
 
 def _eval_terms(terms, c1, c2, system):
     """Substitute X -> Q^c1, Y -> Q^c2 (classical: x -> c1, y -> c2) in a
-    nonempty int term dict, as a (content, primitive part) pair; (0, {})
-    when the value is zero."""
+    nonempty trivariate int term dict, as a univariate (content, primitive
+    part) pair; (0, {}) when the value is zero."""
     if system == QUANTUM:
         return _peval_quantum(terms, c1, c2)
     return _peval_classical(terms, c1, c2)
 
 
 def _diffval(d, c, system, scale):
-    """The singular-point functional applied to a bare term dict, assuming
-    it does not vanish identically: prefactor times the evaluated
-    antisymmetric derivative, as a (content, primitive part) pair."""
+    """The singular-point functional applied to a bare trivariate term
+    dict, assuming it does not vanish identically: prefactor times the
+    evaluated antisymmetric derivative, as a univariate (content,
+    primitive part) pair."""
     cont, dv = _eval_terms(_diff_terms(d, system), c, c, system)
     if not dv:
         return cont, dv
     if system == QUANTUM:
-        return cont * _QUARTER, _pmul(dv, {(scale, 0, 0): 1, (-scale, 0, 0): -1})
+        return cont * _QUARTER, _upmul(dv, {scale: 1, -scale: -1})
     return cont * _HALF, dv
 
 
@@ -903,6 +1163,8 @@ def _cancel_xy(f, c):
     [(denominator dict, value at the point)]) with f equal to f.cont times
     the product of the numerator dicts over the product of the denominator
     dicts; no denominator value is zero."""
+    if _ring(f.num) is _UNI:
+        raise TypeError("the singular-point functionals take trivariate elements")
     system = f.system
     nums = [f.num] + [dict(k) for k in f.nfac]
     dens = []
@@ -939,8 +1201,8 @@ def evaluate_at_singular(f: FieldElement, c) -> FieldElement:
     """Substitute X -> Q^c and Y -> Q^c (classical: x, y -> c).
 
     X - Y content is cancelled exactly between the two sides before the
-    substitution, to bounded depth per factor."""
-    c = rat(c)
+    substitution, to bounded depth per factor.  The value is univariate."""
+    c = _eq_key(rat(c))
     system = f.system
     if not f.num:
         return FieldElement.zero(system)
@@ -968,9 +1230,9 @@ def dv_operator(f: FieldElement, c, scale=1) -> FieldElement:
     which leaves a product of parts with no denominator vanishing at the
     point.  The product rule then applies: at most one numerator part may
     vanish there, in which case only its derivative survives; with two or
-    more vanishing parts the functional is zero.
+    more vanishing parts the functional is zero.  The value is univariate.
     """
-    c = rat(c)
+    c = _eq_key(rat(c))
     system = f.system
     if not f.num:
         return FieldElement.zero(system)
@@ -1005,7 +1267,7 @@ def dv_operator(f: FieldElement, c, scale=1) -> FieldElement:
             total = total - _build(_div(dc, vc), dv, [], [vd], system)
     if total.is_zero():
         return FieldElement.zero(system)
-    return _build_values(f.cont, _PONE, num_vals, den_vals, system) * total
+    return _build_values(f.cont, _UONE, num_vals, den_vals, system) * total
 
 
 # ---------------------------------------------------------------------------
@@ -1037,11 +1299,13 @@ def _fmt_term(key, coeff, system):
 
 
 def format_terms(terms, system, scale=1):
-    """The terms, each coefficient multiplied by scale, in decreasing order."""
+    """The terms, each coefficient multiplied by scale, in decreasing order;
+    a univariate exponent e renders as the key (e, 0, 0)."""
     if not terms:
         return "0"
     keys = sorted(terms, reverse=True)
-    return " + ".join(_fmt_term(k, scale * terms[k], system) for k in keys)
+    full = (lambda k: k) if _ring(terms) is _TRI else (lambda e: (e, 0, 0))
+    return " + ".join(_fmt_term(full(k), scale * terms[k], system) for k in keys)
 
 
 def format_element(f: FieldElement) -> str:

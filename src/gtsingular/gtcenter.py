@@ -32,6 +32,7 @@ from .exactalg import (
     linear_element,
     q_pochhammer_factorial,
     q_power,
+    univariate,
 )
 from .action import (
     NORMAL,
@@ -87,11 +88,19 @@ def gamma(spec: ModuleSpec, m: int, k: int, z=None) -> FieldElement:
 
 
 def gamma_evaluated(spec: ModuleSpec, m: int, k: int, z) -> FieldElement:
-    key = ("gammaval", m, k, spec._row_slice(m, z))
+    """gamma_mk at shift z as a univariate value, evaluated at the
+    singular point on a singular spec."""
+    return _gamma_value(spec, m, k, z, False)
+
+
+def _gamma_value(spec: ModuleSpec, m: int, k: int, z, faulted):
+    key = ("gammaval", m, k, spec._row_slice(m, z), faulted)
     hit = spec._piece_cache.get(key)
     if hit is None:
-        hit = _gamma_symbolic(spec, m, k, z)
-        if not spec.is_generic():
+        hit = _gamma_symbolic(spec, m, k, z, faulted)
+        if spec.is_generic():
+            hit = univariate(hit)
+        else:
             hit = evaluate_at_singular(hit, spec.eval_scaled)
         spec._piece_cache[key] = hit
     return hit
@@ -116,7 +125,7 @@ def _gamma_pieces(spec: ModuleSpec, m: int, k: int, z, with_bracket=False):
 def act_central(m: int, k: int, bv: BasisVector, spec: ModuleSpec) -> ModuleElement:
     """c_mk on a canonical basis vector, through the singular pipeline."""
     if spec.is_generic():
-        val = _gamma_symbolic(spec, m, k, bv.z, faulted=spec.fault.gamma_prefactor)
+        val = _gamma_value(spec, m, k, bv.z, spec.fault.gamma_prefactor)
         return ModuleElement({bv: val})
     z = bv.z
     # normal inputs multiply in [x-y]_q before the functional

@@ -141,20 +141,16 @@ def _relation_instances(spec):
             return [word(b, qh(h), g, qh(h, -1))]
 
         def weight_scalar(c):
-            return FieldElement.monomial(QUANTUM, 1, expq=c * qs)
+            return FieldElement.q_monomial(QUANTUM, 1, c * qs)
 
         # 1/(q - q^-1): [e_r, f_r] = (q^alpha - q^-alpha)/(q - q^-1)
-        inv = FieldElement(
-            {(0, 0, 0): 1}, {(qs, 0, 0): 1, (-qs, 0, 0): -1}, QUANTUM
-        )
+        inv = FieldElement({0: 1}, {qs: 1, -qs: -1}, QUANTUM)
 
         def cartan_part(b, alpha):
             return [-act(qh(alpha), b, spec).scale(inv),
                     act(qh(alpha, -1), b, spec).scale(inv)]
 
-        serre_coeff = FieldElement(
-            {(qs, 0, 0): 1, (-qs, 0, 0): 1}, None, QUANTUM
-        )
+        serre_coeff = FieldElement({qs: 1, -qs: 1}, None, QUANTUM)
     else:
         add(f"[h, h'] = 0, h={h0}, h'={hmix}",
             lambda b: commutator(b, qh(h0), qh(hmix)))
@@ -164,12 +160,12 @@ def _relation_instances(spec):
             return commutator(b, qh(h), g)
 
         def weight_scalar(c):
-            return FieldElement.scalar(c, CLASSICAL)
+            return FieldElement.q_monomial(CLASSICAL, c)
 
         def cartan_part(b, alpha):
             return [-act(qh(alpha), b, spec)]
 
-        serre_coeff = FieldElement.scalar(2, CLASSICAL)
+        serre_coeff = FieldElement.q_monomial(CLASSICAL, 2)
 
     for h in weights:
         for r in range(1, n):

@@ -243,11 +243,10 @@ def oracle_dv(f, c, scale=1):
     """
     if f.system == QUANTUM:
         diff = euler_derivative(f, "x") - euler_derivative(f, "y")
-        pre = FieldElement({(scale, 0, 0): Rat(1), (-scale, 0, 0): Rat(-1)},
-                           None, QUANTUM).scale(Rat(1, 4))
+        pre = FieldElement({scale: Rat(1), -scale: Rat(-1)}, None, QUANTUM).scale(Rat(1, 4))
     else:
         diff = partial_derivative(f, "x") - partial_derivative(f, "y")
-        pre = FieldElement.scalar(Rat(1, 2), f.system)
+        pre = FieldElement({0: Rat(1, 2)}, None, f.system)
     return pre * exactalg.evaluate_at_singular(diff, c)
 
 
@@ -410,7 +409,8 @@ def _quotient_rule(f, deriv):
 
 
 def evaluate_at(f, cx, cy):
-    """Two-point substitution X -> Q^cx, Y -> Q^cy (classical x, y values)."""
+    """Two-point substitution X -> Q^cx, Y -> Q^cy (classical x, y values),
+    a univariate element."""
     cx, cy = rat(cx), rat(cy)
     cont = f.cont
     nums = []
@@ -429,12 +429,13 @@ def evaluate_at(f, cx, cy):
 
 
 def scale_q_exponents(f, factor):
-    """Relabel Q -> Q^factor: multiply every Q-exponent by an exact rational,
-    moving an element between scaled and unscaled exponent conventions."""
+    """Relabel Q -> Q^factor in a univariate element: multiply every
+    Q-exponent by an exact rational, moving the element between scaled and
+    unscaled exponent conventions."""
     factor = rat(factor)
 
     def stretch(d):
-        return {(_eq_key(q * factor), x, y): c for (q, x, y), c in d.items()}
+        return {_eq_key(q * factor): c for q, c in d.items()}
 
     return _build(
         f.cont,

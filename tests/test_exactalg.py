@@ -22,6 +22,7 @@ from gtsingular.exactalg import (
     q_pochhammer_factorial,
     q_power,
     tau_swap,
+    univariate,
     _collect,
     _eq_key,
     _fkey,
@@ -31,6 +32,12 @@ from gtsingular.exactalg import (
     _pmul,
     _sum,
     _times,
+    _UNI,
+    _reduce,
+    _unormalize_factor,
+    _updiv_exact,
+    _upmul,
+    format_element,
 )
 from gtsingular.verify import pole_families, sample_smooth
 
@@ -249,11 +256,11 @@ class TestEvaluation:
 
     def test_substitution_values(self):
         f = X(2) * Y(-1)
-        assert evaluate_at_singular(f, Rat(1, 2)) == Q(Rat(1, 2))
+        assert evaluate_at_singular(f, Rat(1, 2)) == univariate(Q(Rat(1, 2)))
 
     def test_two_point(self):
         f = X() * Y()
-        assert evaluate_at(f, 2, 3) == Q(5)
+        assert evaluate_at(f, 2, 3) == univariate(Q(5))
 
     def test_true_pole_raises(self):
         with pytest.raises(PoleAtEvaluation):
@@ -265,7 +272,7 @@ class TestEvaluation:
         f = ONE / bracket(LinearExpr(Rat(-3), 1, 0))
         with pytest.raises(PoleAtEvaluation):
             evaluate_at_singular(f, 3)
-        assert evaluate_at_singular(f, 4) == ONE / bracket(LinearExpr.constant(1))
+        assert evaluate_at_singular(f, 4) == univariate(ONE / bracket(LinearExpr.constant(1)))
 
     def test_classical_laurent_term_at_zero_is_a_pole(self):
         # a classical monomial denominator becomes a negative exponent
@@ -276,14 +283,15 @@ class TestEvaluation:
             for functional in (evaluate_at_singular, dv_operator):
                 with pytest.raises(PoleAtEvaluation):
                     functional(f, 0)
-        assert evaluate_at_singular(one / x, 2) == FieldElement.scalar(Rat(1, 2), CLASSICAL)
-        assert dv_operator(one / x, 2) == FieldElement.scalar(Rat(-1, 8), CLASSICAL)
+        assert evaluate_at_singular(one / x, 2) == univariate(
+            FieldElement.scalar(Rat(1, 2), CLASSICAL))
+        assert dv_operator(one / x, 2) == univariate(FieldElement.scalar(Rat(-1, 8), CLASSICAL))
 
     def test_classical_evaluation(self):
         x = linear_element(LinearExpr(Rat(0), 1, 0), CLASSICAL)
         y = linear_element(LinearExpr(Rat(0), 0, 1), CLASSICAL)
         f = (x * x - y * y) / (x - y)
-        assert evaluate_at_singular(f, 3) == FieldElement.scalar(6, CLASSICAL)
+        assert evaluate_at_singular(f, 3) == univariate(FieldElement.scalar(6, CLASSICAL))
 
 
 class TestDvOperator:
@@ -550,15 +558,34 @@ def is_canonical_poly(d):
             and gcd(*d.values()) == 1 and d[max(d)] > 0)
 
 
+def is_univariate(d):
+    """Whether the nonempty term dict d is keyed by bare Q exponents."""
+    return type(next(iter(d))) is not tuple
+
+
+def min_exponents(d):
+    """The minimal exponent of each variable of a nonempty term dict."""
+    if is_univariate(d):
+        return [min(d)]
+    return [min(k[i] for k in d) for i in range(3)]
+
+
 def is_canonical_element(f):
-    """Every stored part of f is primitive, and every factor key also has
-    zero minimal exponents."""
+    """Every stored part of f is primitive, all parts share one key form,
+    and every factor key also has zero minimal exponents."""
     if not f.num:
         return True
     factors = [dict(k) for k in f.nfac + f.fden]
     return (f.cont != 0 and is_canonical_poly(f.num)
             and all(is_canonical_poly(d) for d in factors)
-            and all(min(k[i] for k in d) == 0 for d in factors for i in range(3)))
+            and all(is_univariate(d) == is_univariate(f.num) for d in factors)
+            and all(m == 0 for d in factors for m in min_exponents(d)))
+
+
+def has_int_univariate_keys(f):
+    """Every key of f's numerator and factors is a bare int Q exponent."""
+    parts = [f.num] + [dict(k) for k in f.nfac + f.fden]
+    return all(type(e) is int for d in parts for e in d)
 
 
 def scaled(c, d):
@@ -642,3 +669,149 @@ def test_canonical_key_agrees_with_eq_for_scalar_multiples(a, c, point, m):
     other = f.scale(c)
     assert (other == f) == (other.canonical_key() == f.canonical_key()) == (
         c == 1 or f.is_zero())
+
+
+# ---------------------------------------------------------------------------
+# the univariate form of the module stage against the trivariate primitives
+# on the (e, 0, 0) embedding
+# ---------------------------------------------------------------------------
+
+def embed(d):
+    """A univariate term dict as the trivariate dict of keys (e, 0, 0)."""
+    return {(e, 0, 0): c for e, c in d.items()}
+
+
+def embed_key(k):
+    return tuple(sorted(((e, 0, 0), c) for e, c in k))
+
+
+uni_exponents = st.sampled_from(
+    [0, 1, 2, 5, -1, -3, Rat(1, 2), Rat(-3, 2), Rat(2, 3), Rat(7, 6)]
+).map(lambda e: _eq_key(rat(e)))
+nonzero_ints = st.integers(min_value=-6, max_value=6).filter(bool)
+uni_dicts = st.dictionaries(uni_exponents, nonzero_ints, min_size=1, max_size=6)
+uni_factors = st.dictionaries(uni_exponents, nonzero_ints, min_size=2, max_size=4)
+uni_rational_dicts = st.dictionaries(uni_exponents, nonzero_rats, min_size=1, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(uni_dicts, uni_dicts)
+def test_upmul_matches_pmul_on_embedding(a, b):
+    got = _upmul(a, b)
+    assert embed(got) == _pmul(embed(a), embed(b))
+    assert all(got.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(uni_rational_dicts, min_size=1, max_size=4), st.booleans(), st.booleans())
+def test_sum_of_univariate_parts_matches_embedding(ds, cancel, monomial):
+    if monomial:
+        # parts sharing one monomial take _sum's content-only path
+        k = next(iter(ds[0]))
+        ds = [{k: next(iter(d.values()))} for d in ds]
+    if cancel:
+        ds = ds + [{k: -c for k, c in ds[0].items()}]
+    cont, got = _sum([_integral(d) for d in ds])
+    tcont, tgot = _sum([_integral(embed(d)) for d in ds])
+    assert cont == tcont and embed(got) == tgot
+    assert scaled(cont, got) == naive_collect(chain.from_iterable(d.items() for d in ds[1:]), ds[0])
+    assert not got or is_canonical_poly(got)
+    assert type(cont) is int or cont.denominator != 1
+
+
+def test_reduce_skips_only_the_repeat_of_a_failed_factor():
+    """A factor right after an identical copy that did not divide is not
+    tried again; the next different factor still is."""
+    tried = []
+
+    def div_exact(num, f):
+        tried.append(_fkey(f))
+        return _updiv_exact(num, f)
+
+    ring = _UNI._replace(div_exact=div_exact)
+    p, q = {3: 1, 0: -1}, {2: 1, 0: 1}  # Q^3 - 1, Q^2 + 1
+    num = _upmul(q, {5: 1, 0: 2})
+    fden = tuple(sorted([_fkey(p), _fkey(p), _fkey(q)]))
+    got, rest = _reduce(num, fden, ring)
+    assert got == {5: 1, 0: 2} and rest == (_fkey(p), _fkey(p))
+    assert sorted(tried) == sorted([_fkey(p), _fkey(q)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(uni_dicts)
+def test_unormalize_factor_matches_embedding(d):
+    canon, g, s = _unormalize_factor(d)
+    tcanon, tg, ts = _normalize_factor(embed(d))
+    assert embed(canon) == tcanon and g == tg
+    assert (s is None and ts is None) or ts == (s, 0, 0)
+    assert min(canon) == 0 and is_canonical_poly(canon)
+
+
+@settings(max_examples=250, deadline=None)
+@given(uni_factors, uni_dicts, st.one_of(st.none(), st.tuples(uni_exponents, nonzero_ints)))
+def test_updiv_exact_matches_embedding(f, g, extra):
+    """Binomial and 3-4-term exact division, on multiples (extra None) and
+    on multiples plus a monomial, which no factor of two or more terms
+    divides."""
+    canon = _unormalize_factor(f)[0]
+    a = _upmul(canon, g)
+    if extra is not None:
+        a = _collect([extra], a)
+    got = _updiv_exact(a, canon)
+    want = _pdiv_exact(embed(a), embed(canon))
+    assert (got is None) == (want is None) == (extra is not None)
+    if got is not None:
+        assert embed(got) == want
+        assert got == g
+
+
+@settings(max_examples=80, deadline=None)
+@given(uni_dicts, uni_factors, uni_dicts, uni_factors)
+def test_univariate_arithmetic_matches_embedding(an, ad, bn, bd):
+    """Every operation on univariate elements builds, key for key, what the
+    trivariate primitives build on the embedding; equality, canonical keys
+    and hashes agree between the forms and with each other."""
+    ua, ub = FieldElement(an, ad, QUANTUM), FieldElement(bn, bd, QUANTUM)
+    ta = FieldElement(embed(an), embed(ad), QUANTUM)
+    tb = FieldElement(embed(bn), embed(bd), QUANTUM)
+
+    def same(u, t):
+        assert is_canonical_element(u) and is_univariate(u.num or {0: 1})
+        assert (u.cont, embed(u.num), tuple(map(embed_key, u.nfac)),
+                tuple(map(embed_key, u.fden))) == (t.cont, t.num, t.nfac, t.fden)
+        assert univariate(t).canonical_key() == u.canonical_key()
+        assert format_element(u) == format_element(t)
+
+    same(ua, ta)
+    for u, t in ((ua + ub, ta + tb), (ua - ub, ta - tb), (ua * ub, ta * tb),
+                 (ua / ub, ta / tb), (fe_sum([ua, ub, -ua], QUANTUM), fe_sum([ta, tb, -ta], QUANTUM))):
+        same(u, t)
+    assert (ua == ub) == (ta == tb)
+    # equal elements hash alike; canonical keys are exact for one reduction
+    # path, which negation and scaling keep
+    assert ua * ub / ub == ua and hash(ua * ub / ub) == hash(ua)
+    for x in (-(-ua), ua.scale(Rat(3, 2)).scale(Rat(2, 3))):
+        assert x == ua and hash(x) == hash(ua)
+        assert x.canonical_key() == ua.canonical_key()
+
+
+def test_mixing_the_two_forms_raises():
+    t = Q(2) + ONE
+    u = univariate(t)
+    assert u.num == {2: 1, 0: 1} and univariate(u) is u
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+               lambda a, b: a / b, lambda a, b: a == b):
+        for a, b in ((t, u), (u, t)):
+            with pytest.raises(TypeError, match="mixes"):
+                op(a, b)
+    with pytest.raises(TypeError, match="mixes"):
+        fe_sum([u, t], QUANTUM)
+    with pytest.raises(TypeError, match="mixes"):
+        FieldElement({1: 1}, {(0, 0, 0): 1, (1, 0, 0): 1}, QUANTUM)
+    for functional in (evaluate_at_singular, dv_operator):
+        with pytest.raises(TypeError):
+            functional(u, 1)
+    with pytest.raises(ValueError):
+        univariate(X() + ONE)
+    # the zero element has no terms and belongs to both forms
+    assert u + ZERO is u and (ZERO * u).is_zero() and ZERO != u

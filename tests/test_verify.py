@@ -22,8 +22,9 @@ from gtsingular.verify import (
     irreducibility_evidence,
 )
 
+from gated_specs import gated_corpus
 from test_action import generic_spec_n2, singular_spec_n3
-from test_exactalg import is_canonical_element, vanishing_den
+from test_exactalg import has_int_univariate_keys, is_canonical_element, vanishing_den
 
 
 def g4_spec(mode=CLASSICAL, fault=None):
@@ -56,25 +57,31 @@ def test_relations_classical_singular_small():
 
 
 def _field_elements(value):
-    """The field elements in a cached action or coefficient value."""
+    """The field elements in a cached action or coefficient value: an
+    element, a module element or a (dv, ev) pair."""
     if isinstance(value, FieldElement):
         return [value]
     if isinstance(value, ModuleElement):
         return list(value.terms.values())
-    return [e for v in value for e in _field_elements(v)]
+    if isinstance(value, tuple):
+        return [e for v in value for e in _field_elements(v)]
+    raise TypeError(f"unexpected cached value {value!r}")
 
 
 @pytest.mark.parametrize("mode", [QUANTUM, CLASSICAL])
 def test_cached_coefficients_keep_integer_primitive_parts(mode):
-    """No silent fallback to rational term-dict coefficients: after a
-    relation check every cached coefficient has int, primitive parts."""
-    spec = singular_spec_n3(mode)
-    rep = check_defining_relations(spec, 0)
-    assert rep, rep.render()
-    cached = list(spec._act_cache.values()) + list(spec._piece_cache.values())
-    elems = [e for v in cached for e in _field_elements(v)]
-    assert len(elems) > 50
-    assert all(is_canonical_element(e) for e in elems)
+    """No silent fallback to rational term-dict coefficients or to (q, x, y)
+    keys: after the relation and gamma checks every cached module-stage
+    coefficient, singular and generic, has int primitive parts keyed by
+    bare int Q exponents."""
+    for spec in (singular_spec_n3(mode), generic_spec_n2(mode)):
+        for check in (check_defining_relations, check_gamma):
+            rep = check(spec, 0)
+            assert rep, rep.render()
+        cached = list(spec._act_cache.values()) + list(spec._piece_cache.values())
+        elems = [e for v in cached for e in _field_elements(v)]
+        assert len(elems) > (5 if spec.is_generic() else 50)
+        assert all(is_canonical_element(e) and has_int_univariate_keys(e) for e in elems)
 
 
 @pytest.mark.parametrize("lam", [[2, 1, 0], [1, 0, 0]])
@@ -247,6 +254,23 @@ class TestMutations:
         rep = check_defining_relations(spec, 1)
         assert not rep.passed
 
+    @pytest.mark.parametrize("spec, expected", [
+        (lambda: ModuleSpec(Tableau(2, [[Rat(1, 5)], [Rat(1, 3), Rat(-1, 2)]]),
+                            RelationSet(2, []), fault=Fault(sign_flip=True)),
+         "[e_1, f_1] commutator on T[-1]: residual "
+         "((2 * Q^103 + -2 * Q^-43) / (1 * Q^60 + -1)) T[-1]"),
+        (lambda: ModuleSpec(singular_spec_n3().base, RelationSet(3, []),
+                            fault=Fault(sign_flip=True)),
+         "[e_1, f_1] commutator on T[-1,-1,-1]: residual "
+         "((2 * Q^792 + -2 * Q^132) / (1 * Q^924 + -1)) T[-1,-1,-1]"),
+    ], ids=["n2", "n3-fixture"])
+    def test_sign_flip_counterexample_rendering(self, spec, expected):
+        # golden strings, recorded while module-stage values were still
+        # keyed by (q, x, y): the univariate values render byte-identically
+        rep = check_defining_relations(spec(), 1)
+        assert not rep.passed
+        assert rep.counterexample == expected
+
     def test_dropped_gate_detected(self):
         # the basis is T[-3..0]; the gate only matters at T[-3], where the
         # ungated f_1 moves to T[-4], so the window must reach B = 3
@@ -286,3 +310,23 @@ class TestMutations:
         rep = check(g4_spec(CLASSICAL, fault), 1)
         assert not rep.passed
         assert rep.counterexample.startswith(expected), rep.counterexample
+
+
+def generated_n4():
+    """Four gated n = 4 specs, singular rows 2 and 3 both present."""
+    return gated_corpus(4, 4, 0, (2, 3), 216, 1)
+
+
+@pytest.mark.parametrize("mode", [QUANTUM, CLASSICAL])
+@pytest.mark.parametrize("index", range(4))
+def test_generated_gated_n4_gamma_and_compatibility(index, mode):
+    T, C, sp = generated_n4()[index]
+    spec = ModuleSpec(T, C, mode=mode)
+    assert C.relations and spec.singular == sp
+    for check in (check_gamma, check_compatibility):
+        rep = check(spec, 1)
+        assert rep, rep.render()
+
+
+def test_generated_corpus_covers_singular_rows_2_and_3():
+    assert {sp.row for _, _, sp in generated_n4()} == {2, 3}
