@@ -1,13 +1,20 @@
 """Module structure on tableau orbits: the gated generator action.
 
 A ModuleSpec fixes the height n, an admissible relation set, a base
-tableau and the number system.  Generic specs act through the tableau
-formulas directly.  Singular specs (one same-row pair of equal base
-entries outside the relation support) act through the two-variable
-pipeline: coefficients are computed with the singular entries kept
-symbolic as X = q^x, Y = q^y, multiplied by [x-y]_q for normal inputs,
-and pushed through the singular-point functional, which splits every
-term into a normal tableau part and a derivative tableau part.
+tableau and the number system.  Every generator, e_k, f_k, the weights and
+the central c_mk of gtcenter, acts by one recipe.  Its coefficient on the
+tableau at shift z is computed symbolically, with the singular entries
+kept as X = q^x, Y = q^y.  It then crosses the one evaluation boundary,
+ModuleSpec._evaluated:
+
+* on a generic spec the value moves to the univariate form;
+* on a singular spec a normal input multiplies it by [x-y]_q first, and
+  the singular-point functional splits it into a (dv, ev) pair.
+
+The one placement step, place, puts each (target shift, piece) pair on the
+basis: a generic value on the tableau at the target; a singular dv on the
+canonical normal vector and ev on the canonical derivative vector.
+Weights are symmetric in x and y, so their pieces need no functional.
 
 Derivative tableaux are antisymmetric under the transposition tau of the
 singular pair; vectors are stored in canonical form (normal: z_i <= z_j,
@@ -40,6 +47,7 @@ from .tableaux import (
     is_admissible,
     normalized_singular_base,
     satisfies,
+    shift_bounds,
     z_index,
 )
 
@@ -216,17 +224,7 @@ class ModuleSpec:
             self.zi = self.zj = None
             self.eval_point = None
             self.eval_scaled = None
-        # relations compiled to flat-shift lookups
-        self._gates = [
-            (
-                rel.lhs.row, rel.lhs.col,
-                rel.rhs.row, rel.rhs.col,
-                rel.strict,
-                tableau.base[rel.lhs.row - 1][rel.lhs.col - 1]
-                - tableau.base[rel.rhs.row - 1][rel.rhs.col - 1],
-            )
-            for rel in relations.relations
-        ]
+        self._bounds = shift_bounds(relations, tableau)
         self._row_start = [r * (r - 1) // 2 for r in range(self.n + 1)]
         self._gate_cache = {}
         self._piece_cache = {}
@@ -274,27 +272,10 @@ class ModuleSpec:
     def in_basis(self, z) -> bool:
         cached = self._gate_cache.get(z)
         if cached is None:
-            ok = True
-            n = self.n
-            for lr, lc, rr, rc, strict, basediff in self._gates:
-                d = basediff
-                if lr < n:
-                    d = d + z[self._row_start[lr] + lc - 1]
-                if rr < n:
-                    d = d - z[self._row_start[rr] + rc - 1]
-                # base satisfies the relations with integral gaps, so d is
-                # always an integer here
-                if d <= 0 if strict else d < 0:
-                    ok = False
-                    break
-            cached = ok
-            self._gate_cache[z] = ok
+            ext = z + (0,)
+            cached = all(ext[l] - ext[r] >= need for l, r, need in self._bounds)
+            self._gate_cache[z] = cached
         return cached
-
-    def _gate(self, z) -> bool:
-        if self.fault.drop_gate:
-            return True
-        return self.in_basis(z)
 
     def canonical_normal(self, z) -> BasisVector:
         if self.singular is not GENERIC and z[self.zi] > z[self.zj]:
@@ -373,30 +354,35 @@ class ModuleSpec:
         coeff = num / den
         return coeff if sign > 0 else -coeff
 
-    def _pieces(self, tag, kind, k, r, z):
-        """Evaluated coefficient data, memoized by the shift rows it uses.
+    def _evaluated(self, tag, f) -> FieldElement:
+        """The one evaluation boundary of the module stage: a symbolic value
+        f (a tableau-formula coefficient or a gamma_mk) moved past the
+        singular point.
 
-        tag 'G': plain coefficient of a generic spec, moved to the
-        univariate form once here;
-        tag 'N': (dv, ev) of [x-y]_q * coeff (normal input);
-        tag 'D': (dv, ev) of coeff (derivative input).
+        tag 'G': f on a generic spec, in the univariate form;
+        tag 'N': (dv, ev) of [x-y]_q * f, the pieces of a normal input;
+        tag 'D': (dv, ev) of f, the pieces of a derivative input;
+        tag 'E': f evaluated at the singular point.
         """
+        if tag == "G":
+            return univariate(f)
+        c = self.eval_scaled
+        if tag == "E":
+            return evaluate_at_singular(f, c)
+        if tag == "N":
+            f = bracket(LinearExpr(0, 1, -1), self.mode, self.qscale) * f
+        return dv_operator(f, c, self.qscale), evaluate_at_singular(f, c)
+
+    def _pieces(self, tag, kind, k, r, z):
+        """_evaluated(tag, raw_coeff(kind, k, r, z)), memoized by the shift
+        rows the coefficient uses."""
         other = k + 1 if kind == "e" else k - 1
         key = (tag, kind, k, r, self._row_slice(k, z), self._row_slice(other, z))
         hit = self._piece_cache.get(key)
         if hit is not None:
             return hit
-        c = self.eval_scaled
         try:
-            if tag == "G":
-                val = univariate(self.raw_coeff(kind, k, r, z))
-            elif tag == "N":
-                fac = bracket(LinearExpr(0, 1, -1), self.mode, self.qscale) * \
-                    self.raw_coeff(kind, k, r, z)
-                val = (dv_operator(fac, c, self.qscale), evaluate_at_singular(fac, c))
-            else:
-                coeff = self.raw_coeff(kind, k, r, z)
-                val = (dv_operator(coeff, c, self.qscale), evaluate_at_singular(coeff, c))
+            val = self._evaluated(tag, self.raw_coeff(kind, k, r, z))
         except PoleAtEvaluation as exc:
             raise NonRealizable(
                 f"coefficient {kind}_{k},{r} at shift {z} is not realizable: {exc}"
@@ -445,53 +431,54 @@ class ModuleSpec:
 # the action
 # ---------------------------------------------------------------------------
 
-def _expand_targets(spec, kind, k, z):
-    """Gated targets of e_k/f_k from shift z: pairs (r, target shift)."""
-    step = 1 if kind == "e" else -1
+def place(spec: ModuleSpec, targets) -> ModuleElement:
+    """The one placement step: (target shift, piece) pairs as a module
+    element.  On a generic spec a piece is the value on the tableau at the
+    target.  On a singular spec a piece is a (dv, ev) pair: dv goes on the
+    canonical normal vector of the target and ev, with the sign of the
+    canonical representative, on its canonical derivative vector."""
+    if spec.is_generic():
+        return ModuleElement._raw(_collect((BasisVector(NORMAL, w), c) for w, c in targets))
+    pairs = []
+    for w, (dvp, evp) in targets:
+        if dvp:
+            pairs.append((spec.canonical_normal(w), dvp))
+        if evp:
+            bv, sign = spec.canonical_derivative(w)
+            if bv is not None:
+                pairs.append((bv, evp if sign > 0 else -evp))
+    return ModuleElement._raw(_collect(pairs))
+
+
+def _expand(spec: ModuleSpec, tag, g: Generator, z) -> ModuleElement:
+    """g on the tableau at shift z, for the _evaluated tag of the input
+    kind.  e_k and f_k move column r to each gated target with the pieces
+    of its coefficient.  A weight W stays at z; it is symmetric in x and y,
+    so dv([x-y] W) = ev(W) and dv(W) = 0: its piece is (W, 0) on a normal
+    input, (0, W) on a derivative input and W on a generic spec."""
+    k = g.index
+    if g.kind in ("qeps", "qh"):
+        h = g.h if g.kind == "qh" else tuple(int(t == k) for t in range(1, spec.n + 1))
+        val = spec.weight_element(h, z)
+        if tag != "G":
+            zero = FieldElement.zero(spec.mode)
+            val = (val, zero) if tag == "N" else (zero, val)
+        return place(spec, [(z, val)])
+    step = 1 if g.kind == "e" else -1
     start = spec._row_start[k]
-    out = []
+    targets = []
     for r in range(1, k + 1):
         w = _zadd(z, start + r - 1, step)
-        if spec._gate(w):
-            out.append((r, w))
-    return out
-
-
-def _cartan_vector(spec, g):
-    """The h-vector of a weight generator: g.h for qh, the unit vector
-    eps_k for qeps_k."""
-    if g.kind == "qh":
-        return g.h
-    return tuple(1 if t == g.index else 0 for t in range(1, spec.n + 1))
-
-
-def _split_targets(spec, tag, g, z):
-    """e_k/f_k from shift z through the functional: every gated target gets
-    its dv piece on the normal vector and its ev piece on the derivative
-    vector.  tag is the _pieces tag of the input kind ('N' or 'D')."""
-    k = g.index
-    pairs = []
-    for r, w in _expand_targets(spec, g.kind, k, z):
-        dvp, evp = spec._pieces(tag, g.kind, k, r, z)
-        pairs.append((spec.canonical_normal(w), dvp))
-        bv, sign = spec.canonical_derivative(w)
-        if bv is not None:
-            pairs.append((bv, evp if sign > 0 else -evp))
-    return ModuleElement._raw(_collect(pairs))
+        if spec.fault.drop_gate or spec.in_basis(w):
+            targets.append((w, spec._pieces(tag, g.kind, k, r, z)))
+    return place(spec, targets)
 
 
 def expand_normal(spec: ModuleSpec, g: Generator, z) -> ModuleElement:
     """Pipeline for a normal tableau from the given shift representative:
     expand g symbolically, multiply by [x-y]_q, split through the
-    singular-point functional, then canonicalize."""
-    if g.kind in ("qeps", "qh"):
-        # weights are symmetric in x, y: dv([x-y] W) = ev(W) and the
-        # derivative part vanishes identically
-        val = spec.weight_element(_cartan_vector(spec, g), z)
-        if val.is_zero():
-            return ModuleElement._raw({})
-        return ModuleElement._raw({spec.canonical_normal(z): val})
-    return _split_targets(spec, "N", g, z)
+    singular-point functional, then place the pieces."""
+    return _expand(spec, "N", g, z)
 
 
 def expand_derivative(spec: ModuleSpec, g: Generator, z) -> ModuleElement:
@@ -499,31 +486,7 @@ def expand_derivative(spec: ModuleSpec, g: Generator, z) -> ModuleElement:
     (requires a tau-unfixed shift): push g T(v+z) through the functional."""
     if z[spec.zi] == z[spec.zj]:
         raise ValueError("derivative expansion needs a tau-unfixed shift")
-    if g.kind in ("qeps", "qh"):
-        # symmetric weight: dv(W) = 0, so derivative tableaux stay honest
-        # weight vectors
-        val = spec.weight_element(_cartan_vector(spec, g), z)
-        bv, sign = spec.canonical_derivative(z)
-        if bv is None or val.is_zero():
-            return ModuleElement._raw({})
-        return ModuleElement._raw({bv: val if sign > 0 else -val})
-    return _split_targets(spec, "D", g, z)
-
-
-def _act_generic(spec: ModuleSpec, g: Generator, bv: BasisVector) -> ModuleElement:
-    z = bv.z
-    if g.kind in ("qeps", "qh"):
-        # a classical weight can vanish, and elements hold no zero terms
-        val = spec.weight_element(_cartan_vector(spec, g), z)
-        if val.is_zero():
-            return ModuleElement._raw({})
-        return ModuleElement._raw({bv: val})
-    terms = {}
-    for r, w in _expand_targets(spec, g.kind, g.index, z):
-        c = spec._pieces("G", g.kind, g.index, r, z)
-        if not c.is_zero():
-            terms[BasisVector(NORMAL, w)] = c
-    return ModuleElement._raw(terms)
+    return _expand(spec, "D", g, z)
 
 
 _ACT_CACHE_LIMIT = 400000
@@ -543,7 +506,7 @@ def act(g: Generator, bv: BasisVector, spec: ModuleSpec) -> ModuleElement:
     if spec.is_generic():
         if bv.kind != NORMAL:
             raise ValueError("generic modules have no derivative vectors")
-        out = _act_generic(spec, g, bv)
+        out = _expand(spec, "G", g, bv.z)
     elif bv.kind == NORMAL:
         out = expand_normal(spec, g, bv.z)
     else:

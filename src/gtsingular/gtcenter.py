@@ -7,11 +7,12 @@ tableau as multiplication by the shuffle sum
                   sum_tau q^(l_{m,tau(1)}+...+l_{m,tau(k)}
                             - l_{m,tau(k+1)}-...-l_{m,tau(m)})
 
-over (k, m-k)-shuffles, a symmetric function of the row-m entries.  On a
-singular module the action is defined through the same functional pipeline
-as the generators; on derivative vectors it picks up a nilpotent part
-whenever gamma is not symmetric in x and y, producing Jordan cells of
-size two.
+over (k, m-k)-shuffles, a symmetric function of the row-m entries.  c_mk
+acts by the generators' recipe (see action): gamma_mk at the tableau,
+with the singular pair symbolic, crosses ModuleSpec._evaluated and the
+pieces go through action.place.  On derivative vectors it picks up a
+nilpotent part whenever gamma is not symmetric in x and y, producing
+Jordan cells of size two.
 
 The classical generators are normalized as the elementary symmetric
 polynomials e_k of the row entries (the coefficients of a Capelli-style
@@ -26,13 +27,9 @@ from .exactalg import (
     QUANTUM,
     FieldElement,
     LinearExpr,
-    bracket,
-    dv_operator,
-    evaluate_at_singular,
     linear_element,
     q_pochhammer_factorial,
     q_power,
-    univariate,
 )
 from .action import (
     NORMAL,
@@ -40,6 +37,7 @@ from .action import (
     ModuleElement,
     ModuleSpec,
     combine,
+    place,
 )
 
 
@@ -87,57 +85,32 @@ def gamma(spec: ModuleSpec, m: int, k: int, z=None) -> FieldElement:
     return _gamma_symbolic(spec, m, k, z)
 
 
-def gamma_evaluated(spec: ModuleSpec, m: int, k: int, z) -> FieldElement:
-    """gamma_mk at shift z as a univariate value, evaluated at the
-    singular point on a singular spec."""
-    return _gamma_value(spec, m, k, z, False)
-
-
-def _gamma_value(spec: ModuleSpec, m: int, k: int, z, faulted):
-    key = ("gammaval", m, k, spec._row_slice(m, z), faulted)
+def _gamma_piece(spec: ModuleSpec, tag, m: int, k: int, z, faulted):
+    """spec._evaluated(tag, gamma_mk at shift z), memoized by the row-m
+    shifts."""
+    key = ("gamma", tag, m, k, spec._row_slice(m, z), faulted)
     hit = spec._piece_cache.get(key)
     if hit is None:
-        hit = _gamma_symbolic(spec, m, k, z, faulted)
-        if spec.is_generic():
-            hit = univariate(hit)
-        else:
-            hit = evaluate_at_singular(hit, spec.eval_scaled)
+        hit = spec._evaluated(tag, _gamma_symbolic(spec, m, k, z, faulted))
         spec._piece_cache[key] = hit
     return hit
 
 
-def _gamma_pieces(spec: ModuleSpec, m: int, k: int, z, with_bracket=False):
-    """(dv, ev) of the symbolic gamma (normal inputs multiply in [x-y]_q
-    first), memoized by the row-m shifts."""
-    key = ("gamma", with_bracket, m, k, spec._row_slice(m, z), spec.fault.gamma_prefactor)
-    hit = spec._piece_cache.get(key)
-    if hit is not None:
-        return hit
-    val = _gamma_symbolic(spec, m, k, z, faulted=spec.fault.gamma_prefactor)
-    if with_bracket:
-        val = bracket(LinearExpr(0, 1, -1), spec.mode, spec.qscale) * val
-    c = spec.eval_scaled
-    out = (dv_operator(val, c, spec.qscale), evaluate_at_singular(val, c))
-    spec._piece_cache[key] = out
-    return out
+def gamma_evaluated(spec: ModuleSpec, m: int, k: int, z) -> FieldElement:
+    """gamma_mk at shift z as a univariate value, evaluated at the
+    singular point on a singular spec."""
+    return _gamma_piece(spec, "G" if spec.is_generic() else "E", m, k, z, False)
 
 
 def act_central(m: int, k: int, bv: BasisVector, spec: ModuleSpec) -> ModuleElement:
-    """c_mk on a canonical basis vector, through the singular pipeline."""
+    """c_mk on a canonical basis vector: multiplication by gamma_mk, through
+    the same evaluation boundary and placement step as the generators."""
     if spec.is_generic():
-        val = _gamma_value(spec, m, k, bv.z, spec.fault.gamma_prefactor)
-        return ModuleElement({bv: val})
-    z = bv.z
-    # normal inputs multiply in [x-y]_q before the functional
-    tpart, dpart = _gamma_pieces(spec, m, k, z, with_bracket=bv.kind == NORMAL)
-    terms = {}
-    if not tpart.is_zero():
-        terms[spec.canonical_normal(z)] = tpart
-    if not dpart.is_zero():
-        dbv, sign = spec.canonical_derivative(z)
-        if dbv is not None:
-            terms[dbv] = dpart if sign > 0 else -dpart
-    return ModuleElement(terms)
+        tag = "G"
+    else:
+        tag = "N" if bv.kind == NORMAL else "D"
+    piece = _gamma_piece(spec, tag, m, k, bv.z, spec.fault.gamma_prefactor)
+    return place(spec, [(bv.z, piece)])
 
 
 def act_central_element(m: int, k: int, elem: ModuleElement, spec: ModuleSpec) -> ModuleElement:
@@ -192,18 +165,26 @@ def _sweep(bv: BasisVector, spec: ModuleSpec):
     return tuple(moved), tuple(unsquared)
 
 
-def block_report(spec: ModuleSpec, B: int):
+def block_report(spec: ModuleSpec, B: int, at=None):
     """Group the window basis by character key and apply every c_mk -
     gamma_mk (k = 0..m), and its square where it does not vanish, to every
     member: the one sweep of the central generators over the window.  An
     index has a size-2 cell on a block when it moves some member and its
-    square annihilates every member."""
+    square annihilates every member.  at, when given, is called as
+    at(step, bv) as each step of the sweep starts on a basis vector."""
     blocks = {}
     for bv in spec.window(B):
+        if at:
+            at("character key", bv)
         blocks.setdefault(character_key(bv, spec), []).append(bv)
     out = []
     for key, members in blocks.items():
-        moved, unsquared = zip(*(_sweep(bv, spec) for bv in members))
+        sweeps = []
+        for bv in members:
+            if at:
+                at("central sweep", bv)
+            sweeps.append(_sweep(bv, spec))
+        moved, unsquared = zip(*sweeps)
         cells = set().union(*moved) - set().union(*unsquared)
         jordan = tuple((m, k, 2) for m, k in sorted(cells))
         out.append(BlockRow(key, tuple(members), len(members), jordan, moved, unsquared))

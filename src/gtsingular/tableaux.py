@@ -503,43 +503,56 @@ def in_basis(T: Tableau, C: RelationSet) -> bool:
     return all(_relation_holds(T, rel) for rel in C.relations)
 
 
+def shift_bounds(C: RelationSet, T: Tableau):
+    """C compiled at the base T, once for every shift: triples (l, r, need),
+    each meaning z[l] - z[r] >= need for the shift z extended by a 0 at
+    index n(n-1)/2, the unshifted top row.  None when no shift satisfies C
+    (a non-integral base gap, or a top-row relation the base breaks: those
+    compare unshifted entries, so they hold for every shift or for none)."""
+    n = T.n
+    top = n * (n - 1) // 2
+    out = []
+    for (lr, lc), (rr, rc), strict in C.relations:
+        gap = T.base[lr - 1][lc - 1] - T.base[rr - 1][rc - 1]
+        if not is_integral(gap):
+            return None
+        need = int(strict) - as_int(gap)
+        if lr == rr == n:
+            if need > 0:
+                return None
+            continue
+        out.append((z_index(lr, lc) if lr < n else top,
+                    z_index(rr, rc) if rr < n else top, need))
+    return out
+
+
 def enumerate_window(C: RelationSet, T: Tableau, B: int):
     """All shift vectors z with max-norm at most B whose tableau lies in the
     orbit basis, in lexicographic order.
 
     The relations of C must come from relation_universe(n), as RelationSet
-    checks unless built with validate=False.  So every relation either
-    compares two entries of the unshifted top row, which holds for all z or
-    for none, or bounds the entry in its lower row by an entry of a higher
-    row: z[pos] >= z[src] + const or z[pos] <= z[src] + const, the constant
-    being the integral base gap.  So the rows are filled from n-1 down to 1.  Each entry ranges over [-B, B]
-    cut by its bounds against the rows already fixed, the entries of one
-    row are independent, and an empty range prunes the branch, so the
-    (2B+1)^(n(n-1)/2) box is never scanned.
+    checks unless built with validate=False.  So every triple of
+    shift_bounds relates an entry to one of the row above it, and the lower
+    row's entry has the smaller index: it bounds z[pos] from below or above
+    by z[src] plus a constant.  So the rows are filled from n-1 down to 1.
+    Each entry ranges over [-B, B] cut by its bounds against the rows
+    already fixed, the entries of one row are independent, and an empty
+    range prunes the branch, so the (2B+1)^(n(n-1)/2) box is never scanned.
     """
     if B < 0:
         raise ValueError("window bound must be nonnegative")
+    bounds = shift_bounds(C, T)
+    if bounds is None:
+        return []
     n = T.n
     nfree = n * (n - 1) // 2
-    top = nfree  # z[top] stands for the top row, whose shift is always 0
     lower = [[] for _ in range(nfree)]
     upper = [[] for _ in range(nfree)]
-    for rel in C.relations:
-        (lr, lc), (rr, rc), strict = rel
-        # entry(lhs) - entry(rhs) = gap + z[lhs] - z[rhs] must be >= step
-        gap = T.base[lr - 1][lc - 1] - T.base[rr - 1][rc - 1]
-        if not is_integral(gap):
-            return []
-        gap, step = as_int(gap), int(strict)
-        lz = z_index(lr, lc) if lr < n else top
-        rz = z_index(rr, rc) if rr < n else top
-        if lr == rr == n:
-            if gap < step:
-                return []
-        elif lr < rr:
-            lower[lz].append((rz, step - gap))
+    for l, r, need in bounds:
+        if l < r:
+            lower[l].append((r, need))  # z[l] >= z[r] + need
         else:
-            upper[rz].append((lz, gap - step))
+            upper[r].append((l, -need))  # z[r] <= z[l] - need
     z = [0] * (nfree + 1)
     out = []
 

@@ -4,7 +4,9 @@ Each check sweeps a finite window of starting basis vectors but never
 truncates the action itself, so every reported residual is exact: a pass
 means the residual element is identically zero, a failure carries the
 first counterexample.  The relation and finite-dimensional checks also
-check closure: no generator moves a window vector out of the basis.
+check closure: no generator moves a window vector out of the basis.  No
+spec check crashes on a coefficient it cannot compute: _guarded turns the
+error into a failure naming the step and the basis vector.
 """
 
 import random
@@ -19,6 +21,7 @@ from .exactalg import (
     DivisionByZero,
     FieldElement,
     LinearExpr,
+    PoleAtEvaluation,
     bracket,
     dv_operator,
     evaluate_at_singular,
@@ -83,6 +86,32 @@ def _finish(name, summary, bound, failure, t0, seed=None):
     return CheckReport(
         name, summary, bound, failure is None, failure, time.time() - t0, seed
     )
+
+
+def _guarded(sweep):
+    """Run a check's sweep, so that no arithmetic error crashes the check.
+
+    sweep(at) returns the failure or None, and calls at(step, bv) as it
+    starts each check step on a basis vector bv.  A coefficient that cannot
+    be computed (non-realizable, a division by zero, or a pole at the
+    singular point) becomes the failure, named by the last step and vector.
+    """
+    where = None
+
+    def at(step, bv):
+        nonlocal where
+        where = step, bv
+
+    try:
+        return sweep(at)
+    except NonRealizable as exc:
+        error = f"non-realizable coefficient: {exc}"
+    except DivisionByZero as exc:
+        error = f"division by zero: {exc}"
+    except PoleAtEvaluation as exc:
+        error = f"pole at the singular point: {exc}"
+    step, bv = where
+    return f"{step} on {bv!r}: {error}"
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +246,8 @@ def check_defining_relations(spec: ModuleSpec, B: int) -> CheckReport:
     Closure is checked first, on the whole window: the tableau formulas
     satisfy the relations with or without the gate, so only closure tells
     the module from the ungated action.  A coefficient that cannot be
-    computed (non-realizable, or a division by zero) fails the check with
-    the relation or move and the basis vector where it arose.
+    computed fails the check with the relation or move and the basis vector
+    where it arose (see _guarded).
     """
     t0 = time.time()
     window = spec.window(B)
@@ -228,36 +257,29 @@ def check_defining_relations(spec: ModuleSpec, B: int) -> CheckReport:
         f"({spec.mode}, n={spec.n}, "
         f"{'generic' if spec.is_generic() else 'singular ' + str(tuple(spec.singular))})"
     )
-    where = None
 
-    def first_failure():
-        nonlocal where
+    def sweep(at):
         for bv in window:
-            where = f"closure on {bv!r}"
+            at("closure", bv)
             failure = _leaves_basis(spec, bv, lambda tgt: spec.in_basis(tgt.z))
             if failure:
                 return failure
         for bv in window:
             for label, residual in instances:
-                where = f"{label} on {bv!r}"
+                at(label, bv)
                 res = residual(bv)
                 if not res.is_zero():
-                    return f"{where}: residual {res!r}"
+                    return f"{label} on {bv!r}: residual {res!r}"
         return None
 
-    try:
-        failure = first_failure()
-    except NonRealizable as exc:
-        failure = f"{where}: non-realizable coefficient: {exc}"
-    except DivisionByZero as exc:
-        failure = f"{where}: division by zero: {exc}"
-    return _finish("defining-relations", summary, B, failure, t0)
+    return _finish("defining-relations", summary, B, _guarded(sweep), t0)
 
 
 def check_compatibility(spec: ModuleSpec, B: int) -> CheckReport:
     """The pipeline is well defined: both shift representatives give the
     same element on normal tableaux, and opposite elements on derivative
-    tableaux."""
+    tableaux.  A coefficient that cannot be computed fails the check with
+    the generator and the tableau where it arose."""
     t0 = time.time()
     if spec.is_generic():
         raise ValueError("compatibility checks need a singular spec")
@@ -265,24 +287,24 @@ def check_compatibility(spec: ModuleSpec, B: int) -> CheckReport:
     gens += [gen_qeps(k) for k in range(1, spec.n + 1)]
     shifts = enumerate_window(spec.relations, spec.base, B)
     summary = f"{len(gens)} generators on {len(shifts)} shifts ({spec.mode})"
-    failure = None
-    for z in shifts:
-        tz = spec.tau(z)
-        for g in gens:
-            lhs = expand_normal(spec, g, z)
-            rhs = expand_normal(spec, g, tz)
-            if lhs != rhs:
-                failure = f"normal pipeline differs across tau at z={z}, g={g!r}"
-                break
-            if z != tz:
-                lhs = expand_derivative(spec, g, z)
-                rhs = expand_derivative(spec, g, tz)
-                if lhs != -rhs:
-                    failure = f"derivative pipeline not antisymmetric at z={z}, g={g!r}"
-                    break
-        if failure:
-            break
-    return _finish("compatibility", summary, B, failure, t0)
+
+    steps = [(g, f"normal pipeline of {g!r}", f"derivative pipeline of {g!r}")
+             for g in gens]
+
+    def sweep(at):
+        for z in shifts:
+            tz = spec.tau(z)
+            for g, normal, derivative in steps:
+                at(normal, BasisVector(NORMAL, z))
+                if expand_normal(spec, g, z) != expand_normal(spec, g, tz):
+                    return f"normal pipeline differs across tau at z={z}, g={g!r}"
+                if z != tz:
+                    at(derivative, BasisVector(DERIVATIVE, z))
+                    if expand_derivative(spec, g, z) != -expand_derivative(spec, g, tz):
+                        return f"derivative pipeline not antisymmetric at z={z}, g={g!r}"
+        return None
+
+    return _finish("compatibility", summary, B, _guarded(sweep), t0)
 
 
 # ---------------------------------------------------------------------------
@@ -454,13 +476,21 @@ def _gamma_failure(spec, B, rows):
 def check_gamma(spec: ModuleSpec, B: int) -> CheckReport:
     """Eigenvalue equations on normal vectors, the size-two Jordan structure
     on derivative vectors, block dimensions and key separation, read from
-    block_report's single sweep of the central generators."""
+    block_report's single sweep of the central generators.  A gamma value
+    that cannot be computed fails the check with the sweep step and the
+    basis vector where it arose."""
     t0 = time.time()
-    rows = block_report(spec, B)
     npairs = sum(m + 1 for m in range(1, spec.n + 1))
-    nvec = sum(row.dimension for row in rows)
+    rows = []
+
+    def sweep(at):
+        rows.extend(block_report(spec, B, at))
+        return _gamma_failure(spec, B, rows)
+
+    failure = _guarded(sweep)
+    nvec = sum(row.dimension for row in rows) if rows else len(spec.window(B))
     summary = f"{npairs} central generators on {nvec} vectors ({spec.mode})"
-    return _finish("gamma-structure", summary, B, _gamma_failure(spec, B, rows), t0)
+    return _finish("gamma-structure", summary, B, failure, t0)
 
 
 def check_finite_dimensional(lam, mode=QUANTUM) -> CheckReport:
@@ -499,7 +529,9 @@ def check_finite_dimensional(lam, mode=QUANTUM) -> CheckReport:
 
 def irreducibility_evidence(spec: ModuleSpec, B: int) -> CheckReport:
     """Exact irreducibility hypothesis (maximality plus non-integral gaps
-    off the support) and, separately, window-reachability evidence."""
+    off the support) and, separately, window-reachability evidence.  A
+    coefficient that cannot be computed fails the check with the generator
+    and the basis vector where it arose, and leaves the evidence unknown."""
     t0 = time.time()
     M, _ = maximal_relation_set(spec.base)
     support = spec.relations.support
@@ -516,12 +548,16 @@ def irreducibility_evidence(spec: ModuleSpec, B: int) -> CheckReport:
     index = {bv: t for t, bv in enumerate(window)}
     gens = [gen_e(r) for r in range(1, spec.n)] + [gen_f(r) for r in range(1, spec.n)]
     adj = [[] for _ in window]
-    for bv, t in index.items():
-        for g in gens:
-            for tgt, coeff in act(g, bv, spec):
-                u = index.get(tgt)
-                if u is not None and not coeff.is_zero():
-                    adj[t].append(u)
+
+    def sweep(at):
+        for bv, t in index.items():
+            for g in gens:
+                at(f"adjacency of {g!r}", bv)
+                for tgt, coeff in act(g, bv, spec):
+                    u = index.get(tgt)
+                    if u is not None and not coeff.is_zero():
+                        adj[t].append(u)
+        return None
 
     def reach(start):
         seen = {start}
@@ -534,22 +570,27 @@ def irreducibility_evidence(spec: ModuleSpec, B: int) -> CheckReport:
                     stack.append(u)
         return seen
 
-    interior = [
-        t for bv, t in index.items() if all(abs(v) <= B - 1 for v in bv.z)
-    ] or list(range(len(window)))
-    base_reach = reach(interior[0])
-    connected = all(t in base_reach for t in interior)
-    if connected:
-        for t in interior[1:]:
-            if interior[0] not in reach(t):
-                connected = False
-                break
+    failure = _guarded(sweep)
+    evidence = "unknown"
+    if failure is None:
+        interior = [
+            t for bv, t in index.items() if all(abs(v) <= B - 1 for v in bv.z)
+        ] or list(range(len(window)))
+        base_reach = reach(interior[0])
+        connected = all(t in base_reach for t in interior)
+        if connected:
+            for t in interior[1:]:
+                if interior[0] not in reach(t):
+                    connected = False
+                    break
+        evidence = "yes" if connected else "no"
 
     summary = (
         f"hypothesis={'holds' if hypothesis else 'fails'}, window connectivity "
-        f"evidence={'yes' if connected else 'no'} on {len(window)} vectors"
+        f"evidence={evidence} on {len(window)} vectors"
     )
-    failure = None if hypothesis and connected else summary
+    if failure is None and not (hypothesis and evidence == "yes"):
+        failure = summary
     return _finish("irreducibility-evidence", summary, B, failure, t0)
 
 

@@ -1,4 +1,8 @@
+import json
 from itertools import permutations
+from pathlib import Path
+
+import pytest
 
 from gtsingular._rat import Rat
 from gtsingular.exactalg import (
@@ -20,6 +24,7 @@ from gtsingular.gtcenter import (
     gamma_evaluated,
 )
 
+from gated_specs import gated_corpus
 from test_action import generic_spec_n2, singular_spec_n3
 
 
@@ -184,3 +189,38 @@ class TestBlocks:
             assert row.jordan  # some central generator has a size-2 cell
         for row in fixed:
             assert row.jordan == ()
+
+
+GOLDEN_BLOCKS = Path(__file__).with_name("block_report_golden.json")
+
+
+def golden_specs():
+    """The specs of the golden block reports, by name: the n = 3 fixture at
+    B = 1 in both systems, and the first generated gated n = 4 spec, whose
+    singular pair lies in row 3 (classical, B = 1)."""
+    T, C, sp = gated_corpus(4, 4, 0, (2, 3), 216, 1)[0]
+    assert sp.row == 3
+    return {
+        "n3-quantum": singular_spec_n3(QUANTUM),
+        "n3-classical": singular_spec_n3(CLASSICAL),
+        "gated-row3-classical": ModuleSpec(T, C, mode=CLASSICAL),
+    }
+
+
+def block_rows(spec, B=1):
+    """block_report as plain data: per row, the sorted member shifts, the
+    jordan cells, and per member its kind, shift, moved and unsquared."""
+    return [
+        [sorted(list(bv.z) for bv in row.members), [list(c) for c in row.jordan],
+         [[bv.kind, list(bv.z), [list(p) for p in moved], [list(p) for p in unsq]]
+          for bv, moved, unsq in zip(row.members, row.moved, row.unsquared)]]
+        for row in block_report(spec, B)
+    ]
+
+
+@pytest.mark.parametrize("name", ["n3-quantum", "n3-classical", "gated-row3-classical"])
+def test_block_report_matches_golden(name):
+    # recorded before the central action moved onto the shared evaluation
+    # boundary and placement step of the generator action
+    golden = json.loads(GOLDEN_BLOCKS.read_text())
+    assert block_rows(golden_specs()[name]) == golden[name]

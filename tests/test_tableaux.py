@@ -1,8 +1,11 @@
 import random
+from itertools import product
 
 import pytest
 
 from gtsingular._rat import Rat
+from gtsingular.action import ModuleSpec
+from gtsingular.exactalg import CLASSICAL
 from gtsingular.tableaux import (
     GENERIC,
     MultiplySingular,
@@ -27,6 +30,7 @@ from gtsingular.tableaux import (
     succ_relation,
 )
 
+from gated_specs import gated_corpus
 from oracles import oracle_admissible, oracle_patterns, oracle_weyl_dimension, oracle_window
 
 P = Position
@@ -240,6 +244,20 @@ class TestBasisWindow:
         C = RelationSet(3, [])
         for z in enumerate_window(C, T, 1):
             assert in_basis(T.shifted(z), C)
+
+    def test_spec_in_basis_matches_relation_oracle(self):
+        # ModuleSpec.in_basis reads the compiled shift_bounds; the oracle
+        # tests every relation on the entries of the shifted tableau
+        T, C, _ = gated_corpus(4, 4, 0, (2, 3), 216, 1)[0]
+        specs = [ModuleSpec(highest_weight_tableau([2, 1, 0]), interlacing_relations(3)),
+                 ModuleSpec(T, C, mode=CLASSICAL)]
+        for spec in specs:
+            inside = 0
+            for z in product(range(-1, 2), repeat=spec.nfree):
+                ok = in_basis(spec.base.shifted(z), spec.relations)
+                assert spec.in_basis(z) == ok, z
+                inside += ok
+            assert 0 < inside < 3 ** spec.nfree
 
     def test_window_n2(self):
         T = Tableau(2, [[Rat(1, 3)], [0, Rat(1, 2)]])

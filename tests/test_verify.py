@@ -1,7 +1,13 @@
 import pytest
 
 from gtsingular._rat import Rat
-from gtsingular.exactalg import CLASSICAL, QUANTUM, DivisionByZero, FieldElement
+from gtsingular.exactalg import (
+    CLASSICAL,
+    QUANTUM,
+    DivisionByZero,
+    FieldElement,
+    PoleAtEvaluation,
+)
 from gtsingular.tableaux import (
     Position,
     Relation,
@@ -118,6 +124,54 @@ def test_relations_division_by_zero_is_a_failed_report():
     rep = check_defining_relations(_RaisingSpec(T, RelationSet(2, []), (0,)), 1)
     assert not rep.passed
     assert rep.counterexample.startswith("closure on T[0]: division by zero")
+
+
+def _raise_at(monkeypatch, tag, exc):
+    """Make every evaluation with the given _evaluated tag raise exc: the
+    one boundary that both the e/f coefficients and the gamma values pass."""
+    real = ModuleSpec._evaluated
+
+    def evaluated(self, t, f):
+        if t == tag:
+            raise exc("injected")
+        return real(self, t, f)
+
+    monkeypatch.setattr(ModuleSpec, "_evaluated", evaluated)
+
+
+@pytest.mark.parametrize("tag, expected", [
+    ("N", "normal pipeline of e1 on T[-1,-1,-1]: division by zero: injected"),
+    ("D", "derivative pipeline of e1 on DT[-1,-1,0]: division by zero: injected"),
+], ids=["normal", "derivative"])
+def test_compatibility_division_by_zero_is_a_failed_report(monkeypatch, tag, expected):
+    _raise_at(monkeypatch, tag, DivisionByZero)
+    rep = check_compatibility(singular_spec_n3(), 1)
+    assert not rep.passed
+    assert rep.counterexample == expected
+
+
+def test_irreducibility_division_by_zero_is_a_failed_report(monkeypatch):
+    _raise_at(monkeypatch, "G", DivisionByZero)
+    rep = irreducibility_evidence(generic_spec_n2(), 1)
+    assert not rep.passed
+    assert rep.counterexample == "adjacency of e1 on T[-1]: division by zero: injected"
+    assert rep.summary == (
+        "hypothesis=holds, window connectivity evidence=unknown on 3 vectors"
+    )
+
+
+@pytest.mark.parametrize("tag, expected", [
+    ("E", "character key on T[-1,-1,-1]: pole at the singular point: injected"),
+    ("D", "central sweep on DT[-1,0,-1]: pole at the singular point: injected"),
+], ids=["character-key", "sweep"])
+def test_gamma_pole_is_a_failed_report(monkeypatch, tag, expected):
+    # gamma values raise PoleAtEvaluation itself: only e/f coefficients are
+    # wrapped as NonRealizable
+    _raise_at(monkeypatch, tag, PoleAtEvaluation)
+    rep = check_gamma(singular_spec_n3(), 1)
+    assert not rep.passed
+    assert rep.counterexample == expected
+    assert rep.summary == "9 central generators on 27 vectors (quantum)"
 
 
 def test_compatibility_n3():
