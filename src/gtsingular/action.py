@@ -324,35 +324,21 @@ class ModuleSpec:
         s = self._row_start[row]
         return z[s:s + row]
 
-    def _coeff_parts(self, kind, k, r, z):
-        """The coefficient as (sign, numerator diffs, denominator diffs)."""
-        lkr = self.entry_linear(k, r, z)
-        if kind == "e":
-            nums = [lkr - self.entry_linear(k + 1, s, z) for s in range(1, k + 2)]
-            sign = 1 if self.fault.sign_flip else -1
-        else:
-            nums = [lkr - self.entry_linear(k - 1, s, z) for s in range(1, k)]
-            sign = 1
-        dens = [
-            lkr - self.entry_linear(k, s, z) for s in range(1, k + 1) if s != r
-        ]
-        return sign, nums, dens
-
     def raw_coeff(self, kind, k, r, z) -> FieldElement:
         """Unevaluated tableau-formula coefficient for e_k (kind 'e') or f_k
         (kind 'f') moving column r, at shift z; symbolic in X, Y when the
-        singular row is involved."""
-        mode = self.mode
-        scale = self.qscale
-        sign, nums, dens = self._coeff_parts(kind, k, r, z)
-        num = FieldElement.one(mode)
-        for d in nums:
-            num = num * bracket(d, mode, scale)
-        den = FieldElement.one(mode)
-        for d in dens:
-            den = den * bracket(d, mode, scale)
-        coeff = num / den
-        return coeff if sign > 0 else -coeff
+        singular row is involved.  It divides by one denominator bracket at
+        a time, so every denominator factor stays a binomial."""
+        mode, scale, entry = self.mode, self.qscale, self.entry_linear
+        lkr = entry(k, r, z)
+        other = k + 1 if kind == "e" else k - 1
+        coeff = FieldElement.one(mode)
+        for s in range(1, other + 1):
+            coeff = coeff * bracket(lkr - entry(other, s, z), mode, scale)
+        for s in range(1, k + 1):
+            if s != r:
+                coeff = coeff / bracket(lkr - entry(k, s, z), mode, scale)
+        return -coeff if kind == "e" and not self.fault.sign_flip else coeff
 
     def _evaluated(self, tag, f) -> FieldElement:
         """The one evaluation boundary of the module stage: a symbolic value
@@ -406,19 +392,30 @@ class ModuleSpec:
         the classical system: the Cartan element h acting on the tableau at
         shift z, univariate.  On a singular spec it is evaluated at the
         singular point (weights have equal x and y coefficients, so they
-        are tau-symmetric)."""
+        are tau-symmetric).  Memoized, like _pieces, by the shift rows it
+        reads: rows k - 1 and k for each k with h_k != 0, which lie in one
+        slice of z."""
+        ks = [k for k, coeff in enumerate(h, start=1) if coeff]
+        start = self._row_start
+        rows = z[start[ks[0] - 1]:start[min(ks[-1] + 1, self.n)]] if ks else ()
+        key = ("weight", h, rows)
+        hit = self._piece_cache.get(key)
+        if hit is not None:
+            return hit
         const = 0
         cxy = 0
-        for k, coeff in enumerate(h, start=1):
-            if coeff:
-                a = self._weight_scaled(k, z)
-                const = const + coeff * a.const
-                cxy += coeff * a.cx
+        for k in ks:
+            a = self._weight_scaled(k, z)
+            const = const + h[k - 1] * a.const
+            cxy += h[k - 1] * a.cx
         if cxy:
             const = const + 2 * cxy * self.eval_scaled
         if self.mode == QUANTUM:
-            return FieldElement.q_monomial(QUANTUM, 1, const)
-        return FieldElement.q_monomial(CLASSICAL, const)
+            val = FieldElement.q_monomial(QUANTUM, 1, const)
+        else:
+            val = FieldElement.q_monomial(CLASSICAL, const)
+        self._piece_cache[key] = val
+        return val
 
     def pairing_alpha(self, h, r) -> int:
         """<h, alpha_r> = h_r - h_{r+1} for the weight commutation relations."""
@@ -516,9 +513,10 @@ def act(g: Generator, bv: BasisVector, spec: ModuleSpec) -> ModuleElement:
     return out
 
 
-def _sum_by_vector(pairs, spec: ModuleSpec) -> ModuleElement:
+def combine(pairs, spec: ModuleSpec) -> ModuleElement:
     """Sum (basis vector, coefficient) pairs with one fe_sum pass per basis
-    vector."""
+    vector: a relation residual, or the terms of an action, assembled
+    without summing any part of it first."""
     buckets = {}
     for bv, c in pairs:
         buckets.setdefault(bv, []).append(c)
@@ -531,16 +529,11 @@ def _sum_by_vector(pairs, spec: ModuleSpec) -> ModuleElement:
 
 
 def act_element(g: Generator, elem: ModuleElement, spec: ModuleSpec) -> ModuleElement:
-    return _sum_by_vector(
+    """g on a module element: every term of g on each basis vector of elem,
+    times that vector's coefficient, summed by combine."""
+    return combine(
         ((tgt, coeff * c)
          for bv, c in elem.terms.items()
          for tgt, coeff in act(g, bv, spec).terms.items()),
         spec,
     )
-
-
-def combine(elements, spec: ModuleSpec) -> ModuleElement:
-    """Sum several module elements with one shared-denominator pass per
-    basis vector (residual assembly without intermediate expansion)."""
-    return _sum_by_vector((kv for el in elements for kv in el.terms.items()), spec)
-

@@ -57,6 +57,8 @@ POLE_CANCEL_DEPTH = 4
 _REDUCE_NUM_LIMIT = 1500
 _REDUCE_FACTOR_LIMIT = 4
 _TRINOMIAL_NUM_LIMIT = 400
+# a binomial division gives up on a chain longer than this
+_CHAIN_LIMIT = 10000
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -292,7 +294,7 @@ def _pdiv_binomial(a, lead, lc, trail, tc):
     for cid, d in chains.items():
         ts = sorted(d, reverse=True)
         tmax, tmin = ts[0], ts[-1]
-        if tmax - tmin > 10000:
+        if tmax - tmin > _CHAIN_LIMIT:
             return None
         for t in range(tmax, tmin - 1, -1):
             c = d.pop(t, None)
@@ -405,7 +407,7 @@ def _updiv_binomial(a, lead, lc, trail, tc):
     quo = {}
     for r, d in chains.items():
         tmax, tmin = max(d), min(d)
-        if tmax - tmin > 10000:
+        if tmax - tmin > _CHAIN_LIMIT:
             return None
         base = r - lead
         for t in range(tmax, tmin - 1, -1):
@@ -870,11 +872,13 @@ def univariate(f: FieldElement) -> FieldElement:
 
 
 def fe_sum(elems, system):
-    """Sum a list of field elements in one pass: shared numerator factors
-    stay factored, the denominator union is taken once, and every term is
-    expanded only against what it is missing.  Parts that all carry the
-    same factors, as FieldElement.__add__'s fast path, just add their
-    numerators.  The parts share one key form."""
+    """Sum a list of field elements in one pass.  Parts that carry the same
+    factors are added first, as FieldElement.__add__'s fast path does;
+    then the group sums are put over one denominator: shared numerator
+    factors stay factored, the denominator union is taken once, and every
+    group sum is expanded only against what it is missing.  A group whose
+    sum vanishes takes no part in the union.  The parts share one key
+    form."""
     elems = [e for e in elems if e.num]
     if not elems:
         return FieldElement.zero(system)
@@ -884,26 +888,31 @@ def fe_sum(elems, system):
     if len(forms) > 1:
         raise TypeError(_MIXED)
     ring = _TRI if forms.pop() else _UNI
-    nfac, fden = elems[0].nfac, elems[0].fden
-    if all(e.nfac == nfac and e.fden == fden for e in elems):
-        parts = [(e.cont, e.num) for e in elems]
-    else:
-        common_n = Counter(nfac)
-        lcd = Counter(fden)
-        for e in elems[1:]:
-            common_n &= Counter(e.nfac)
-            lcd |= Counter(e.fden)
-        parts = [
-            (e.cont, _times(e.num, ((Counter(e.nfac) - common_n)
-                                    + (lcd - Counter(e.fden))).elements(), ring.mul))
-            for e in elems
-        ]
-        nfac = tuple(sorted(common_n.elements()))
-        fden = tuple(sorted(lcd.elements()))
+    groups = {}
+    for e in elems:
+        groups.setdefault((e.nfac, e.fden), []).append((e.cont, e.num))
+    sums = []
+    for key, parts in groups.items():
+        cont, num = _sum(parts) if len(parts) > 1 else parts[0]
+        if num:
+            sums.append((cont, num, key))
+    if len(sums) < 2:
+        if not sums:
+            return FieldElement.zero(system)
+        cont, num, (nfac, fden) = sums[0]
+        return _build_raw(cont, num, nfac, fden, system, ring)
+    sums = [(cont, num, Counter(nfac), Counter(fden)) for cont, num, (nfac, fden) in sums]
+    common_n, lcd = sums[0][2], sums[0][3]
+    for _, _, cn, cd in sums[1:]:
+        common_n = common_n & cn
+        lcd = lcd | cd
+    parts = [(cont, _times(num, ((cn - common_n) + (lcd - cd)).elements(), ring.mul))
+             for cont, num, cn, cd in sums]
     cont, num = _sum(parts)
     if not num:
         return FieldElement.zero(system)
-    return _build_raw(cont, num, nfac, fden, system, ring)
+    return _build_raw(cont, num, tuple(sorted(common_n.elements())),
+                      tuple(sorted(lcd.elements())), system, ring)
 
 
 def _cancel_pairs(nfac, fden):
@@ -986,11 +995,18 @@ def _reduce(num, fden, ring):
     binomial M_lead - M_trail is rejected by its chain sums before any
     division.  fden is sorted, so a repeated factor comes right after its
     first copy; when that copy did not divide, num has not changed since,
-    and the repeat is not tried again."""
+    and the repeat is not tried again.
+
+    Q^s - 1 divides Q^t - 1 when s divides t, so once Q^s - 1 has not
+    divided num, no such Q^t - 1 is tried until a division changes num.
+    The failure is remembered only when num's exponent span keeps every
+    chain of Q^s - 1 within _CHAIN_LIMIT, since a division that gives up
+    on a longer chain proves nothing."""
     out = []
     changed = False
     div_exact = ring.div_exact
     failed = None
+    periods = []
     for k in fden:
         nf = len(k)
         if not num or k == failed or nf > _REDUCE_FACTOR_LIMIT or (
@@ -998,13 +1014,21 @@ def _reduce(num, fden, ring):
         ):
             out.append(k)
             continue
+        # t of a univariate Q^t - 1, else None
+        t = k[1][0] if nf == 2 and k[0] == (0, -1) and k[1][1] == 1 else None
+        if t is not None and any(t % s == 0 for s in periods):
+            out.append(k)
+            continue
         q = div_exact(num, dict(k))
         if q is None:
             out.append(k)
             failed = k
+            if t is not None and max(num) - min(num) < _CHAIN_LIMIT * t:
+                periods.append(t)
         else:
             num = q
             changed = True
+            periods = []
     if not changed:
         return num, fden
     return num, tuple(out)

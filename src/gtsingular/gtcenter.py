@@ -114,7 +114,9 @@ def act_central(m: int, k: int, bv: BasisVector, spec: ModuleSpec) -> ModuleElem
 
 
 def act_central_element(m: int, k: int, elem: ModuleElement, spec: ModuleSpec) -> ModuleElement:
-    return combine((act_central(m, k, bv, spec).scale(c) for bv, c in elem.terms.items()), spec)
+    return combine(((tgt, coeff * c)
+                    for bv, c in elem.terms.items()
+                    for tgt, coeff in act_central(m, k, bv, spec).terms.items()), spec)
 
 
 def eigen_index_set(spec: ModuleSpec, m: int):

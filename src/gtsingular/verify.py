@@ -38,7 +38,6 @@ from .action import (
     DERIVATIVE,
     NORMAL,
     BasisVector,
-    ModuleElement,
     ModuleSpec,
     NonRealizable,
     act,
@@ -132,42 +131,56 @@ def _relation_instances(spec):
     all set in the branch below: the Cartan identities (q^0 = 1 and
     q^h q^h' = q^(h+h') against [h, h'] = 0), how h meets a generator g
     (the conjugation q^h g q^-h against the commutator [h, g]), the Cartan
-    part of [e_r, f_r] and the Serre coefficient ([2]_q or 2).  Every
-    residual is a list of module elements summed by combine.
+    part of [e_r, f_r] and the Serre coefficient ([2]_q or 2).
+
+    A residual is a list of unsummed (basis vector, coefficient) pairs,
+    summed once by combine with one fe_sum per basis vector.  Each word's
+    inner letters act through act_element; its outermost letter, and the
+    word's scalar (a sign, a weight, 1/(q - q^-1) or the Serre
+    coefficient), only contribute pairs, so no word is summed and reduced
+    on its own before the residual is.
     """
-    n, qs = spec.n, spec.qscale
+    n, qs, mode = spec.n, spec.qscale, spec.mode
     weights = _sample_weights(n)
+    minus = FieldElement.q_monomial(mode, -1)
     instances = []
 
     def add(label, parts):
         instances.append((label, lambda b: combine(parts(b), spec)))
 
-    def word(b, *gens):
-        """The product of gens on the basis vector b, rightmost first."""
-        out = act(gens[-1], b, spec)
-        for g in reversed(gens[:-1]):
-            out = act_element(g, out, spec)
-        return out
+    def word(b, *gens, c=None):
+        """c (default 1) times the product of gens on the basis vector b,
+        rightmost first, as unsummed pairs."""
+        outer, inner = gens[0], gens[1:]
+        if inner:
+            elem = act(inner[-1], b, spec)
+            for g in reversed(inner[:-1]):
+                elem = act_element(g, elem, spec)
+            src = elem.terms if c is None else {bv: v * c for bv, v in elem.terms.items()}
+        else:
+            src = {b: c}
+        return [(tgt, coeff if cb is None else coeff * cb)
+                for bv, cb in src.items()
+                for tgt, coeff in act(outer, bv, spec).terms.items()]
 
     def commutator(b, g1, g2):
-        return [word(b, g1, g2), -word(b, g2, g1)]
+        return word(b, g1, g2) + word(b, g2, g1, c=minus)
 
     def qh(h, sign=1):
         return gen_qh(tuple(sign * t for t in h))
 
     h0, hmix = weights[0], weights[-1]
-    if spec.mode == QUANTUM:
-        add("q^0 = 1", lambda b: [act(qh((0,) * n), b, spec),
-                                  -ModuleElement.basis(b, QUANTUM)])
+    if mode == QUANTUM:
+        add("q^0 = 1", lambda b: word(b, qh((0,) * n)) + [(b, minus)])
         for h in (h0, weights[n - 1]):
             hsum = tuple(a + c for a, c in zip(h, hmix))
             add(f"q^h q^h' = q^(h+h'), h={h}, h'={hmix}",
-                lambda b, h=h, hsum=hsum: [word(b, qh(hmix), qh(h)),
-                                           -act(qh(hsum), b, spec)])
+                lambda b, h=h, hsum=hsum: word(b, qh(hmix), qh(h))
+                + word(b, qh(hsum), c=minus))
         meet_label = "q^h {g} q^-h = q^<h,a_{r}> {g}, h={h}"
 
         def meet(b, h, g):
-            return [word(b, qh(h), g, qh(h, -1))]
+            return word(b, qh(h), g, qh(h, -1))
 
         def weight_scalar(c):
             return FieldElement.q_monomial(QUANTUM, 1, c * qs)
@@ -176,8 +189,7 @@ def _relation_instances(spec):
         inv = FieldElement({0: 1}, {qs: 1, -qs: -1}, QUANTUM)
 
         def cartan_part(b, alpha):
-            return [-act(qh(alpha), b, spec).scale(inv),
-                    act(qh(alpha, -1), b, spec).scale(inv)]
+            return word(b, qh(alpha), c=-inv) + word(b, qh(alpha, -1), c=inv)
 
         serre_coeff = FieldElement({qs: 1, -qs: 1}, None, QUANTUM)
     else:
@@ -192,17 +204,16 @@ def _relation_instances(spec):
             return FieldElement.q_monomial(CLASSICAL, c)
 
         def cartan_part(b, alpha):
-            return [-act(qh(alpha), b, spec)]
+            return word(b, qh(alpha), c=minus)
 
         serre_coeff = FieldElement.q_monomial(CLASSICAL, 2)
 
     for h in weights:
         for r in range(1, n):
             for kind, gen, sgn in (("e", gen_e, 1), ("f", gen_f, -1)):
-                g, c = gen(r), weight_scalar(sgn * spec.pairing_alpha(h, r))
+                g, c = gen(r), -weight_scalar(sgn * spec.pairing_alpha(h, r))
                 add(meet_label.format(g=f"{kind}_{r}", r=r, h=h),
-                    lambda b, h=h, g=g, c=c:
-                        meet(b, h, g) + [-act(g, b, spec).scale(c)])
+                    lambda b, h=h, g=g, c=c: meet(b, h, g) + word(b, g, c=c))
 
     for r in range(1, n):
         alpha = tuple(1 if t == r else (-1 if t == r + 1 else 0) for t in range(1, n + 1))
@@ -217,11 +228,9 @@ def _relation_instances(spec):
                 gr, gs = gen(r), gen(s)
                 if abs(r - s) == 1:
                     add(f"Serre {kind}_{r}{kind}_{s}",
-                        lambda b, gr=gr, gs=gs: [
-                            word(b, gr, gr, gs),
-                            -word(b, gr, gs, gr).scale(serre_coeff),
-                            word(b, gs, gr, gr),
-                        ])
+                        lambda b, gr=gr, gs=gs: word(b, gr, gr, gs)
+                        + word(b, gr, gs, gr, c=-serre_coeff)
+                        + word(b, gs, gr, gr))
                 elif s - r > 1:
                     add(f"[{kind}_{r}, {kind}_{s}] = 0",
                         lambda b, gr=gr, gs=gs: commutator(b, gr, gs))

@@ -12,6 +12,13 @@ The Fraction-coefficient term-dict product and exact division are the
 library's arithmetic from before its coefficients became integers with one
 rational content per element; they check the integer-content primitives.
 
+The per-word relation residuals are the relation check as it was before
+each residual was summed in one pass: every letter of every word acts
+through act_element, each word is summed on its own and its scalar scales
+the summed word, and the words are added with ModuleElement +.  The
+reduction without the period skip is _reduce from before it stopped
+trying Q^t - 1 after Q^s - 1 with s dividing t had failed.
+
 The helpers below the oracles (exact derivatives, two-point evaluation,
 relabeling Q, words of generators, weight exponents) are used by tests
 only.  Traced library functions are reached through their modules, so this
@@ -281,6 +288,31 @@ def oracle_long_division(a, f):
     return None if rem else quo
 
 
+def reduce_trying_every_factor(num, fden, ring):
+    """exactalg._reduce without the period skip: every factor within the
+    size limits is tried, except the repeat of a copy that just failed."""
+    out = []
+    changed = False
+    failed = None
+    for k in fden:
+        nf = len(k)
+        if not num or k == failed or nf > exactalg._REDUCE_FACTOR_LIMIT or (
+            nf > 2 and len(num) > _TRINOMIAL_NUM_LIMIT
+        ):
+            out.append(k)
+            continue
+        q = ring.div_exact(num, dict(k))
+        if q is None:
+            out.append(k)
+            failed = k
+        else:
+            num = q
+            changed = True
+    if not changed:
+        return num, fden
+    return num, tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # Fraction-coefficient term dicts: the exact arithmetic before coefficients
 # became integers with one content per element
@@ -460,3 +492,95 @@ def weight_exponent(spec, k, z):
     if spec.qscale == 1:
         return a
     return LinearExpr(rat(a.const, spec.qscale), a.cx, a.cy)
+
+
+def per_word_relation_instances(spec):
+    """The (label, residual function) pairs of verify._relation_instances,
+    in the same order, with every residual summed word by word."""
+    n, qs, mode = spec.n, spec.qscale, spec.mode
+    e, f, qh = action.gen_e, action.gen_f, action.gen_qh
+    eps = [tuple(int(t == k) for t in range(n)) for k in range(n)]
+    hmix = tuple(1 if t == 0 else (-1 if t == n - 1 else 0) for t in range(n))
+    weights = eps + [hmix]
+    instances = []
+
+    def add(label, parts):
+        def residual(b):
+            out = action.ModuleElement()
+            for el in parts(b):
+                out = out + el
+            return out
+        instances.append((label, residual))
+
+    def word(b, *gens):
+        return act_word(gens, action.ModuleElement.basis(b, mode), spec)
+
+    def commutator(b, g1, g2):
+        return [word(b, g1, g2), -word(b, g2, g1)]
+
+    def neg(h):
+        return tuple(-t for t in h)
+
+    if mode == QUANTUM:
+        add("q^0 = 1", lambda b: [word(b, qh((0,) * n)),
+                                  -action.ModuleElement.basis(b, mode)])
+        for h in (eps[0], eps[n - 1]):
+            hsum = tuple(a + c for a, c in zip(h, hmix))
+            add(f"q^h q^h' = q^(h+h'), h={h}, h'={hmix}",
+                lambda b, h=h, hsum=hsum: [word(b, qh(hmix), qh(h)),
+                                           -word(b, qh(hsum))])
+        meet_label = "q^h {g} q^-h = q^<h,a_{r}> {g}, h={h}"
+
+        def meet(b, h, g):
+            return [word(b, qh(h), g, qh(neg(h)))]
+
+        def weight_scalar(c):
+            return FieldElement.q_monomial(mode, 1, c * qs)
+
+        inv = FieldElement({0: 1}, {qs: 1, -qs: -1}, mode)
+
+        def cartan_part(b, alpha):
+            return [-word(b, qh(alpha)).scale(inv), word(b, qh(neg(alpha))).scale(inv)]
+
+        serre_coeff = FieldElement({qs: 1, -qs: 1}, None, mode)
+    else:
+        add(f"[h, h'] = 0, h={eps[0]}, h'={hmix}",
+            lambda b: commutator(b, qh(eps[0]), qh(hmix)))
+        meet_label = "[h, {g}] = <h,a_{r}> {g}, h={h}"
+
+        def meet(b, h, g):
+            return commutator(b, qh(h), g)
+
+        def weight_scalar(c):
+            return FieldElement.q_monomial(mode, c)
+
+        def cartan_part(b, alpha):
+            return [-word(b, qh(alpha))]
+
+        serre_coeff = FieldElement.q_monomial(mode, 2)
+
+    for h in weights:
+        for r in range(1, n):
+            for kind, gen, sgn in (("e", e, 1), ("f", f, -1)):
+                g, c = gen(r), weight_scalar(sgn * (h[r - 1] - h[r]))
+                add(meet_label.format(g=f"{kind}_{r}", r=r, h=h),
+                    lambda b, h=h, g=g, c=c: meet(b, h, g) + [-word(b, g).scale(c)])
+    for r in range(1, n):
+        alpha = tuple(1 if t == r else (-1 if t == r + 1 else 0) for t in range(1, n + 1))
+        for s in range(1, n):
+            add(f"[e_{r}, f_{s}] commutator",
+                lambda b, r=r, s=s, alpha=alpha: commutator(b, e(r), f(s))
+                + (cartan_part(b, alpha) if r == s else []))
+    for kind, gen in (("e", e), ("f", f)):
+        for r in range(1, n):
+            for s in range(1, n):
+                gr, gs = gen(r), gen(s)
+                if abs(r - s) == 1:
+                    add(f"Serre {kind}_{r}{kind}_{s}",
+                        lambda b, gr=gr, gs=gs: [word(b, gr, gr, gs),
+                                                 -word(b, gr, gs, gr).scale(serre_coeff),
+                                                 word(b, gs, gr, gr)])
+                elif s - r > 1:
+                    add(f"[{kind}_{r}, {kind}_{s}] = 0",
+                        lambda b, gr=gr, gs=gs: commutator(b, gr, gs))
+    return instances

@@ -184,6 +184,28 @@ class TestSingularPipeline:
         assert (v - v).is_zero()
         assert ((v + u) - v).terms == u.terms
 
+    @pytest.mark.parametrize("mode", [QUANTUM, CLASSICAL])
+    def test_weight_cache_matches_weight_exponents(self, mode):
+        # weight_element is memoized by the rows it reads, so shifts that
+        # differ only in other rows share one value
+        spec = singular_spec_n3(mode)
+        hs = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, -1), (0, 2, -1), (0, 0, 0)]
+        c = spec.eval_point
+        window = spec.window(1)
+        for bv in window:
+            for h in hs:
+                e = 0
+                for k, hk in enumerate(h, start=1):
+                    a = weight_exponent(spec, k, bv.z)
+                    e += hk * (a.const + (a.cx + a.cy) * c)
+                if mode == QUANTUM:
+                    want = FieldElement.q_monomial(mode, 1, e * spec.qscale)
+                else:
+                    want = FieldElement.q_monomial(mode, e)
+                assert spec.weight_element(h, bv.z) == want, (h, bv)
+        cached = [key for key in spec._piece_cache if key[0] == "weight"]
+        assert len(cached) < len(window) * len(hs)
+
     def test_mixed_output_from_derivative(self):
         spec = singular_spec_n3()
         b = spec.basis_vector(DERIVATIVE, (0, 1, 0))

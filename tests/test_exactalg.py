@@ -1,4 +1,6 @@
+import operator
 import random
+from functools import reduce
 from itertools import chain
 from math import gcd
 
@@ -51,6 +53,7 @@ from oracles import (
     oracle_dv,
     oracle_long_division,
     partial_derivative,
+    reduce_trying_every_factor,
 )
 
 
@@ -735,6 +738,58 @@ def test_reduce_skips_only_the_repeat_of_a_failed_factor():
     got, rest = _reduce(num, fden, ring)
     assert got == {5: 1, 0: 2} and rest == (_fkey(p), _fkey(p))
     assert sorted(tried) == sorted([_fkey(p), _fkey(q)])
+
+
+def test_reduce_skips_multiples_of_a_failed_period_until_a_division():
+    """After Q^2 - 1 fails, Q^4 - 1 is not tried; after a division changes
+    the numerator, it is tried again."""
+    tried = []
+
+    def div_exact(num, f):
+        tried.append(_fkey(f))
+        return _updiv_exact(num, f)
+
+    ring = _UNI._replace(div_exact=div_exact)
+    p2, p3, p4 = ({t: 1, 0: -1} for t in (2, 3, 4))
+    g = {5: 1, 0: 2}  # no Q^t - 1 divides it
+    fden = tuple(sorted(map(_fkey, (p2, p4))))
+    assert _reduce(g, fden, ring) == (g, fden) and tried == [_fkey(p2)]
+    tried.clear()
+    fden = tuple(sorted(map(_fkey, (p2, p3, p4))))
+    got, rest = _reduce(_upmul(p3, g), fden, ring)
+    assert got == g and rest == (_fkey(p2), _fkey(p4))
+    assert tried == sorted(fden)
+
+
+# Q^t - 1 for periods that divide one another, as the brackets' denominators do
+period_binomials = st.sampled_from([1, 2, 3, 4, 6, 12]).map(lambda t: {t: 1, 0: -1})
+
+
+@settings(max_examples=100, deadline=None)
+@given(uni_dicts, st.lists(period_binomials, max_size=3),
+       st.lists(st.one_of(period_binomials, uni_factors), min_size=1, max_size=5))
+def test_reduce_period_skip_matches_trying_every_factor(g, divisors, dens):
+    """Skipping Q^t - 1 once Q^s - 1 with s | t has failed changes nothing:
+    _reduce returns exactly what trying every factor returns."""
+    num = _times(g, map(_fkey, divisors), _upmul)
+    fden = tuple(sorted(_fkey(_unormalize_factor(d)[0]) for d in dens))
+    assert _reduce(num, fden, _UNI) == reduce_trying_every_factor(num, fden, _UNI)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(uni_factors, min_size=1, max_size=2),
+       st.lists(st.tuples(uni_dicts, st.integers(0, 1), nonzero_rats), min_size=2, max_size=8),
+       st.booleans())
+def test_fe_sum_with_repeated_denominators_matches_left_fold(dens, picks, cancel):
+    """fe_sum adds the parts that share their factors first, and a group
+    may cancel out; the sum equals adding the parts one at a time."""
+    parts = [FieldElement(n, dens[i % len(dens)], QUANTUM).scale(c) for n, i, c in picks]
+    if cancel:
+        first = (parts[0].nfac, parts[0].fden)
+        parts += [-p for p in parts if (p.nfac, p.fden) == first]
+    got = fe_sum(parts, QUANTUM)
+    assert got == reduce(operator.add, parts)
+    assert is_canonical_element(got) and is_univariate(got.num or {0: 1})
 
 
 @settings(max_examples=150, deadline=None)

@@ -29,6 +29,7 @@ from gtsingular.verify import (
 )
 
 from gated_specs import gated_corpus
+from oracles import per_word_relation_instances
 from test_action import generic_spec_n2, singular_spec_n3
 from test_exactalg import has_int_univariate_keys, is_canonical_element, vanishing_den
 
@@ -60,6 +61,26 @@ def test_relations_singular_n3_small():
 def test_relations_classical_singular_small():
     rep = check_defining_relations(singular_spec_n3(CLASSICAL), 1)
     assert rep, rep.render()
+
+
+@pytest.mark.parametrize("mode", [QUANTUM, CLASSICAL])
+@pytest.mark.parametrize("fixture", [generic_spec_n2, singular_spec_n3], ids=["n2", "n3"])
+def test_fused_residuals_match_per_word_residuals(fixture, mode):
+    """Each residual summed in one pass equals the residual summed word by
+    word, on every instance and window vector at B=1.  The sign flip makes
+    many residuals nonzero, so their values are compared too."""
+    clean = fixture(mode)
+    spec = ModuleSpec(clean.base, clean.relations, mode=mode, fault=Fault(sign_flip=True))
+    fused = verify._relation_instances(spec)
+    oracle = per_word_relation_instances(spec)
+    assert [label for label, _ in fused] == [label for label, _ in oracle]
+    nonzero = 0
+    for bv in spec.window(1):
+        for (label, residual), (_, want) in zip(fused, oracle):
+            got = residual(bv)
+            assert got == want(bv), f"{label} on {bv!r}"
+            nonzero += not got.is_zero()
+    assert nonzero
 
 
 def _field_elements(value):
