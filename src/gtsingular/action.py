@@ -207,13 +207,9 @@ class ModuleSpec:
                 for v in row:
                     d = d * v.denominator // _gcd(d, int(v.denominator))
             self.qscale = d
+            self._sbase = tuple(tuple(int(v * d) for v in row) for row in tableau.base)
         else:
             self.qscale = 1
-        if mode == QUANTUM:
-            self._sbase = tuple(
-                tuple(int(v * self.qscale) for v in row) for row in tableau.base
-            )
-        else:
             self._sbase = tableau.base
         if sp is not GENERIC:
             self.zi = z_index(sp.row, sp.i)
@@ -319,8 +315,7 @@ class ModuleSpec:
     # -- coefficients ----------------------------------------------------------
 
     def _row_slice(self, row, z):
-        if row >= self.n or row < 1:
-            return ()
+        """The shifts of row 0 <= row <= n of z; rows 0 and n have none."""
         s = self._row_start[row]
         return z[s:s + row]
 
@@ -361,9 +356,15 @@ class ModuleSpec:
 
     def _pieces(self, tag, kind, k, r, z):
         """_evaluated(tag, raw_coeff(kind, k, r, z)), memoized by the shift
-        rows the coefficient uses."""
+        differences z_kr - z_ks over row k and z_kr - z_(other,s) over row
+        other = k +- 1 (z_kr itself when other is the unshifted top row n).
+        Exact: over the fixed base these integers fix every entry difference
+        raw_coeff reads, singular X, Y parts included, so translates share."""
         other = k + 1 if kind == "e" else k - 1
-        key = (tag, kind, k, r, self._row_slice(k, z), self._row_slice(other, z))
+        row = self._row_slice(k, z)
+        zkr = row[r - 1]
+        far = zkr if other == self.n else tuple(zkr - v for v in self._row_slice(other, z))
+        key = (tag, kind, k, r, tuple(zkr - v for v in row), far)
         hit = self._piece_cache.get(key)
         if hit is not None:
             return hit
@@ -392,13 +393,12 @@ class ModuleSpec:
         the classical system: the Cartan element h acting on the tableau at
         shift z, univariate.  On a singular spec it is evaluated at the
         singular point (weights have equal x and y coefficients, so they
-        are tau-symmetric).  Memoized, like _pieces, by the shift rows it
-        reads: rows k - 1 and k for each k with h_k != 0, which lie in one
-        slice of z."""
+        are tau-symmetric).  Memoized by h and the integer
+        sum_k h_k (sum z_row k - sum z_row k-1), exactly: the exponent is a
+        constant of h plus qscale times it, and its X, Y part is fixed."""
         ks = [k for k, coeff in enumerate(h, start=1) if coeff]
-        start = self._row_start
-        rows = z[start[ks[0] - 1]:start[min(ks[-1] + 1, self.n)]] if ks else ()
-        key = ("weight", h, rows)
+        rs = self._row_slice
+        key = ("weight", h, sum(h[k - 1] * (sum(rs(k, z)) - sum(rs(k - 1, z))) for k in ks))
         hit = self._piece_cache.get(key)
         if hit is not None:
             return hit

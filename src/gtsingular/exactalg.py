@@ -151,16 +151,16 @@ def _sum(parts):
     Every content is rescaled to the common one, the gcd of the
     numerators over the lcm of the denominators, so each part enters the
     sum with an integer multiplier.  Parts that share one monomial, as
-    every classical module-stage value {0: 1} does, just add contents."""
+    every classical module-stage value {0: 1} does, just add contents
+    (a primitive part with a positive leading coefficient is {k: 1})."""
     d0 = parts[0][1]
     if len(d0) == 1 and all(d == d0 for _, d in parts):
-        (k, v), = d0.items()
-        s = sum(c for c, _ in parts) * v
+        s = sum(c for c, _ in parts)
         if not s:
             return 0, {}
         if type(s) is not int and s.denominator == 1:
             s = int(s.numerator)
-        return s, {k: 1}
+        return s, d0
     g = gcd(*(int(c.numerator) for c, _ in parts))
     den = lcm(*(int(c.denominator) for c, _ in parts))
     scaled = [

@@ -20,9 +20,10 @@ reduction without the period skip is _reduce from before it stopped
 trying Q^t - 1 after Q^s - 1 with s dividing t had failed.
 
 The helpers below the oracles (exact derivatives, two-point evaluation,
-relabeling Q, words of generators, weight exponents) are used by tests
-only.  Traced library functions are reached through their modules, so this
-module holds no reference that a tracer would have to rebind.
+relabeling Q, words of generators, weight exponents, what a cached
+coefficient or weight reads) are used by tests only.  Traced library
+functions are reached through their modules, so this module holds no
+reference that a tracer would have to rebind.
 """
 
 from collections import deque
@@ -492,6 +493,30 @@ def weight_exponent(spec, k, z):
     if spec.qscale == 1:
         return a
     return LinearExpr(rat(a.const, spec.qscale), a.cx, a.cy)
+
+
+def row_shifts(spec, row, z):
+    """The shifts of row `row` of z; the top row n has none."""
+    return tuple(z[z_index(row, s)] for s in range(1, row + 1)) if row < spec.n else ()
+
+
+def weight_shift(spec, h, z):
+    """sum_k h_k (sum z_row k - sum z_row k-1): the integer by which the
+    weight exponent of h at shift z exceeds its value at shift 0, in
+    units of 1/qscale."""
+    return sum(hk * (sum(row_shifts(spec, k, z)) - sum(row_shifts(spec, k - 1, z)))
+               for k, hk in enumerate(h, start=1))
+
+
+def translation_key(spec, tag, kind, k, r, z):
+    """What the e_k/f_k coefficient moving column r reads at shift z: the
+    differences z_kr - z_ks over row k and z_kr - z_(other,s) over the row
+    other = k +- 1, or z_kr itself when other is the unshifted top row."""
+    other = k + 1 if kind == "e" else k - 1
+    zkr = z[z_index(k, r)]
+    near = tuple(zkr - v for v in row_shifts(spec, k, z))
+    far = zkr if other == spec.n else tuple(zkr - v for v in row_shifts(spec, other, z))
+    return tag, kind, k, r, near, far
 
 
 def per_word_relation_instances(spec):

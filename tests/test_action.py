@@ -25,7 +25,7 @@ from gtsingular.action import (
     gen_qh,
 )
 
-from oracles import act_word, evaluate_at, scale_q_exponents, weight_exponent
+from oracles import act_word, evaluate_at, scale_q_exponents, weight_exponent, weight_shift
 
 
 def generic_spec_n2(mode=QUANTUM):
@@ -186,8 +186,9 @@ class TestSingularPipeline:
 
     @pytest.mark.parametrize("mode", [QUANTUM, CLASSICAL])
     def test_weight_cache_matches_weight_exponents(self, mode):
-        # weight_element is memoized by the rows it reads, so shifts that
-        # differ only in other rows share one value
+        # weight_element is memoized by h and its integer shift, so every
+        # translate that keeps the weighted row-sum differences shares one
+        # value
         spec = singular_spec_n3(mode)
         hs = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, -1), (0, 2, -1), (0, 0, 0)]
         c = spec.eval_point
@@ -204,7 +205,8 @@ class TestSingularPipeline:
                     want = FieldElement.q_monomial(mode, e)
                 assert spec.weight_element(h, bv.z) == want, (h, bv)
         cached = [key for key in spec._piece_cache if key[0] == "weight"]
-        assert len(cached) < len(window) * len(hs)
+        assert len(cached) == len({(h, weight_shift(spec, h, bv.z))
+                                   for bv in window for h in hs})
 
     def test_mixed_output_from_derivative(self):
         spec = singular_spec_n3()

@@ -29,8 +29,9 @@ from gtsingular.verify import (
 )
 
 from gated_specs import gated_corpus
-from oracles import per_word_relation_instances
+from oracles import per_word_relation_instances, row_shifts, translation_key
 from test_action import generic_spec_n2, singular_spec_n3
+from test_gtcenter import generic_spec_n3
 from test_exactalg import has_int_univariate_keys, is_canonical_element, vanishing_den
 
 
@@ -122,16 +123,19 @@ def test_relations_classical_finite_dimensional(lam, B):
 
 
 class _RaisingSpec(ModuleSpec):
-    """A spec whose coefficient computation divides by zero at one shift."""
+    """A spec whose coefficient lookup divides by zero at one shift.  It
+    raises in _pieces, the coefficient cache's entry point: the cache is
+    keyed by entry differences, so a translate of an earlier shift never
+    reaches raw_coeff."""
 
     def __init__(self, tableau, relations, bad_shift):
         super().__init__(tableau, relations)
         self.bad_shift = bad_shift
 
-    def raw_coeff(self, kind, k, r, z):
+    def _pieces(self, tag, kind, k, r, z):
         if z == self.bad_shift:
             raise DivisionByZero("injected zero denominator")
-        return super().raw_coeff(kind, k, r, z)
+        return super()._pieces(tag, kind, k, r, z)
 
 
 def test_relations_division_by_zero_is_a_failed_report():
@@ -145,6 +149,53 @@ def test_relations_division_by_zero_is_a_failed_report():
     rep = check_defining_relations(_RaisingSpec(T, RelationSet(2, []), (0,)), 1)
     assert not rep.passed
     assert rep.counterexample.startswith("closure on T[0]: division by zero")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: singular_spec_n3(QUANTUM), lambda: singular_spec_n3(CLASSICAL),
+    lambda: g4_spec(CLASSICAL), generic_spec_n3,
+], ids=["n3-quantum", "n3-classical", "g4-classical", "generic-n3"])
+def test_translation_keyed_caches_match_fresh_values(monkeypatch, make):
+    # every _pieces and weight_element call of the relation and
+    # compatibility checks at B=1 returns what an empty cache computes, and
+    # no two raw_coeff calls read the same entry differences
+    spec = make()
+    calls, raw_keys, tag = {}, [], None
+    pieces, raw_coeff, weight = (ModuleSpec._pieces, ModuleSpec.raw_coeff,
+                                 ModuleSpec.weight_element)
+
+    def record_pieces(self, *args):
+        nonlocal tag
+        # a coefficient reads rows k and k +- 1 only, so one call per
+        # content of those rows stands for all of them
+        _, kind, k, _, z = args
+        other = k + 1 if kind == "e" else k - 1
+        reads = args[:4] + (row_shifts(self, k, z), row_shifts(self, other, z))
+        calls.setdefault(reads, (pieces, args))
+        tag = args[0]
+        return pieces(self, *args)
+
+    def record_raw(self, kind, k, r, z):
+        raw_keys.append(translation_key(self, tag, kind, k, r, z))
+        return raw_coeff(self, kind, k, r, z)
+
+    def record_weight(self, *args):
+        calls[args] = (weight, args)
+        return weight(self, *args)
+
+    monkeypatch.setattr(ModuleSpec, "_pieces", record_pieces)
+    monkeypatch.setattr(ModuleSpec, "raw_coeff", record_raw)
+    monkeypatch.setattr(ModuleSpec, "weight_element", record_weight)
+    assert check_defining_relations(spec, 1)
+    assert spec.is_generic() or check_compatibility(spec, 1)
+    monkeypatch.undo()
+    assert raw_keys and len(set(raw_keys)) == len(raw_keys)
+    assert {fn for fn, _ in calls.values()} == {pieces, weight}
+    for fn, args in calls.values():
+        cached = fn(spec, *args)
+        cache, spec._piece_cache = spec._piece_cache, {}
+        assert fn(spec, *args) == cached, args
+        spec._piece_cache = cache
 
 
 def _raise_at(monkeypatch, tag, exc):
