@@ -3,9 +3,9 @@
 gmpy2.mpq when available (much faster), fractions.Fraction otherwise.  Both
 hash compatibly with int, so they can share dict keys.
 
-Rat holds the contents of field elements, rational Q exponents, tableau
-entries and scalars only: term-dict coefficients in ``exactalg`` are
-Python ints, with one rational content per element.
+Rat holds rational Q exponents, tableau entries and the scalars that
+cross the API edge of ``exactalg``: inside it, term-dict coefficients are
+Python ints and the content of an element is a pair of coprime ints.
 """
 
 try:

@@ -18,6 +18,12 @@ gcd pass, and an exact quotient of integer polynomials by a primitive one
 has integer coefficients, so exact division never leaves the integers.
 Only sums need a gcd pass.
 
+The content is a fraction of two coprime ints, the denominator positive,
+so content arithmetic is int arithmetic too: a product cancels each
+numerator against the other denominator, and a sum takes one lcm and one
+gcd (Knuth, TAOCP vol. 2, 4.5.1).  Rat values are split into such pairs
+at the API edge and rebuilt only for rendering.
+
 Term dicts come in two key forms, one per stage of the module pipeline:
 
 * trivariate, {(expQ, expX, expY): c}: the tableau-formula coefficients,
@@ -86,13 +92,34 @@ def _eq_key(e):
     return int(e.numerator) if e.denominator == 1 else e
 
 
-def _div(a, b):
-    """Exact a / b of two contents (ints or Rats); an integral quotient of
-    two ints stays an int, and int / int never becomes a float."""
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        return Rat(a, b) if r else q
-    return a / b
+def _qreduce(n, d):
+    """n/d as a content: coprime ints, the denominator positive."""
+    g = gcd(n, d)
+    if d < 0:
+        g = -g
+    return n // g, d // g
+
+
+def _qmul(an, ad, bn, bd):
+    """The content (an/ad)(bn/bd) of two contents: each numerator is
+    cancelled against the other denominator, so the product is reduced."""
+    if ad == 1 and bd == 1:
+        return an * bn, 1
+    g = gcd(an, bd)
+    h = gcd(bn, ad)
+    return (an // g) * (bn // h), (ad // h) * (bd // g)
+
+
+def _qdiv(an, ad, bn, bd):
+    """The content (an/ad)/(bn/bd) of two contents, bn nonzero."""
+    if bn < 0:
+        return _qmul(an, ad, -bd, -bn)
+    return _qmul(an, ad, bd, bn)
+
+
+def _qsplit(r):
+    """A Rat or int as a content pair."""
+    return int(r.numerator), int(r.denominator)
 
 
 def _primitive(d):
@@ -108,17 +135,17 @@ def _primitive(d):
 
 
 def _integral(d):
-    """(content, primitive part) of a term dict with exact rational or int
-    coefficients, the form a caller outside this module may pass; (0, {})
-    when every coefficient is zero."""
+    """(content numerator, content denominator, primitive part) of a term
+    dict with exact rational or int coefficients, the form a caller outside
+    this module may pass; (0, 1, {}) when every coefficient is zero."""
     d = {k: c for k, c in d.items() if c}
     if not d:
-        return 0, {}
+        return 0, 1, {}
     den = lcm(*(int(c.denominator) for c in d.values()))
     g, prim = _primitive(
         {k: int(c.numerator) * (den // int(c.denominator)) for k, c in d.items()}
     )
-    return _div(g, den), prim
+    return (*_qreduce(g, den), prim)
 
 
 def _collect(pairs, into=None):
@@ -145,27 +172,25 @@ def _psub(a, b):
 
 
 def _sum(parts):
-    """Sum content * dict over nonempty (content, int dict) parts, as
-    (content, primitive part), or (0, {}) when the sum vanishes.
+    """Sum n/d * dict over nonempty (n, d, int dict) parts, as (content
+    numerator, content denominator, primitive part), or (0, 1, {}) when
+    the sum vanishes.
 
     Every content is rescaled to the common one, the gcd of the
     numerators over the lcm of the denominators, so each part enters the
     sum with an integer multiplier.  Parts that share one monomial, as
     every classical module-stage value {0: 1} does, just add contents
-    (a primitive part with a positive leading coefficient is {k: 1})."""
-    d0 = parts[0][1]
-    if len(d0) == 1 and all(d == d0 for _, d in parts):
-        s = sum(c for c, _ in parts)
+    over the lcm (a primitive part with a positive leading coefficient is
+    {k: 1})."""
+    d0 = parts[0][2]
+    den = lcm(*(d for _, d, _ in parts))
+    if len(d0) == 1 and all(p == d0 for _, _, p in parts):
+        s = sum(n * (den // d) for n, d, _ in parts)
         if not s:
-            return 0, {}
-        if type(s) is not int and s.denominator == 1:
-            s = int(s.numerator)
-        return s, d0
-    g = gcd(*(int(c.numerator) for c, _ in parts))
-    den = lcm(*(int(c.denominator) for c, _ in parts))
-    scaled = [
-        ((int(c.numerator) // g) * (den // int(c.denominator)), d) for c, d in parts
-    ]
+            return 0, 1, {}
+        return (*_qreduce(s, den), d0)
+    g = gcd(*(n for n, _, _ in parts))
+    scaled = [((n // g) * (den // d), p) for n, d, p in parts]
     (m0, d0), rest = scaled[0], scaled[1:]
     num = _collect(
         chain.from_iterable(
@@ -175,9 +200,9 @@ def _sum(parts):
         d0 if m0 == 1 else {k: m0 * v for k, v in d0.items()},
     )
     if not num:
-        return 0, num
+        return 0, 1, num
     h, num = _primitive(num)
-    return _div(g * h, den), num
+    return (*_qreduce(g * h, den), num)
 
 
 def _pmul(a, b):
@@ -483,10 +508,13 @@ def _updiv_exact(a, f):
 
 
 def _peval_quantum(a, cx, cy):
-    """X -> Q^cx, Y -> Q^cy in a trivariate dict, as a univariate
-    (content, primitive part) pair."""
+    """X -> Q^cx, Y -> Q^cy in a trivariate dict, as a univariate (content
+    numerator, content denominator, primitive part) triple."""
     d = _collect((_eq_key(q + x * cx + y * cy), c) for (q, x, y), c in a.items())
-    return _primitive(d) if d else (0, d)
+    if not d:
+        return 0, 1, d
+    g, d = _primitive(d)
+    return g, 1, d
 
 
 def _peval_classical(a, cx, cy):
@@ -495,7 +523,7 @@ def _peval_classical(a, cx, cy):
     remains.  A negative exponent of a variable evaluated at zero is a
     pole."""
     if not a:
-        return 0, {}
+        return 0, 1, {}
     px, rx = int(cx.numerator), int(cx.denominator)
     py, ry = int(cy.numerator), int(cy.denominator)
     mx = min(k[1] for k in a)
@@ -516,8 +544,8 @@ def _peval_classical(a, cx, cy):
         else:
             den *= base ** -e
     if not num:
-        return 0, {}
-    return _div(num, den), _UONE
+        return 0, 1, {}
+    return (*_qreduce(num, den), _UONE)
 
 
 def _peuler(a, var):
@@ -547,8 +575,6 @@ def _ppartial(a, var):
 # shared by every element equal to a scalar: no term dict is mutated once built
 _PONE = {(0, 0, 0): 1}
 _UONE = {0: 1}
-_HALF = Rat(1, 2)
-_QUARTER = Rat(1, 4)
 
 
 def _normalize_factor(d):
@@ -608,19 +634,21 @@ _MIXED = "an operation mixes trivariate (Q, X, Y) and univariate (Q) elements"
 
 
 class FieldElement:
-    """cont * num * product(nfac) / product(fden).
+    """(cn / cd) * num * product(nfac) / product(fden).
 
-    cont is the content, an exact rational (an int or a Rat), nonzero
-    unless the element is zero; num is a primitive int term dict with a
-    positive leading coefficient, empty for zero.  nfac and fden are
-    sorted multisets of factor keys (_fkey of a canonical factor from
-    _normalize_factor: primitive, positive leading coefficient, zero
-    minimal exponents).  Products concatenate factor multisets, and only
-    sums expand, after extracting shared factors; trivial factors are
-    dropped, and sums are opportunistically divided by denominator factors
-    that cancel.  All parts being primitive with a positive leading
-    coefficient, two equal elements have equal contents, and equality is
-    exact via cross multiplication of the integer parts.
+    cn / cd is the content, two coprime ints with cd > 0; cn is nonzero
+    unless the element is zero, whose content is 0 / 1.  Content
+    arithmetic is int arithmetic, and a Rat is made only when the element
+    is rendered.  num is a primitive int term dict with a positive leading
+    coefficient, empty for zero.  nfac and fden are sorted multisets of
+    factor keys (_fkey of a canonical factor from _normalize_factor:
+    primitive, positive leading coefficient, zero minimal exponents).
+    Products concatenate factor multisets, and only sums expand, after
+    extracting shared factors; trivial factors are dropped, and sums are
+    opportunistically divided by denominator factors that cancel.  All
+    parts being primitive with a positive leading coefficient, two equal
+    elements have equal contents, which __hash__ therefore reads, and
+    equality is exact via cross multiplication of the integer parts.
 
     num and the factors of one element share one key form: trivariate
     (Q, X, Y) keys before the singular point is evaluated, bare Q
@@ -631,22 +659,23 @@ class FieldElement:
     between the two forms raise TypeError.
     """
 
-    __slots__ = ("cont", "num", "nfac", "fden", "system")
+    __slots__ = ("cn", "cd", "num", "nfac", "fden", "system")
 
     def __init__(self, num, den=None, system=None):
         """num / den for term dicts with exact rational or int coefficients,
         both keyed alike."""
         if system is None:
             raise TypeError("system is required")
-        nc, num = _integral(num)
+        nn, nd, num = _integral(num)
         one = _ring(num).one if num else _PONE
-        dc, den = _integral(one if den is None else den)
+        dn, dd, den = _integral(one if den is None else den)
         if not den:
             raise DivisionByZero("zero denominator")
         if num and _ring(den) is not _ring(num):
             raise TypeError(_MIXED)
-        built = _build(_div(nc, dc), num, [], [den], system)
-        self.cont = built.cont
+        built = _build(*_qdiv(nn, nd, dn, dd), num, [], [den], system)
+        self.cn = built.cn
+        self.cd = built.cd
         self.num = built.num
         self.nfac = built.nfac
         self.fden = built.fden
@@ -655,9 +684,10 @@ class FieldElement:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def _raw(cls, cont, num, nfac, fden, system):
+    def _raw(cls, cn, cd, num, nfac, fden, system):
         e = object.__new__(cls)
-        e.cont = cont
+        e.cn = cn
+        e.cd = cd
         e.num = num
         e.nfac = nfac
         e.fden = fden
@@ -666,25 +696,26 @@ class FieldElement:
 
     @classmethod
     def zero(cls, system):
-        return cls._raw(0, {}, (), (), system)
+        return cls._raw(0, 1, {}, (), (), system)
 
     @classmethod
     def one(cls, system):
-        return cls._raw(1, _PONE, (), (), system)
+        return cls._raw(1, 1, _PONE, (), (), system)
 
     @classmethod
     def scalar(cls, value, system):
         c = rat(value)
         if not c:
             return cls.zero(system)
-        return cls._raw(c, _PONE, (), (), system)
+        return cls._raw(*_qsplit(c), _PONE, (), (), system)
 
     @classmethod
     def monomial(cls, system, coeff, expq=0, expx=0, expy=0):
         c = rat(coeff)
         if not c:
             return cls.zero(system)
-        return cls._raw(c, {(_eq_key(rat(expq)), expx, expy): 1}, (), (), system)
+        return cls._raw(*_qsplit(c), {(_eq_key(rat(expq)), expx, expy): 1}, (), (),
+                        system)
 
     @classmethod
     def q_monomial(cls, system, coeff, expq=0):
@@ -693,7 +724,8 @@ class FieldElement:
         c = rat(coeff)
         if not c:
             return cls.zero(system)
-        return cls._raw(c, {_eq_key(rat(expq)): 1} if expq else _UONE, (), (), system)
+        return cls._raw(*_qsplit(c), {_eq_key(rat(expq)): 1} if expq else _UONE, (), (),
+                        system)
 
     # -- views ---------------------------------------------------------------
 
@@ -716,7 +748,7 @@ class FieldElement:
         return not self.num
 
     def is_one(self):
-        if self.cont != 1:
+        if self.cn != 1 or self.cd != 1:
             return False
         if not self.fden and not self.nfac:
             return self.num == _ring(self.num).one
@@ -733,7 +765,7 @@ class FieldElement:
         ring = self._check(other)
         if ring is None:
             return not self.num and not other.num
-        if self.cont != other.cont:
+        if self.cn != other.cn or self.cd != other.cd:
             return False
         if self.fden == other.fden and self.nfac == other.nfac:
             return self.num == other.num
@@ -745,8 +777,8 @@ class FieldElement:
 
     def __hash__(self):
         # equal elements may carry different factorizations and unreduced
-        # numerators, so only the system is invariant under __eq__
-        return hash(self.system)
+        # numerators, but their contents are equal (see the class docstring)
+        return hash((self.system, self.cn, self.cd))
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -770,28 +802,30 @@ class FieldElement:
         if ring is None:
             return self if self.num else other
         if self.fden == other.fden and self.nfac == other.nfac:
-            cont, num = _sum([(self.cont, self.num), (other.cont, other.num)])
+            cn, cd, num = _sum([(self.cn, self.cd, self.num),
+                                (other.cn, other.cd, other.num)])
             if not num:
                 return FieldElement.zero(self.system)
-            return _build_raw(cont, num, self.nfac, self.fden, self.system, ring)
+            return _build_raw(cn, cd, num, self.nfac, self.fden, self.system, ring)
         na, nb = Counter(self.nfac), Counter(other.nfac)
         common_n = na & nb
         da, db = Counter(self.fden), Counter(other.fden)
         common_d = da & db
         left = _times(self.num, ((na - common_n) + (db - common_d)).elements(), ring.mul)
         right = _times(other.num, ((nb - common_n) + (da - common_d)).elements(), ring.mul)
-        cont, num = _sum([(self.cont, left), (other.cont, right)])
+        cn, cd, num = _sum([(self.cn, self.cd, left), (other.cn, other.cd, right)])
         if not num:
             return FieldElement.zero(self.system)
         fden = tuple(sorted((da | db).elements()))
-        return _build_raw(cont, num, tuple(sorted(common_n.elements())), fden,
+        return _build_raw(cn, cd, num, tuple(sorted(common_n.elements())), fden,
                           self.system, ring)
 
     def __sub__(self, other):
         return self.__add__(-other)
 
     def __neg__(self):
-        return FieldElement._raw(-self.cont, self.num, self.nfac, self.fden, self.system)
+        return FieldElement._raw(-self.cn, self.cd, self.num, self.nfac, self.fden,
+                                 self.system)
 
     def __mul__(self, other):
         ring = self._check(other)
@@ -806,7 +840,8 @@ class FieldElement:
         nfac, fden = self.nfac + other.nfac, self.fden + other.fden
         if nfac or fden:
             nfac, fden = _cancel_pairs(nfac, fden)
-        return FieldElement._raw(self.cont * other.cont, num, nfac, fden, self.system)
+        cn, cd = _qmul(self.cn, self.cd, other.cn, other.cd)
+        return FieldElement._raw(cn, cd, num, nfac, fden, self.system)
 
     def __truediv__(self, other):
         ring = self._check(other)
@@ -814,21 +849,23 @@ class FieldElement:
             raise DivisionByZero("division by the zero element")
         if ring is None:
             return FieldElement.zero(self.system)
-        cont = _div(self.cont, other.cont)
+        cn, cd = _qdiv(self.cn, self.cd, other.cn, other.cd)
         nfac = self.nfac + other.fden
         if other.num != ring.one:
-            built = _build(cont, self.num, nfac, [other.num], self.system,
+            built = _build(cn, cd, self.num, nfac, [other.num], self.system,
                            pre_den=self.fden)
             nfac2, fden2 = _cancel_pairs(built.nfac, built.fden + other.nfac)
-            return FieldElement._raw(built.cont, built.num, nfac2, fden2, self.system)
+            return FieldElement._raw(built.cn, built.cd, built.num, nfac2, fden2,
+                                     self.system)
         nfac2, fden2 = _cancel_pairs(nfac, self.fden + other.nfac)
-        return FieldElement._raw(cont, self.num, nfac2, fden2, self.system)
+        return FieldElement._raw(cn, cd, self.num, nfac2, fden2, self.system)
 
     def scale(self, c):
         c = rat(c)
         if not c or not self.num:
             return FieldElement.zero(self.system)
-        return FieldElement._raw(self.cont * c, self.num, self.nfac, self.fden, self.system)
+        cn, cd = _qmul(self.cn, self.cd, *_qsplit(c))
+        return FieldElement._raw(cn, cd, self.num, self.nfac, self.fden, self.system)
 
     # -- canonical views ----------------------------------------------------
 
@@ -836,7 +873,8 @@ class FieldElement:
         """Hashable exact identity for fully reduced (evaluated) elements."""
         return (
             self.system,
-            self.cont,
+            self.cn,
+            self.cd,
             tuple(sorted(self.expanded_num().items())),
             self.fden,
         )
@@ -867,7 +905,7 @@ def univariate(f: FieldElement) -> FieldElement:
     def keys(factors):
         return tuple(sorted(_fkey(drop(k)) for k in factors))
 
-    return FieldElement._raw(f.cont, drop(f.num.items()), keys(f.nfac), keys(f.fden),
+    return FieldElement._raw(f.cn, f.cd, drop(f.num.items()), keys(f.nfac), keys(f.fden),
                              f.system)
 
 
@@ -890,28 +928,29 @@ def fe_sum(elems, system):
     ring = _TRI if forms.pop() else _UNI
     groups = {}
     for e in elems:
-        groups.setdefault((e.nfac, e.fden), []).append((e.cont, e.num))
+        groups.setdefault((e.nfac, e.fden), []).append((e.cn, e.cd, e.num))
     sums = []
     for key, parts in groups.items():
-        cont, num = _sum(parts) if len(parts) > 1 else parts[0]
+        cn, cd, num = _sum(parts) if len(parts) > 1 else parts[0]
         if num:
-            sums.append((cont, num, key))
+            sums.append((cn, cd, num, key))
     if len(sums) < 2:
         if not sums:
             return FieldElement.zero(system)
-        cont, num, (nfac, fden) = sums[0]
-        return _build_raw(cont, num, nfac, fden, system, ring)
-    sums = [(cont, num, Counter(nfac), Counter(fden)) for cont, num, (nfac, fden) in sums]
-    common_n, lcd = sums[0][2], sums[0][3]
-    for _, _, cn, cd in sums[1:]:
-        common_n = common_n & cn
-        lcd = lcd | cd
-    parts = [(cont, _times(num, ((cn - common_n) + (lcd - cd)).elements(), ring.mul))
-             for cont, num, cn, cd in sums]
-    cont, num = _sum(parts)
+        cn, cd, num, (nfac, fden) = sums[0]
+        return _build_raw(cn, cd, num, nfac, fden, system, ring)
+    sums = [(cn, cd, num, Counter(nfac), Counter(fden))
+            for cn, cd, num, (nfac, fden) in sums]
+    common_n, lcd = sums[0][3], sums[0][4]
+    for _, _, _, nf, df in sums[1:]:
+        common_n = common_n & nf
+        lcd = lcd | df
+    parts = [(cn, cd, _times(num, ((nf - common_n) + (lcd - df)).elements(), ring.mul))
+             for cn, cd, num, nf, df in sums]
+    cn, cd, num = _sum(parts)
     if not num:
         return FieldElement.zero(system)
-    return _build_raw(cont, num, tuple(sorted(common_n.elements())),
+    return _build_raw(cn, cd, num, tuple(sorted(common_n.elements())),
                       tuple(sorted(lcd.elements())), system, ring)
 
 
@@ -929,7 +968,7 @@ def _cancel_pairs(nfac, fden):
     )
 
 
-def _build_raw(cont, num, nfac, fden, system, ring):
+def _build_raw(cn, cd, num, nfac, fden, system, ring):
     """Fast path: num primitive and factors already canonical, just reduce
     the expanded part."""
     if not num:
@@ -937,23 +976,24 @@ def _build_raw(cont, num, nfac, fden, system, ring):
     if fden and len(num) <= _REDUCE_NUM_LIMIT:
         num, fden = _reduce(num, fden, ring)
         nfac, fden = _cancel_pairs(nfac, fden)
-    return FieldElement._raw(cont, num, nfac, fden, system)
+    return FieldElement._raw(cn, cd, num, nfac, fden, system)
 
 
-def _build(cont, num, raw_num_factors, raw_den_factors, system, pre_den=()):
-    """cont * num * product(raw_num_factors) / product(raw_den_factors).
+def _build(cn, cd, num, raw_num_factors, raw_den_factors, system, pre_den=()):
+    """(cn / cd) * num * product(raw_num_factors) / product(raw_den_factors).
 
-    num and the raw factors are int term dicts of any content and sign,
-    keyed like num (a factor may also be a factor key, taken as
-    canonical); the contents and monomial shifts of num and of every raw
-    factor are folded into cont and num.  pre_den holds factor keys
-    already in the denominator."""
+    cn / cd is a content; num and the raw factors are int term dicts of
+    any content and sign, keyed like num (a factor may also be a factor
+    key, taken as canonical); the contents and monomial shifts of num and
+    of every raw factor are folded into the content and num.  pre_den
+    holds factor keys already in the denominator."""
     if not num:
         return FieldElement.zero(system)
     ring = _ring(num)
     one = ring.one
     g, num = _primitive(num)
-    cont = cont * g
+    if g != 1:
+        cn, cd = _qmul(cn, cd, g, 1)
     nfac = []
     for d in raw_num_factors:
         if isinstance(d, tuple):
@@ -962,7 +1002,8 @@ def _build(cont, num, raw_num_factors, raw_den_factors, system, pre_den=()):
         if not d:
             return FieldElement.zero(system)
         canon, g, s = ring.normalize(d)
-        cont = cont * g
+        if g != 1:
+            cn, cd = _qmul(cn, cd, g, 1)
         if s is not None:
             num = ring.shift(num, s)
         if canon != one:
@@ -976,7 +1017,7 @@ def _build(cont, num, raw_num_factors, raw_den_factors, system, pre_den=()):
             raise DivisionByZero("zero denominator factor")
         canon, g, s = ring.normalize(d)
         if g != 1:
-            cont = _div(cont, g)
+            cn, cd = _qdiv(cn, cd, g, 1)
         if s is not None:
             num = ring.shift(num, s, -1)
         if canon != one:
@@ -984,7 +1025,7 @@ def _build(cont, num, raw_num_factors, raw_den_factors, system, pre_den=()):
     nfac, fden = _cancel_pairs(tuple(nfac), tuple(fden))
     if fden and len(num) <= _REDUCE_NUM_LIMIT:
         num, fden = _reduce(num, fden, ring)
-    return FieldElement._raw(cont, num, nfac, fden, system)
+    return FieldElement._raw(cn, cd, num, nfac, fden, system)
 
 
 def _reduce(num, fden, ring):
@@ -1070,10 +1111,10 @@ def linear_element(d: LinearExpr, system) -> FieldElement:
     """The expression itself as a field element (classical building block)."""
     if system == QUANTUM:
         raise ValueError("linear_element is a classical-system construction")
-    cont, num = _integral({(0, 0, 0): rat(d.const), (0, 1, 0): d.cx, (0, 0, 1): d.cy})
+    cn, cd, num = _integral({(0, 0, 0): rat(d.const), (0, 1, 0): d.cx, (0, 0, 1): d.cy})
     if not num:
         return FieldElement.zero(system)
-    return FieldElement._raw(cont, num, (), (), system)
+    return FieldElement._raw(cn, cd, num, (), (), system)
 
 
 def q_power(d: LinearExpr, system) -> FieldElement:
@@ -1096,7 +1137,7 @@ def bracket(d: LinearExpr, system=QUANTUM, scale=1) -> FieldElement:
     c = rat(d.const)
     num = _psub({(_eq_key(c), d.cx, d.cy): 1}, {(_eq_key(-c), -d.cx, -d.cy): 1})
     den = {(scale, 0, 0): 1, (-scale, 0, 0): -1}
-    return _build(1, num, [], [den], system)
+    return _build(1, 1, num, [], [den], system)
 
 
 def q_pochhammer_factorial(m: int, system=QUANTUM, scale=1) -> FieldElement:
@@ -1116,7 +1157,7 @@ def q_pochhammer_factorial(m: int, system=QUANTUM, scale=1) -> FieldElement:
     for t in range(2, m + 1):
         # (t)_{q^-2} = 1 + q^-2 + ... + q^(-2(t-1)), primitive as it stands
         terms = {(-2 * s * scale, 0, 0): 1 for s in range(t)}
-        out = out * FieldElement._raw(1, terms, (), (), system)
+        out = out * FieldElement._raw(1, 1, terms, (), (), system)
     return out
 
 
@@ -1129,7 +1170,8 @@ def _diff_terms(a, system):
 def tau_swap(f: FieldElement) -> FieldElement:
     """Exchange X and Y (classical: x and y)."""
     return _build(
-        f.cont,
+        f.cn,
+        f.cd,
         _pswap_xy(f.num),
         [_pswap_xy(dict(k)) for k in f.nfac],
         [_pswap_xy(dict(k)) for k in f.fden],
@@ -1139,8 +1181,9 @@ def tau_swap(f: FieldElement) -> FieldElement:
 
 def _eval_terms(terms, c1, c2, system):
     """Substitute X -> Q^c1, Y -> Q^c2 (classical: x -> c1, y -> c2) in a
-    nonempty trivariate int term dict, as a univariate (content, primitive
-    part) pair; (0, {}) when the value is zero."""
+    nonempty trivariate int term dict, as a univariate (content numerator,
+    content denominator, primitive part) triple; (0, 1, {}) when the value
+    is zero."""
     if system == QUANTUM:
         return _peval_quantum(terms, c1, c2)
     return _peval_classical(terms, c1, c2)
@@ -1149,26 +1192,26 @@ def _eval_terms(terms, c1, c2, system):
 def _diffval(d, c, system, scale):
     """The singular-point functional applied to a bare trivariate term
     dict, assuming it does not vanish identically: prefactor times the
-    evaluated antisymmetric derivative, as a univariate (content,
-    primitive part) pair."""
-    cont, dv = _eval_terms(_diff_terms(d, system), c, c, system)
+    evaluated antisymmetric derivative, as a univariate (content
+    numerator, content denominator, primitive part) triple."""
+    cn, cd, dv = _eval_terms(_diff_terms(d, system), c, c, system)
     if not dv:
-        return cont, dv
+        return cn, cd, dv
     if system == QUANTUM:
-        return cont * _QUARTER, _upmul(dv, {scale: 1, -scale: -1})
-    return cont * _HALF, dv
+        return (*_qmul(cn, cd, 1, 4), _upmul(dv, {scale: 1, -scale: -1}))
+    return (*_qmul(cn, cd, 1, 2), dv)
 
 
 def _split_xy_factor(d, c, system):
     """Split the X - Y content off one factor at x = y = c.
 
     Returns (order, value, rest) with d = (X - Y)^order * rest.  value is
-    rest evaluated at the point, as a (content, primitive part) pair, or
-    None when rest still vanishes there for a reason other than X - Y."""
+    rest evaluated at the point, as an _eval_terms triple, or None when
+    rest still vanishes there for a reason other than X - Y."""
     order = 0
     for _ in range(POLE_CANCEL_DEPTH + 1):
         v = _eval_terms(d, c, c, system)
-        if v[1]:
+        if v[2]:
             return order, v, d
         q = _pdiv_x_minus_y(d)
         if q is None:
@@ -1184,9 +1227,9 @@ def _cancel_xy(f, c):
 
     X - Y is prime, so it divides the numerator product only through one of
     its parts (num or an nfac factor).  Returns (numerator dicts,
-    [(denominator dict, value at the point)]) with f equal to f.cont times
-    the product of the numerator dicts over the product of the denominator
-    dicts; no denominator value is zero."""
+    [(denominator dict, value at the point)]) with f equal to its content
+    times the product of the numerator dicts over the product of the
+    denominator dicts; no denominator value is zero."""
     if _ring(f.num) is _UNI:
         raise TypeError("the singular-point functionals take trivariate elements")
     system = f.system
@@ -1211,14 +1254,15 @@ def _cancel_xy(f, c):
     return nums, dens
 
 
-def _build_values(cont, num, num_vals, den_vals, system):
-    """cont * num * product(num_vals) / product(den_vals) for evaluated
-    (content, primitive part) pairs."""
-    for vc, _ in num_vals:
-        cont = cont * vc
-    for vc, _ in den_vals:
-        cont = _div(cont, vc)
-    return _build(cont, num, [v for _, v in num_vals], [v for _, v in den_vals], system)
+def _build_values(cn, cd, num, num_vals, den_vals, system):
+    """(cn / cd) * num * product(num_vals) / product(den_vals) for
+    _eval_terms triples."""
+    for vn, vd, _ in num_vals:
+        cn, cd = _qmul(cn, cd, vn, vd)
+    for vn, vd, _ in den_vals:
+        cn, cd = _qdiv(cn, cd, vn, vd)
+    return _build(cn, cd, num, [v for _, _, v in num_vals], [v for _, _, v in den_vals],
+                  system)
 
 
 def evaluate_at_singular(f: FieldElement, c) -> FieldElement:
@@ -1232,10 +1276,11 @@ def evaluate_at_singular(f: FieldElement, c) -> FieldElement:
         return FieldElement.zero(system)
     nums, dens = _cancel_xy(f, c)
     vals = [_eval_terms(d, c, c, system) for d in nums]
-    if not all(v for _, v in vals):
+    if not all(v for _, _, v in vals):
         return FieldElement.zero(system)
-    (vc, vd), rest = vals[0], vals[1:]
-    return _build_values(f.cont * vc, vd, rest, [v for _, v in dens], system)
+    (vn, vd, num), rest = vals[0], vals[1:]
+    return _build_values(*_qmul(f.cn, f.cd, vn, vd), num, rest, [v for _, v in dens],
+                         system)
 
 
 def dv_operator(f: FieldElement, c, scale=1) -> FieldElement:
@@ -1266,7 +1311,7 @@ def dv_operator(f: FieldElement, c, scale=1) -> FieldElement:
     num_parts = []
     for d in nums:
         v = _eval_terms(d, c, c, system)
-        if v[1]:
+        if v[2]:
             num_parts.append((d, v))
         elif vanishing is None:
             vanishing = d
@@ -1275,23 +1320,23 @@ def dv_operator(f: FieldElement, c, scale=1) -> FieldElement:
     num_vals = [v for _, v in num_parts]
     if vanishing is not None:
         # only the vanishing factor's derivative survives the product rule
-        oc, out = _diffval(vanishing, c, system, scale)
+        on, od, out = _diffval(vanishing, c, system, scale)
         if not out:
             return FieldElement.zero(system)
-        return _build_values(f.cont * oc, out, num_vals, den_vals, system)
+        return _build_values(*_qmul(f.cn, f.cd, on, od), out, num_vals, den_vals, system)
     # logarithmic derivative over all factors
     total = FieldElement.zero(system)
-    for d, (vc, vd) in num_parts:
-        dc, dv = _diffval(d, c, system, scale)
+    for d, (vn, vd, v) in num_parts:
+        dn, dd, dv = _diffval(d, c, system, scale)
         if dv:
-            total = total + _build(_div(dc, vc), dv, [], [vd], system)
-    for d, (vc, vd) in den_parts:
-        dc, dv = _diffval(d, c, system, scale)
+            total = total + _build(*_qdiv(dn, dd, vn, vd), dv, [], [v], system)
+    for d, (vn, vd, v) in den_parts:
+        dn, dd, dv = _diffval(d, c, system, scale)
         if dv:
-            total = total - _build(_div(dc, vc), dv, [], [vd], system)
+            total = total - _build(*_qdiv(dn, dd, vn, vd), dv, [], [v], system)
     if total.is_zero():
         return FieldElement.zero(system)
-    return _build_values(f.cont, _UONE, num_vals, den_vals, system) * total
+    return _build_values(f.cn, f.cd, _UONE, num_vals, den_vals, system) * total
 
 
 # ---------------------------------------------------------------------------
@@ -1335,9 +1380,9 @@ def format_terms(terms, system, scale=1):
 def format_element(f: FieldElement) -> str:
     num = f.expanded_num()
     if not f.fden:
-        return format_terms(num, f.system, f.cont)
+        return format_terms(num, f.system, Rat(f.cn, f.cd))
     # the denominator is shown with leading coefficient 1
     den = f.den
     lc = den[max(den)]
-    return (f"({format_terms(num, f.system, _div(f.cont, lc))}) / "
+    return (f"({format_terms(num, f.system, Rat(f.cn, f.cd * lc))}) / "
             f"({format_terms(den, f.system, Rat(1, lc))})")

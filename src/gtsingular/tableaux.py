@@ -17,10 +17,6 @@ class MultiplySingular(ValueError):
     """More than one same-row integral pair outside the relation support."""
 
 
-class SizeLimit(ValueError):
-    """Exhaustive enumeration is only supported for n <= 3."""
-
-
 class Position(NamedTuple):
     row: int
     col: int
@@ -224,20 +220,6 @@ class RelationSet:
         self._build()
         a = self._comp[z_index(p.row, p.col)]
         return a >= 0 and a == self._comp[z_index(q.row, q.col)]
-
-
-def succ_relation(C: RelationSet, p: Position, r: Position) -> str:
-    """Chain order between two support positions: 'strict' if some chain
-    from p to r uses a strict step, 'weak' if chains exist but none do,
-    'none' otherwise."""
-    C._build()
-    pi = z_index(p.row, p.col)
-    ri = z_index(r.row, r.col)
-    if (C._sreach[pi] >> ri) & 1:
-        return "strict"
-    if (C._reach[pi] >> ri) & 1:
-        return "weak"
-    return "none"
 
 
 class AdmissibilityReport(NamedTuple):
@@ -598,17 +580,3 @@ def highest_weight_tableau(lam) -> Tableau:
     base = [[lam[i] - i for i in range(r)] for r in range(1, n + 1)]
     return Tableau(n, base)
 
-
-def enumerate_admissible(n: int):
-    """Every admissible subset of the universe, for n <= 3."""
-    if n > 3:
-        raise SizeLimit("exhaustive enumeration is limited to n <= 3")
-    universe = relation_universe(n)
-    m = len(universe)
-    out = []
-    for mask in range(1 << m):
-        rels = [universe[t] for t in range(m) if (mask >> t) & 1]
-        C = RelationSet(n, rels, validate=False)
-        if is_admissible(C):
-            out.append(C)
-    return out

@@ -11,6 +11,7 @@ term-dict derivatives ``_peuler`` and ``_ppartial`` and
 The Fraction-coefficient term-dict product and exact division are the
 library's arithmetic from before its coefficients became integers with one
 rational content per element; they check the integer-content primitives.
+The Fraction value of a classical scalar checks the int-pair contents.
 
 The per-word relation residuals are the relation check as it was before
 each residual was summed in one pass: every letter of every word acts
@@ -19,17 +20,19 @@ the summed word, and the words are added with ModuleElement +.  The
 reduction without the period skip is _reduce from before it stopped
 trying Q^t - 1 after Q^s - 1 with s dividing t had failed.
 
-The helpers below the oracles (exact derivatives, two-point evaluation,
-relabeling Q, words of generators, weight exponents, what a cached
-coefficient or weight reads) are used by tests only.  Traced library
-functions are reached through their modules, so this module holds no
-reference that a tracer would have to rebind.
+The exhaustive enumeration of admissible sets and the chain order of two
+positions are tableaux helpers that only tests call.  The helpers below
+the oracles (exact derivatives, two-point evaluation, relabeling Q, words
+of generators, weight exponents, what a cached coefficient or weight
+reads) are used by tests only.  Traced library functions are reached
+through their modules, so this module holds no reference that a tracer
+would have to rebind.
 """
 
 from collections import deque
 from itertools import product
 
-from gtsingular import action, exactalg
+from gtsingular import action, exactalg, tableaux
 from gtsingular._rat import Rat, is_integral, rat
 from gtsingular.exactalg import (
     _PONE,
@@ -48,7 +51,13 @@ from gtsingular.exactalg import (
     _ppartial,
     _psub,
 )
-from gtsingular.tableaux import Position, Relation, z_index
+from gtsingular.tableaux import (
+    Position,
+    Relation,
+    RelationSet,
+    relation_universe,
+    z_index,
+)
 
 
 def naive_collect(pairs, into):
@@ -168,6 +177,43 @@ def oracle_admissible(n, rels):
     return all(
         oracle_component_admissible(n, comp) for comp in naive_components(list(rels))
     )
+
+
+# ---------------------------------------------------------------------------
+# relation-set helpers only the tests use
+# ---------------------------------------------------------------------------
+
+class SizeLimit(ValueError):
+    """Exhaustive enumeration is only supported for n <= 3."""
+
+
+def enumerate_admissible(n: int):
+    """Every admissible subset of the universe, for n <= 3."""
+    if n > 3:
+        raise SizeLimit("exhaustive enumeration is limited to n <= 3")
+    universe = relation_universe(n)
+    m = len(universe)
+    out = []
+    for mask in range(1 << m):
+        rels = [universe[t] for t in range(m) if (mask >> t) & 1]
+        C = RelationSet(n, rels, validate=False)
+        if tableaux.is_admissible(C):
+            out.append(C)
+    return out
+
+
+def succ_relation(C: RelationSet, p: Position, r: Position) -> str:
+    """Chain order between two support positions: 'strict' if some chain
+    from p to r uses a strict step, 'weak' if chains exist but none do,
+    'none' otherwise."""
+    C._build()
+    pi = z_index(p.row, p.col)
+    ri = z_index(r.row, r.col)
+    if (C._sreach[pi] >> ri) & 1:
+        return "strict"
+    if (C._reach[pi] >> ri) & 1:
+        return "weak"
+    return "none"
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +456,16 @@ def _fraction_pdiv_binomial(a, lead, lc, trail, tc):
 # test-only helpers
 # ---------------------------------------------------------------------------
 
+def scalar_value(f):
+    """The Fraction value of a classical module-stage scalar, content times
+    {0: 1}: the oracle that content arithmetic is checked against."""
+    if not f.num:
+        return Rat(0)
+    if f.num != {0: 1} or f.nfac or f.fden:
+        raise ValueError("not a classical module-stage scalar")
+    return Rat(f.cn, f.cd)
+
+
 def euler_derivative(f, var):
     """X d/dX (var='x') or Y d/dY (var='y'), by the exact quotient rule."""
     if f.system != QUANTUM:
@@ -438,27 +494,28 @@ def _quotient_rule(f, deriv):
                 term = _pmul(term, other)
         ddash = _collect(term.items(), ddash)
     num = _psub(_pmul(deriv(n), dpoly), _pmul(n, ddash))
-    return _build(f.cont, num, [], [], f.system, pre_den=f.fden + f.fden)
+    return _build(f.cn, f.cd, num, [], [], f.system, pre_den=f.fden + f.fden)
 
 
 def evaluate_at(f, cx, cy):
     """Two-point substitution X -> Q^cx, Y -> Q^cy (classical x, y values),
     a univariate element."""
     cx, cy = rat(cx), rat(cy)
-    cont = f.cont
+    cont = Rat(f.cn, f.cd)
     nums = []
     for d in [f.num] + [dict(k) for k in f.nfac]:
-        vc, vd = _eval_terms(d, cx, cy, f.system)
-        cont *= vc
-        nums.append(vd)
+        vn, vd, v = _eval_terms(d, cx, cy, f.system)
+        cont *= Rat(vn, vd)
+        nums.append(v)
     dens = []
     for k in f.fden:
-        vc, vd = _eval_terms(dict(k), cx, cy, f.system)
-        if not vd:
+        vn, vd, v = _eval_terms(dict(k), cx, cy, f.system)
+        if not v:
             raise PoleAtEvaluation("denominator vanishes at the evaluation point")
-        cont = rat(cont) / vc
-        dens.append(vd)
-    return _build(cont, nums[0], nums[1:], dens, f.system)
+        cont /= Rat(vn, vd)
+        dens.append(v)
+    return _build(int(cont.numerator), int(cont.denominator), nums[0], nums[1:], dens,
+                  f.system)
 
 
 def scale_q_exponents(f, factor):
@@ -471,7 +528,8 @@ def scale_q_exponents(f, factor):
         return {_eq_key(q * factor): c for q, c in d.items()}
 
     return _build(
-        f.cont,
+        f.cn,
+        f.cd,
         stretch(f.num),
         [stretch(dict(k)) for k in f.nfac],
         [stretch(dict(k)) for k in f.fden],

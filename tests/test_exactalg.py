@@ -3,10 +3,12 @@ import random
 from functools import reduce
 from itertools import chain
 from math import gcd
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from gtsingular import exactalg
 from gtsingular._rat import Rat, rat
 from gtsingular.exactalg import (
     CLASSICAL,
@@ -54,6 +56,7 @@ from oracles import (
     oracle_long_division,
     partial_derivative,
     reduce_trying_every_factor,
+    scalar_value,
 )
 
 
@@ -469,7 +472,7 @@ def random_factor(rng, system):
         q = Rat(rng.randint(-3, 3), rng.choice([1, 2, 3])) if system == QUANTUM else 0
         key = (q, rng.randint(0, 2), rng.randint(0, 2))
         terms[key] = Rat(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2]))
-    return _normalize_factor(_integral(terms)[1])[0]
+    return _normalize_factor(_integral(terms)[2])[0]
 
 
 def random_laurent(rng, system, nterms):
@@ -513,7 +516,7 @@ def test_fe_sum_agrees_with_repeated_addition(system):
     for _ in range(10):
         base = sample_smooth(rng, system)
         shared = [
-            FieldElement._raw(s.cont, s.expanded_num(), base.nfac, base.fden, system)
+            FieldElement._raw(s.cn, s.cd, s.expanded_num(), base.nfac, base.fden, system)
             for s in (sample_smooth(rng, system) for _ in range(3))
         ]
         other = sample_smooth(rng, system)
@@ -573,13 +576,21 @@ def min_exponents(d):
     return [min(k[i] for k in d) for i in range(3)]
 
 
+def is_canonical_content(n, d):
+    """A content: an int numerator over a positive int denominator, coprime."""
+    return type(n) is int and type(d) is int and d > 0 and gcd(n, d) == 1
+
+
 def is_canonical_element(f):
-    """Every stored part of f is primitive, all parts share one key form,
-    and every factor key also has zero minimal exponents."""
+    """The content of f is canonical, 0/1 for the zero element; every stored
+    part of f is primitive, all parts share one key form, and every factor
+    key also has zero minimal exponents."""
+    if not is_canonical_content(f.cn, f.cd):
+        return False
     if not f.num:
-        return True
+        return (f.cn, f.cd) == (0, 1)
     factors = [dict(k) for k in f.nfac + f.fden]
-    return (f.cont != 0 and is_canonical_poly(f.num)
+    return (f.cn != 0 and is_canonical_poly(f.num)
             and all(is_canonical_poly(d) for d in factors)
             and all(is_univariate(d) == is_univariate(f.num) for d in factors)
             and all(m == 0 for d in factors for m in min_exponents(d)))
@@ -616,10 +627,11 @@ rational_factors = st.dictionaries(term_keys, nonzero_rats, min_size=2, max_size
 def test_pmul_matches_fraction_oracle(a, b):
     """The product of the primitive parts is primitive (Gauss's lemma) and,
     times the two contents, is the Fraction-coefficient product."""
-    (ca, pa), (cb, pb) = _integral(a), _integral(b)
+    (an, ad, pa), (bn, bd, pb) = _integral(a), _integral(b)
+    assert is_canonical_content(an, ad) and is_canonical_content(bn, bd)
     got = _pmul(pa, pb)
     assert is_canonical_poly(got)
-    assert scaled(ca * cb, got) == fraction_pmul(a, b)
+    assert scaled(Rat(an, ad) * Rat(bn, bd), got) == fraction_pmul(a, b)
 
 
 @settings(max_examples=150, deadline=None)
@@ -628,9 +640,11 @@ def test_sum_matches_fraction_oracle(ds, cancel):
     """Contents rescaled to a common one, integer sums, one gcd pass."""
     if cancel:
         ds = ds + [{k: -c for k, c in ds[0].items()}]
-    cont, got = _sum([_integral(d) for d in ds])
+    cn, cd, got = _sum([_integral(d) for d in ds])
     want = naive_collect(chain.from_iterable(d.items() for d in ds[1:]), ds[0])
-    assert scaled(cont, got) == want
+    assert is_canonical_content(cn, cd)
+    assert got or (cn, cd) == (0, 1)
+    assert scaled(Rat(cn, cd), got) == want
     assert not got or is_canonical_poly(got)
 
 
@@ -642,18 +656,18 @@ def test_pdiv_exact_matches_fraction_oracle(f, g, extra):
     division by the monic one, on multiples (extra None) and on multiples
     plus a monomial, which no factor of two or more terms divides."""
     old = fraction_normalize(f)
-    canon = _normalize_factor(_integral(f)[1])[0]
+    canon = _normalize_factor(_integral(f)[2])[0]
     a = fraction_pmul(old, g)
     if extra is not None:
         a = naive_collect([extra], a)
     want = fraction_pdiv_exact(a, old)
-    ca, pa = _integral(a)
+    an, ad, pa = _integral(a)
     got = _pdiv_exact(pa, canon)
     assert (want is None) == (extra is not None)
     assert (got is None) == (want is None)
     if got is not None:
         assert all(type(c) is int for c in got.values())
-        assert scaled(ca * canon[max(canon)], got) == want == g
+        assert scaled(Rat(an, ad) * canon[max(canon)], got) == want == g
 
 
 @settings(max_examples=60, deadline=None)
@@ -672,6 +686,39 @@ def test_canonical_key_agrees_with_eq_for_scalar_multiples(a, c, point, m):
     other = f.scale(c)
     assert (other == f) == (other.canonical_key() == f.canonical_key()) == (
         c == 1 or f.is_zero())
+
+
+@pytest.mark.parametrize("system", [QUANTUM, CLASSICAL])
+def test_hash_reads_the_content(system):
+    """Scalars with distinct contents do not all share one hash."""
+    values = [Rat(p, q) for p in range(-4, 5) if p for q in (1, 2, 3)]
+    assert len({hash(FieldElement.scalar(v, system)) for v in values}) > 1
+
+
+scalar_rats = st.one_of(st.just(Rat(0)), nonzero_rats)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(scalar_rats, min_size=1, max_size=6), st.booleans())
+@example([Rat(1, 2), Rat(3, 2), Rat(1, 2)], False)
+@example([Rat(-2, 3), Rat(3, 4)], True)
+def test_classical_scalar_contents_match_fraction_oracle(values, cancel):
+    """Classical module-stage values are contents times {0: 1}: their
+    products, quotients, negations, scalings, sums and comparisons agree
+    with Fraction arithmetic, sums that cancel to zero and integral
+    results included, and every result keeps a canonical content."""
+    if cancel:
+        values = values + [-v for v in values]
+    elems = [FieldElement.q_monomial(CLASSICAL, v) for v in values]
+    a, b, va, vb = elems[0], elems[-1], values[0], values[-1]
+    cases = [(a * b, va * vb), (-a, -va), (a.scale(vb), va * vb),
+             (fe_sum(elems, CLASSICAL), sum(values, Rat(0)))]
+    if vb:
+        cases.append((a / b, va / vb))
+    for got, want in cases:
+        assert is_canonical_element(got) and scalar_value(got) == want
+    assert (a == b) == (va == vb)
+    assert va != vb or hash(a) == hash(b)
 
 
 # ---------------------------------------------------------------------------
@@ -714,12 +761,13 @@ def test_sum_of_univariate_parts_matches_embedding(ds, cancel, monomial):
         ds = [{k: next(iter(d.values()))} for d in ds]
     if cancel:
         ds = ds + [{k: -c for k, c in ds[0].items()}]
-    cont, got = _sum([_integral(d) for d in ds])
-    tcont, tgot = _sum([_integral(embed(d)) for d in ds])
-    assert cont == tcont and embed(got) == tgot
-    assert scaled(cont, got) == naive_collect(chain.from_iterable(d.items() for d in ds[1:]), ds[0])
+    cn, cd, got = _sum([_integral(d) for d in ds])
+    tn, td, tgot = _sum([_integral(embed(d)) for d in ds])
+    assert (cn, cd) == (tn, td) and embed(got) == tgot
+    assert scaled(Rat(cn, cd), got) == naive_collect(
+        chain.from_iterable(d.items() for d in ds[1:]), ds[0])
     assert not got or is_canonical_poly(got)
-    assert type(cont) is int or cont.denominator != 1
+    assert is_canonical_content(cn, cd)
 
 
 def test_reduce_skips_only_the_repeat_of_a_failed_factor():
@@ -832,8 +880,8 @@ def test_univariate_arithmetic_matches_embedding(an, ad, bn, bd):
 
     def same(u, t):
         assert is_canonical_element(u) and is_univariate(u.num or {0: 1})
-        assert (u.cont, embed(u.num), tuple(map(embed_key, u.nfac)),
-                tuple(map(embed_key, u.fden))) == (t.cont, t.num, t.nfac, t.fden)
+        assert (u.cn, u.cd, embed(u.num), tuple(map(embed_key, u.nfac)),
+                tuple(map(embed_key, u.fden))) == (t.cn, t.cd, t.num, t.nfac, t.fden)
         assert univariate(t).canonical_key() == u.canonical_key()
         assert format_element(u) == format_element(t)
 
@@ -848,6 +896,19 @@ def test_univariate_arithmetic_matches_embedding(an, ad, bn, bd):
     for x in (-(-ua), ua.scale(Rat(3, 2)).scale(Rat(2, 3))):
         assert x == ua and hash(x) == hash(ua)
         assert x.canonical_key() == ua.canonical_key()
+
+
+@settings(max_examples=100, deadline=None)
+@given(uni_dicts, uni_factors, nonzero_rats)
+def test_hash_agrees_with_eq_when_reduction_is_skipped(n, f, c):
+    """One value built twice, once with the factor f reduced away and once
+    with the reduction skipped, so that f stays in both numerator and
+    denominator: the two are equal and hash alike."""
+    reduced = FieldElement(n, None, QUANTUM).scale(c)
+    with mock.patch.object(exactalg, "_REDUCE_NUM_LIMIT", -1):
+        unreduced = FieldElement(_upmul(n, f), f, QUANTUM).scale(c)
+    assert unreduced.fden and not reduced.fden
+    assert unreduced == reduced and hash(unreduced) == hash(reduced)
 
 
 def test_mixing_the_two_forms_raises():

@@ -13,10 +13,8 @@ from gtsingular.tableaux import (
     Relation,
     RelationSet,
     SingularPair,
-    SizeLimit,
     Tableau,
     detect_singular_pair,
-    enumerate_admissible,
     enumerate_window,
     highest_weight_tableau,
     implies,
@@ -27,11 +25,18 @@ from gtsingular.tableaux import (
     normalized_singular_base,
     relation_universe,
     satisfies,
-    succ_relation,
 )
 
 from gated_specs import gated_corpus
-from oracles import oracle_admissible, oracle_patterns, oracle_weyl_dimension, oracle_window
+from oracles import (
+    SizeLimit,
+    enumerate_admissible,
+    oracle_admissible,
+    oracle_patterns,
+    oracle_weyl_dimension,
+    oracle_window,
+    succ_relation,
+)
 
 P = Position
 R = Relation

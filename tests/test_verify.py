@@ -389,10 +389,17 @@ class TestMutations:
                             fault=Fault(sign_flip=True)),
          "[e_1, f_1] commutator on T[-1,-1,-1]: residual "
          "((2 * Q^792 + -2 * Q^132) / (1 * Q^924 + -1)) T[-1,-1,-1]"),
-    ], ids=["n2", "n3-fixture"])
+        (lambda: ModuleSpec(Tableau(2, [[Rat(1, 5)], [Rat(1, 3), Rat(-1, 2)]]),
+                            RelationSet(2, []), mode=CLASSICAL, fault=Fault(sign_flip=True)),
+         "[e_1, f_1] commutator on T[-1]: residual (73/15) T[-1]"),
+        (lambda: ModuleSpec(singular_spec_n3().base, RelationSet(3, []),
+                            mode=CLASSICAL, fault=Fault(sign_flip=True)),
+         "[e_1, f_1] commutator on T[-1,-1,-1]: residual (10/7) T[-1,-1,-1]"),
+    ], ids=["n2", "n3-fixture", "n2-classical", "n3-fixture-classical"])
     def test_sign_flip_counterexample_rendering(self, spec, expected):
-        # golden strings, recorded while module-stage values were still
-        # keyed by (q, x, y): the univariate values render byte-identically
+        # golden strings: the quantum ones were recorded while module-stage
+        # values were still keyed by (q, x, y), the classical ones while
+        # contents were still Rat values; both render byte-identically
         rep = check_defining_relations(spec(), 1)
         assert not rep.passed
         assert rep.counterexample == expected
