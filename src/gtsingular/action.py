@@ -489,17 +489,32 @@ def expand_derivative(spec: ModuleSpec, g: Generator, z) -> ModuleElement:
 _ACT_CACHE_LIMIT = 400000
 
 
+def _check_generator(g: Generator, n):
+    """Raise ValueError unless g is a generator of U_q(gl_n): e_k or f_k
+    with 1 <= k < n, qeps_k with 1 <= k <= n, or qh(h) with no nonzero
+    entry past n (a shorter h is read as zero-padded)."""
+    if g.kind in ("e", "f"):
+        if not 1 <= g.index <= n - 1:
+            raise ValueError(f"generator index {g.index} out of range")
+    elif g.kind == "qeps":
+        if not 1 <= g.index <= n:
+            raise ValueError(f"weight index {g.index} out of range")
+    elif g.kind == "qh":
+        if any(g.h[n:]):
+            raise ValueError(f"weight {g.h} has a nonzero entry past n = {n}")
+    else:
+        raise ValueError(f"unknown generator kind {g.kind!r}")
+
+
 def act(g: Generator, bv: BasisVector, spec: ModuleSpec) -> ModuleElement:
-    """Action of one generator on one canonical basis vector."""
-    if g.kind in ("e", "f") and not 1 <= g.index <= spec.n - 1:
-        raise ValueError(f"generator index {g.index} out of range")
-    if g.kind == "qeps" and not 1 <= g.index <= spec.n:
-        raise ValueError(f"weight index {g.index} out of range")
+    """Action of one generator on one canonical basis vector.  The cache
+    holds checked generators only, so a hit needs no check."""
     key = (g, bv)
     cache = spec._act_cache
     hit = cache.get(key)
     if hit is not None:
         return hit
+    _check_generator(g, spec.n)
     if spec.is_generic():
         if bv.kind != NORMAL:
             raise ValueError("generic modules have no derivative vectors")

@@ -44,7 +44,10 @@ Everything is immutable and exact.  Equality is decided by cross
 multiplication, so no multivariate gcd is ever required; instead the
 denominator is kept as a multiset of small normalized factors (bracket
 numerators and the like), which lets sums share factors and lets exact
-factor-by-factor cancellation keep intermediate results small.
+factor-by-factor cancellation keep intermediate results small.  Only
+two-term factors are ever cancelled, by division along exponent chains:
+the quantum brackets of the tableau formulas are binomials (see _reduce).
+A wider factor stays in the denominator, and the value stays exact.
 """
 
 from collections import Counter
@@ -59,10 +62,6 @@ CLASSICAL = "classical"
 
 POLE_CANCEL_DEPTH = 4
 
-# do not attempt opportunistic exact division past these sizes
-_REDUCE_NUM_LIMIT = 1500
-_REDUCE_FACTOR_LIMIT = 4
-_TRINOMIAL_NUM_LIMIT = 400
 # a binomial division gives up on a chain longer than this
 _CHAIN_LIMIT = 10000
 
@@ -353,66 +352,6 @@ def _pdiv_binomial(a, lead, lc, trail, tc):
     return quo
 
 
-def _pdiv_exact(a, f):
-    """Exact sparse division of the int dict a by the canonical factor f,
-    or None.
-
-    f must be normalized (_normalize_factor): a primitive integer
-    polynomial with a positive leading coefficient and zero minimal
-    exponents in Q, X and Y.  The lowest parts in each variable then
-    multiply, so an exact quotient has the minimal exponents of a, and by
-    Gauss's lemma it has integer coefficients.  Factors of 3 or 4 terms are
-    divided by Laurent long division, which emits quotient terms in
-    decreasing lex order and stops at the first one below min(a) in any
-    variable or not divisible by the leading coefficient; binomials go to
-    _pdiv_binomial.  Aborting early is always safe: a skipped cancellation
-    only leaves the fraction unreduced, so a factor that is not normalized
-    may be rejected but never divides wrongly.  The quotient of a
-    primitive a is primitive with a positive leading coefficient.
-    """
-    if not a:
-        return {}
-    lead = max(f)
-    lc = f[lead]
-    if len(f) == 2:
-        (trail, tc), = ((k, c) for k, c in f.items() if k != lead)
-        return _pdiv_binomial(a, lead, lc, trail, tc)
-    if len(a) > _TRINOMIAL_NUM_LIMIT:
-        return None
-    guard = 4 * len(a) + 64
-    mq, mx, my = (min(k[i] for k in a) for i in range(3))
-    lq, lx, ly = lead
-    rest = [(k, c) for k, c in f.items() if k != lead]
-    rem = dict(a)
-    quo = {}
-    while rem:
-        guard -= 1
-        if guard < 0:
-            return None
-        k = max(rem)
-        dq, dx, dy = k[0] - lq, k[1] - lx, k[2] - ly
-        if dq < mq or dx < mx or dy < my:
-            return None
-        # the leading term of rem strictly decreases, so quotient keys are new
-        qc, r = divmod(rem.pop(k), lc)
-        if r:
-            return None
-        quo[(_eq_key(dq), dx, dy)] = qc
-        for (fq, fx, fy), fc in rest:
-            kk = (_eq_key(fq + dq), fx + dx, fy + dy)
-            v = qc * fc
-            s = rem.get(kk)
-            if s is None:
-                rem[kk] = -v
-            else:
-                s = s - v
-                if s:
-                    rem[kk] = s
-                else:
-                    del rem[kk]
-    return quo
-
-
 def _updiv_binomial(a, lead, lc, trail, tc):
     """_pdiv_binomial on univariate dicts: with step = lead - trail, an
     exponent e lies on chain e mod step at position e // step."""
@@ -459,51 +398,6 @@ def _updiv_binomial(a, lead, lc, trail, tc):
                     del d[t - 1]
         if any(d.values()):
             return None
-    return quo
-
-
-def _updiv_exact(a, f):
-    """_pdiv_exact on univariate dicts, f normalized by _unormalize_factor;
-    a quotient term below min(a) rejects."""
-    if not a:
-        return {}
-    lead = max(f)
-    lc = f[lead]
-    if len(f) == 2:
-        (trail, tc), = ((k, c) for k, c in f.items() if k != lead)
-        return _updiv_binomial(a, lead, lc, trail, tc)
-    if len(a) > _TRINOMIAL_NUM_LIMIT:
-        return None
-    guard = 4 * len(a) + 64
-    low = min(a)
-    rest = [(k, c) for k, c in f.items() if k != lead]
-    rem = dict(a)
-    quo = {}
-    while rem:
-        guard -= 1
-        if guard < 0:
-            return None
-        k = max(rem)
-        d = k - lead
-        if d < low:
-            return None
-        # the leading term of rem strictly decreases, so quotient keys are new
-        qc, r = divmod(rem.pop(k), lc)
-        if r:
-            return None
-        quo[d] = qc
-        for fe, fc in rest:
-            kk = fe + d
-            v = qc * fc
-            s = rem.get(kk)
-            if s is None:
-                rem[kk] = -v
-            else:
-                s = s - v
-                if s:
-                    rem[kk] = s
-                else:
-                    del rem[kk]
     return quo
 
 
@@ -618,11 +512,11 @@ class _Ring(NamedTuple):
     mul: object
     shift: object
     normalize: object
-    div_exact: object
+    div_binomial: object
 
 
-_TRI = _Ring(_PONE, _pmul, _pshift, _normalize_factor, _pdiv_exact)
-_UNI = _Ring(_UONE, _upmul, _upshift, _unormalize_factor, _updiv_exact)
+_TRI = _Ring(_PONE, _pmul, _pshift, _normalize_factor, _pdiv_binomial)
+_UNI = _Ring(_UONE, _upmul, _upshift, _unormalize_factor, _updiv_binomial)
 
 
 def _ring(d):
@@ -644,8 +538,9 @@ class FieldElement:
     factor keys (_fkey of a canonical factor from _normalize_factor:
     primitive, positive leading coefficient, zero minimal exponents).
     Products concatenate factor multisets, and only sums expand, after
-    extracting shared factors; trivial factors are dropped, and sums are
-    opportunistically divided by denominator factors that cancel.  All
+    extracting shared factors; trivial factors are dropped, and a built
+    numerator is divided by each two-term denominator factor that divides
+    it exactly (_reduce), while a wider factor stays in fden.  All
     parts being primitive with a positive leading coefficient, two equal
     elements have equal contents, which __hash__ therefore reads, and
     equality is exact via cross multiplication of the integer parts.
@@ -973,7 +868,7 @@ def _build_raw(cn, cd, num, nfac, fden, system, ring):
     the expanded part."""
     if not num:
         return FieldElement.zero(system)
-    if fden and len(num) <= _REDUCE_NUM_LIMIT:
+    if fden:
         num, fden = _reduce(num, fden, ring)
         nfac, fden = _cancel_pairs(nfac, fden)
     return FieldElement._raw(cn, cd, num, nfac, fden, system)
@@ -1023,53 +918,46 @@ def _build(cn, cd, num, raw_num_factors, raw_den_factors, system, pre_den=()):
         if canon != one:
             fden.append(_fkey(canon))
     nfac, fden = _cancel_pairs(tuple(nfac), tuple(fden))
-    if fden and len(num) <= _REDUCE_NUM_LIMIT:
+    if fden:
         num, fden = _reduce(num, fden, ring)
     return FieldElement._raw(cn, cd, num, nfac, fden, system)
 
 
 def _reduce(num, fden, ring):
-    """Cancel denominator factors that divide num exactly.  Binomial factors
-    are always tried (cheap dedicated division); bigger factors only while
-    num stays small.  The factors are normalized, which exact division
-    needs to reject a non-divisor at its first impossible quotient term; a
-    binomial M_lead - M_trail is rejected by its chain sums before any
-    division.  fden is sorted, so a repeated factor comes right after its
-    first copy; when that copy did not divide, num has not changed since,
-    and the repeat is not tried again.
+    """Cancel the two-term denominator factors that divide num exactly.
 
-    Q^s - 1 divides Q^t - 1 when s divides t, so once Q^s - 1 has not
-    divided num, no such Q^t - 1 is tried until a division changes num.
-    The failure is remembered only when num's exponent span keeps every
-    chain of Q^s - 1 within _CHAIN_LIMIT, since a division that gives up
-    on a longer chain proves nothing."""
+    Only binomials are tried.  The paper's e_k and f_k coefficients divide
+    by quantum brackets [a]_q = (q^a - q^-a)/(q - q^-1) alone, whose
+    normalized numerators and denominators are binomials, and the
+    singular-point functional cancels the X - Y content of those brackets,
+    again a binomial division (_pdiv_x_minus_y).  A binomial goes through
+    the chain division of the key form (_pdiv_binomial or _updiv_binomial),
+    which rejects M_lead - M_trail by its chain sums before any division.
+    A wider factor, such as a classical x - y + m or a multiplied-out
+    product, is carried in fden and never tried.  The value stays exact
+    either way: equality cross-multiplies, and hashing reads only the
+    content.
+
+    A factor key holds its two sorted items, (trail, tc), (lead, lc).  fden
+    is sorted, so a repeated factor comes right after its first copy; when
+    that copy did not divide, num has not changed since, and the repeat is
+    not tried again."""
     out = []
     changed = False
-    div_exact = ring.div_exact
+    div = ring.div_binomial
     failed = None
-    periods = []
     for k in fden:
-        nf = len(k)
-        if not num or k == failed or nf > _REDUCE_FACTOR_LIMIT or (
-            nf > 2 and len(num) > _TRINOMIAL_NUM_LIMIT
-        ):
+        if not num or k == failed or len(k) != 2:
             out.append(k)
             continue
-        # t of a univariate Q^t - 1, else None
-        t = k[1][0] if nf == 2 and k[0] == (0, -1) and k[1][1] == 1 else None
-        if t is not None and any(t % s == 0 for s in periods):
-            out.append(k)
-            continue
-        q = div_exact(num, dict(k))
+        (trail, tc), (lead, lc) = k
+        q = div(num, lead, lc, trail, tc)
         if q is None:
             out.append(k)
             failed = k
-            if t is not None and max(num) - min(num) < _CHAIN_LIMIT * t:
-                periods.append(t)
         else:
             num = q
             changed = True
-            periods = []
     if not changed:
         return num, fden
     return num, tuple(out)

@@ -369,23 +369,6 @@ class Tableau:
             v = v + self.shift[row - 1][col - 1]
         return v
 
-    def shifted(self, z):
-        """Tableau with shift replaced by the flat vector z (row-major
-        over the free positions)."""
-        rows = []
-        k = 0
-        for r in range(1, self.n):
-            rows.append(tuple(int(z[k + c]) for c in range(r)))
-            k += r
-        t = object.__new__(Tableau)
-        t.n = self.n
-        t.base = self.base
-        t.shift = tuple(rows)
-        return t
-
-    def flat_shift(self):
-        return tuple(v for row in self.shift for v in row)
-
     def __eq__(self, other):
         return (
             isinstance(other, Tableau)
@@ -475,14 +458,6 @@ def normalized_singular_base(T: Tableau, sp: SingularPair) -> Tableau:
     rows = [list(r) for r in T.base]
     rows[sp.row - 1][sp.i - 1] = rows[sp.row - 1][sp.j - 1]
     return Tableau(T.n, rows)
-
-
-def in_basis(T: Tableau, C: RelationSet) -> bool:
-    """Orbit membership under C.  Relations never touch the singular pair
-    (its positions lie outside the support), and the integral-difference
-    pattern is invariant under integer shifts, so membership is decided on
-    the concrete entries alone."""
-    return all(_relation_holds(T, rel) for rel in C.relations)
 
 
 def shift_bounds(C: RelationSet, T: Tableau):

@@ -16,12 +16,12 @@ The Fraction value of a classical scalar checks the int-pair contents.
 The per-word relation residuals are the relation check as it was before
 each residual was summed in one pass: every letter of every word acts
 through act_element, each word is summed on its own and its scalar scales
-the summed word, and the words are added with ModuleElement +.  The
-reduction without the period skip is _reduce from before it stopped
-trying Q^t - 1 after Q^s - 1 with s dividing t had failed.
+the summed word, and the words are added with ModuleElement +.
 
-The exhaustive enumeration of admissible sets and the chain order of two
-positions are tableaux helpers that only tests call.  The helpers below
+The exhaustive enumeration of admissible sets, the chain order of two
+positions, a tableau at a flat shift vector and its orbit membership read
+off the entries are tableaux helpers that only tests call; the last is
+the oracle of ModuleSpec.in_basis.  The helpers below
 the oracles (exact derivatives, two-point evaluation, relabeling Q, words
 of generators, weight exponents, what a cached coefficient or weight
 reads) are used by tests only.  Traced library functions are reached
@@ -36,7 +36,6 @@ from gtsingular import action, exactalg, tableaux
 from gtsingular._rat import Rat, is_integral, rat
 from gtsingular.exactalg import (
     _PONE,
-    _TRINOMIAL_NUM_LIMIT,
     CLASSICAL,
     QUANTUM,
     FieldElement,
@@ -220,6 +219,31 @@ def succ_relation(C: RelationSet, p: Position, r: Position) -> str:
 # window oracle
 # ---------------------------------------------------------------------------
 
+def shifted(T, z):
+    """The tableau T with its shift replaced by the flat vector z
+    (row-major over the free positions)."""
+    rows, k = [], 0
+    for r in range(1, T.n):
+        rows.append(tuple(z[k:k + r]))
+        k += r
+    return tableaux.Tableau(T.n, T.base, rows)
+
+
+def flat_shift(T):
+    return tuple(v for row in T.shift for v in row)
+
+
+def in_basis(T, C):
+    """Orbit membership under C, read off the entries: every relation
+    (l, r, strict) has an integral l - r that is positive when strict and
+    nonnegative otherwise."""
+    for rel in C.relations:
+        d = T.entry(*rel.lhs) - T.entry(*rel.rhs)
+        if not is_integral(d) or d < int(rel.strict):
+            return False
+    return True
+
+
 def oracle_window(C, T, B):
     """All shift vectors z with max-norm at most B whose tableau lies in the
     orbit basis, in lexicographic order: every candidate of the
@@ -335,31 +359,6 @@ def oracle_long_division(a, f):
     return None if rem else quo
 
 
-def reduce_trying_every_factor(num, fden, ring):
-    """exactalg._reduce without the period skip: every factor within the
-    size limits is tried, except the repeat of a copy that just failed."""
-    out = []
-    changed = False
-    failed = None
-    for k in fden:
-        nf = len(k)
-        if not num or k == failed or nf > exactalg._REDUCE_FACTOR_LIMIT or (
-            nf > 2 and len(num) > _TRINOMIAL_NUM_LIMIT
-        ):
-            out.append(k)
-            continue
-        q = ring.div_exact(num, dict(k))
-        if q is None:
-            out.append(k)
-            failed = k
-        else:
-            num = q
-            changed = True
-    if not changed:
-        return num, fden
-    return num, tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # Fraction-coefficient term dicts: the exact arithmetic before coefficients
 # became integers with one content per element
@@ -384,42 +383,12 @@ def fraction_normalize(d):
 
 
 def fraction_pdiv_exact(a, f):
-    """Exact division of a Fraction-coefficient term dict a by a factor f
-    in fraction_normalize form, or None, with the library's give-ups (the
-    3/4-term size limit, the step guard and the chain-length cap): chain
-    sums and chain-by-chain division for binomials, Laurent long division
-    stopping below min(a) otherwise."""
-    if not a:
-        return {}
-    lead = max(f)
-    lc = f[lead]
-    if len(f) == 2:
-        (trail, tc), = ((k, c) for k, c in f.items() if k != lead)
-        return _fraction_pdiv_binomial(a, lead, lc, trail, tc)
-    if len(a) > _TRINOMIAL_NUM_LIMIT:
-        return None
-    guard = 4 * len(a) + 64
-    mins = [min(k[i] for k in a) for i in range(3)]
-    rem = dict(a)
-    quo = {}
-    while rem:
-        guard -= 1
-        if guard < 0:
-            return None
-        k = max(rem)
-        shift = (k[0] - lead[0], k[1] - lead[1], k[2] - lead[2])
-        if any(s < m for s, m in zip(shift, mins)):
-            return None
-        qc = rem.pop(k) / lc
-        quo[(_eq_key(shift[0]),) + shift[1:]] = qc
-        for fk, fc in f.items():
-            if fk != lead:
-                kk = (_eq_key(fk[0] + shift[0]), fk[1] + shift[1], fk[2] + shift[2])
-                rem = naive_collect([(kk, -qc * fc)], rem)
-    return quo
-
-
-def _fraction_pdiv_binomial(a, lead, lc, trail, tc):
+    """Exact division of a Fraction-coefficient term dict a by a binomial f
+    in fraction_normalize form, or None, with the library's chain-length
+    cap: chain sums, then chain-by-chain division."""
+    if len(f) != 2:
+        raise ValueError("only binomials are divided")
+    (trail, tc), (lead, lc) = sorted(f.items())
     step = tuple(lead[i] - trail[i] for i in range(3))
     i = 1 if step[1] else 2 if step[2] else 0
 

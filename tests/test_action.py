@@ -14,6 +14,7 @@ from gtsingular.action import (
     DERIVATIVE,
     NORMAL,
     BasisVector,
+    Generator,
     ModuleElement,
     ModuleSpec,
     act,
@@ -122,6 +123,26 @@ class TestGating:
             for g in [gen_e(1), gen_e(2), gen_f(1), gen_f(2)]:
                 for tgt, _ in act(g, bv, spec):
                     assert tgt in basis
+
+
+class TestGeneratorValidation:
+    @pytest.mark.parametrize("mode", [QUANTUM, CLASSICAL])
+    def test_malformed_generators_are_rejected(self, mode):
+        spec = singular_spec_n3(mode)
+        bv = BasisVector(NORMAL, (0, 0, 0))
+        for g in (Generator("x", 1), Generator("E", 1), gen_e(0), gen_f(3),
+                  gen_qeps(0), gen_qeps(4), gen_qh((0, 0, 0, 1)), gen_qh((1, 0, 0, 0, -2))):
+            with pytest.raises(ValueError):
+                act(g, bv, spec)
+            assert g not in {key[0] for key in spec._act_cache}
+
+    @pytest.mark.parametrize("mode", [QUANTUM, CLASSICAL])
+    def test_short_and_zero_padded_weights_act_alike(self, mode):
+        spec = singular_spec_n3(mode)
+        bv = BasisVector(NORMAL, (0, 1, 0))
+        want = act(gen_qeps(1), bv, spec)
+        assert act(gen_qh((1,)), bv, spec) == want
+        assert act(gen_qh((1, 0, 0, 0, 0)), bv, spec) == want
 
 
 class TestSingularPipeline:

@@ -1,10 +1,17 @@
-"""The module stage has one evaluation boundary.
+"""The module stage has one evaluation boundary, and exact arithmetic has
+one division path.
 
 Every generator, e_k, f_k, the weights and the central c_mk, reaches the
 singular-point functional or the univariate form through
 ``ModuleSpec._evaluated`` alone.  This scan fails when ``action.py`` or
 ``gtcenter.py`` refers to one of those functions anywhere else, under its
 own name or an import alias, so the pipeline cannot fork again unnoticed.
+
+In ``exactalg.py`` the binomial chain divisions are the only exact
+division.  They are reached from the ``_Ring`` tables, from ``_reduce``
+through ``ring.div_binomial`` and from ``_pdiv_x_minus_y``, and the chain
+cap ``_CHAIN_LIMIT`` is the only size limit, so a second division path or
+a new silent give-up fails the scan.
 """
 
 import ast
@@ -65,3 +72,70 @@ def test_scan_sees_references_outside_the_boundary():
     assert references_outside(src) == [
         (7, "univariate"), (9, "dv_operator"), (9, "evaluate_at_singular"),
     ]
+
+
+KERNELS = frozenset({"_pdiv_binomial", "_updiv_binomial", "div_binomial"})
+KERNEL_USERS = frozenset({"_Ring", "_TRI", "_UNI", "_reduce", "_pdiv_x_minus_y"})
+
+
+def kernel_references_outside(source, allowed=KERNEL_USERS):
+    """(line, owner) of every read of a binomial division kernel, by name
+    or as an attribute, whose top-level owner (the function, class or
+    assigned name it sits in) is not allowed."""
+    found = []
+    for top in ast.parse(source).body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            owner = top.name
+        elif isinstance(top, ast.Assign) and isinstance(top.targets[0], ast.Name):
+            owner = top.targets[0].id
+        else:
+            owner = None
+        if owner in allowed:
+            continue
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                    and node.id in KERNELS) or (
+                    isinstance(node, ast.Attribute) and node.attr in KERNELS):
+                found.append((node.lineno, owner))
+    return sorted(found)
+
+
+def limit_constants(source):
+    """Module-level names assigned in source that end in _LIMIT."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        names += [n.id for t in targets for n in ast.walk(t)
+                  if isinstance(n, ast.Name) and n.id.endswith("_LIMIT")]
+    return names
+
+
+def test_exactalg_has_one_division_path_and_one_limit():
+    source = (SRC / "exactalg.py").read_text()
+    assert kernel_references_outside(source) == []
+    assert limit_constants(source) == ["_CHAIN_LIMIT"]
+
+
+def test_scan_sees_a_second_division_path_and_a_new_limit():
+    src = (
+        "_CHAIN_LIMIT = 10000\n"
+        "_REDUCE_NUM_LIMIT = 1500\n"
+        "_TRI = _Ring(_pmul, _pdiv_binomial)\n"
+        "def _reduce(num, k, ring):\n"
+        "    return ring.div_binomial(num, *k)\n"
+        "def _pdiv_exact(a, f):\n"
+        "    return _pdiv_binomial(a, *f)\n"
+        "class FieldElement:\n"
+        "    def cancel(self, ring):\n"
+        "        return ring.div_binomial\n"
+        "div = _updiv_binomial\n"
+    )
+    assert kernel_references_outside(src) == [
+        (7, "_pdiv_exact"), (10, "FieldElement"), (11, "div"),
+    ]
+    assert limit_constants(src) == ["_CHAIN_LIMIT", "_REDUCE_NUM_LIMIT"]

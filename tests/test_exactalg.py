@@ -3,12 +3,10 @@ import random
 from functools import reduce
 from itertools import chain
 from math import gcd
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gtsingular import exactalg
 from gtsingular._rat import Rat, rat
 from gtsingular.exactalg import (
     CLASSICAL,
@@ -32,14 +30,14 @@ from gtsingular.exactalg import (
     _fkey,
     _integral,
     _normalize_factor,
-    _pdiv_exact,
+    _pdiv_binomial,
     _pmul,
     _sum,
     _times,
     _UNI,
     _reduce,
     _unormalize_factor,
-    _updiv_exact,
+    _updiv_binomial,
     _upmul,
     format_element,
 )
@@ -55,7 +53,6 @@ from oracles import (
     oracle_dv,
     oracle_long_division,
     partial_derivative,
-    reduce_trying_every_factor,
     scalar_value,
 )
 
@@ -458,15 +455,15 @@ class TestDvPoleInputs:
                 oracle_dv(f, 1)
 
 
-def random_factor(rng, system):
-    """A normalized factor of 2-4 terms: primitive with integer
-    coefficients, a positive leading coefficient and zero minimal
+def random_factor(rng, system, binomial=False):
+    """A normalized factor of 2-4 terms (2 when binomial): primitive with
+    integer coefficients, a positive leading coefficient and zero minimal
     exponents.  Quantum factors have rational Q exponents; a third of the
-    classical ones are x - y + c."""
-    if system == CLASSICAL and rng.random() < 1 / 3:
+    other classical ones are x - y + c."""
+    if not binomial and system == CLASSICAL and rng.random() < 1 / 3:
         c = Rat(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2]))
         return {(0, 1, 0): Rat(1), (0, 0, 1): Rat(-1), (0, 0, 0): c}
-    nterms = rng.randint(2, 4)
+    nterms = 2 if binomial else rng.randint(2, 4)
     terms = {}
     while len(terms) < nterms:
         q = Rat(rng.randint(-3, 3), rng.choice([1, 2, 3])) if system == QUANTUM else 0
@@ -486,26 +483,25 @@ def random_laurent(rng, system, nterms):
 
 @SYSTEMS
 def test_pdiv_exact_against_long_division(system):
-    """Exact division returns the quotient of every product and rejects
-    every perturbed product, as the step-bounded long division does."""
+    """The chain division by a binomial returns the quotient of every
+    product and rejects every perturbed product, as the step-bounded long
+    division does."""
     rng = random.Random(31)
-    sizes = set()
     for _ in range(150):
-        f = random_factor(rng, system)
-        sizes.add(len(f))
+        f = random_factor(rng, system, binomial=True)
+        (trail, tc), (lead, lc) = _fkey(f)
         g = random_laurent(rng, system, rng.randint(1, 5))
         a = _pmul(f, g)
-        assert _pdiv_exact(a, f) == oracle_long_division(a, f) == g
-        # f has two or more terms, so it divides no monomial and a + c*m is
-        # no multiple of f
+        assert _pdiv_binomial(a, lead, lc, trail, tc) == oracle_long_division(a, f) == g
+        # f has two terms, so it divides no monomial and a + c*m is no
+        # multiple of f
         bad = dict(a)
         key = (Rat(rng.randint(-4, 4), 2) if system == QUANTUM else 0,
                rng.randint(-3, 4), rng.randint(-3, 4))
         bad[key] = bad.get(key, 0) + rng.choice([-1, 1, 2])
         bad = {k: v for k, v in bad.items() if v}
-        assert _pdiv_exact(bad, f) is None
+        assert _pdiv_binomial(bad, lead, lc, trail, tc) is None
         assert oracle_long_division(bad, f) is None
-    assert sizes == {2, 3, 4}
 
 
 @pytest.mark.parametrize("system", [QUANTUM, CLASSICAL])
@@ -619,7 +615,7 @@ nonzero_rats = st.builds(
     st.integers(min_value=1, max_value=4),
 )
 rational_dicts = st.dictionaries(term_keys, nonzero_rats, min_size=1, max_size=5)
-rational_factors = st.dictionaries(term_keys, nonzero_rats, min_size=2, max_size=4)
+rational_binomials = st.dictionaries(term_keys, nonzero_rats, min_size=2, max_size=2)
 
 
 @settings(max_examples=150, deadline=None)
@@ -649,12 +645,12 @@ def test_sum_matches_fraction_oracle(ds, cancel):
 
 
 @settings(max_examples=200, deadline=None)
-@given(rational_factors, rational_dicts,
+@given(rational_binomials, rational_dicts,
        st.one_of(st.none(), st.tuples(term_keys, nonzero_rats)))
 def test_pdiv_exact_matches_fraction_oracle(f, g, extra):
-    """Integer division by the primitive factor against the Fraction
-    division by the monic one, on multiples (extra None) and on multiples
-    plus a monomial, which no factor of two or more terms divides."""
+    """Integer chain division by the primitive binomial against the
+    Fraction division by the monic one, on multiples (extra None) and on
+    multiples plus a monomial, which no binomial divides."""
     old = fraction_normalize(f)
     canon = _normalize_factor(_integral(f)[2])[0]
     a = fraction_pmul(old, g)
@@ -662,7 +658,8 @@ def test_pdiv_exact_matches_fraction_oracle(f, g, extra):
         a = naive_collect([extra], a)
     want = fraction_pdiv_exact(a, old)
     an, ad, pa = _integral(a)
-    got = _pdiv_exact(pa, canon)
+    (trail, tc), (lead, lc) = _fkey(canon)
+    got = _pdiv_binomial(pa, lead, lc, trail, tc)
     assert (want is None) == (extra is not None)
     assert (got is None) == (want is None)
     if got is not None:
@@ -741,6 +738,8 @@ uni_exponents = st.sampled_from(
 nonzero_ints = st.integers(min_value=-6, max_value=6).filter(bool)
 uni_dicts = st.dictionaries(uni_exponents, nonzero_ints, min_size=1, max_size=6)
 uni_factors = st.dictionaries(uni_exponents, nonzero_ints, min_size=2, max_size=4)
+uni_binomials = st.dictionaries(uni_exponents, nonzero_ints, min_size=2, max_size=2)
+uni_wide_factors = st.dictionaries(uni_exponents, nonzero_ints, min_size=3, max_size=4)
 uni_rational_dicts = st.dictionaries(uni_exponents, nonzero_rats, min_size=1, max_size=4)
 
 
@@ -772,56 +771,23 @@ def test_sum_of_univariate_parts_matches_embedding(ds, cancel, monomial):
 
 def test_reduce_skips_only_the_repeat_of_a_failed_factor():
     """A factor right after an identical copy that did not divide is not
-    tried again; the next different factor still is."""
+    tried again, and a factor of three terms is never tried, even when it
+    divides; every other binomial still is."""
     tried = []
 
-    def div_exact(num, f):
-        tried.append(_fkey(f))
-        return _updiv_exact(num, f)
+    def div_binomial(num, lead, lc, trail, tc):
+        tried.append(((trail, tc), (lead, lc)))
+        return _updiv_binomial(num, lead, lc, trail, tc)
 
-    ring = _UNI._replace(div_exact=div_exact)
-    p, q = {3: 1, 0: -1}, {2: 1, 0: 1}  # Q^3 - 1, Q^2 + 1
-    num = _upmul(q, {5: 1, 0: 2})
-    fden = tuple(sorted([_fkey(p), _fkey(p), _fkey(q)]))
+    ring = _UNI._replace(div_binomial=div_binomial)
+    # Q^3 - 1, Q^2 + 1, Q^2 + Q + 1
+    p, q, h = {3: 1, 0: -1}, {2: 1, 0: 1}, {2: 1, 1: 1, 0: 1}
+    g = {5: 1, 0: 2}
+    num = _times(g, map(_fkey, (q, h)), _upmul)
+    fden = tuple(sorted(map(_fkey, (p, p, q, h))))
     got, rest = _reduce(num, fden, ring)
-    assert got == {5: 1, 0: 2} and rest == (_fkey(p), _fkey(p))
+    assert got == _upmul(g, h) and rest == tuple(sorted(map(_fkey, (p, p, h))))
     assert sorted(tried) == sorted([_fkey(p), _fkey(q)])
-
-
-def test_reduce_skips_multiples_of_a_failed_period_until_a_division():
-    """After Q^2 - 1 fails, Q^4 - 1 is not tried; after a division changes
-    the numerator, it is tried again."""
-    tried = []
-
-    def div_exact(num, f):
-        tried.append(_fkey(f))
-        return _updiv_exact(num, f)
-
-    ring = _UNI._replace(div_exact=div_exact)
-    p2, p3, p4 = ({t: 1, 0: -1} for t in (2, 3, 4))
-    g = {5: 1, 0: 2}  # no Q^t - 1 divides it
-    fden = tuple(sorted(map(_fkey, (p2, p4))))
-    assert _reduce(g, fden, ring) == (g, fden) and tried == [_fkey(p2)]
-    tried.clear()
-    fden = tuple(sorted(map(_fkey, (p2, p3, p4))))
-    got, rest = _reduce(_upmul(p3, g), fden, ring)
-    assert got == g and rest == (_fkey(p2), _fkey(p4))
-    assert tried == sorted(fden)
-
-
-# Q^t - 1 for periods that divide one another, as the brackets' denominators do
-period_binomials = st.sampled_from([1, 2, 3, 4, 6, 12]).map(lambda t: {t: 1, 0: -1})
-
-
-@settings(max_examples=100, deadline=None)
-@given(uni_dicts, st.lists(period_binomials, max_size=3),
-       st.lists(st.one_of(period_binomials, uni_factors), min_size=1, max_size=5))
-def test_reduce_period_skip_matches_trying_every_factor(g, divisors, dens):
-    """Skipping Q^t - 1 once Q^s - 1 with s | t has failed changes nothing:
-    _reduce returns exactly what trying every factor returns."""
-    num = _times(g, map(_fkey, divisors), _upmul)
-    fden = tuple(sorted(_fkey(_unormalize_factor(d)[0]) for d in dens))
-    assert _reduce(num, fden, _UNI) == reduce_trying_every_factor(num, fden, _UNI)
 
 
 @settings(max_examples=60, deadline=None)
@@ -851,17 +817,19 @@ def test_unormalize_factor_matches_embedding(d):
 
 
 @settings(max_examples=250, deadline=None)
-@given(uni_factors, uni_dicts, st.one_of(st.none(), st.tuples(uni_exponents, nonzero_ints)))
+@given(uni_binomials, uni_dicts, st.one_of(st.none(), st.tuples(uni_exponents, nonzero_ints)))
 def test_updiv_exact_matches_embedding(f, g, extra):
-    """Binomial and 3-4-term exact division, on multiples (extra None) and
-    on multiples plus a monomial, which no factor of two or more terms
-    divides."""
+    """The univariate chain division by a binomial against the trivariate
+    one on the embedding, on multiples (extra None) and on multiples plus
+    a monomial, which no binomial divides."""
     canon = _unormalize_factor(f)[0]
     a = _upmul(canon, g)
     if extra is not None:
         a = _collect([extra], a)
-    got = _updiv_exact(a, canon)
-    want = _pdiv_exact(embed(a), embed(canon))
+    (trail, tc), (lead, lc) = _fkey(canon)
+    got = _updiv_binomial(a, lead, lc, trail, tc)
+    (ttrail, ttc), (tlead, tlc) = _fkey(embed(canon))
+    want = _pdiv_binomial(embed(a), tlead, tlc, ttrail, ttc)
     assert (got is None) == (want is None) == (extra is not None)
     if got is not None:
         assert embed(got) == want
@@ -899,16 +867,55 @@ def test_univariate_arithmetic_matches_embedding(an, ad, bn, bd):
 
 
 @settings(max_examples=100, deadline=None)
-@given(uni_dicts, uni_factors, nonzero_rats)
+@given(uni_dicts, uni_wide_factors, nonzero_rats)
 def test_hash_agrees_with_eq_when_reduction_is_skipped(n, f, c):
-    """One value built twice, once with the factor f reduced away and once
-    with the reduction skipped, so that f stays in both numerator and
-    denominator: the two are equal and hash alike."""
+    """One value built twice, once without the factor f and once as n f / f,
+    where f has three or four terms and so is never divided out: f stays
+    in both numerator and denominator, and the two are equal and hash
+    alike."""
     reduced = FieldElement(n, None, QUANTUM).scale(c)
-    with mock.patch.object(exactalg, "_REDUCE_NUM_LIMIT", -1):
-        unreduced = FieldElement(_upmul(n, f), f, QUANTUM).scale(c)
+    unreduced = FieldElement(_upmul(n, f), f, QUANTUM).scale(c)
     assert unreduced.fden and not reduced.fden
     assert unreduced == reduced and hash(unreduced) == hash(reduced)
+
+
+# Factors of three and four terms that do not vanish at x = y = 1.
+WIDE_FACTORS = {
+    QUANTUM: [{(0, 0, 0): 1, (1, 1, 0): 1, (2, 0, 2): 1},
+              {(0, 0, 0): 2, (1, 1, 0): -1, (0, 1, 1): 1, (Rat(1, 2), 0, 2): 3}],
+    CLASSICAL: [{(0, 0, 0): 1, (0, 1, 0): 1, (0, 0, 2): 2},
+                {(0, 0, 0): 1, (0, 1, 0): 1, (0, 0, 2): 1, (0, 1, 1): 3}],
+}
+UNI_WIDE_FACTORS = [{2: 1, 1: 1, 0: 1}, {3: 2, 1: -1, Rat(1, 2): 1, 0: 3}]
+
+
+@SYSTEMS
+@pytest.mark.parametrize("width", [3, 4])
+def test_wider_factor_is_carried_not_divided(system, width):
+    """(g h)/h keeps h, a factor of three or four terms, in the
+    denominator: the value is g's, with g's hash, and both singular-point
+    functionals give g's values at a point where h does not vanish."""
+    h = WIDE_FACTORS[system][width - 3]
+    key = _fkey(_normalize_factor(h)[0])
+    assert len(key) == width
+    H = FieldElement(h, None, system)
+    rng = random.Random(23)
+    for _ in range(5):
+        g = random_smooth(rng, system)
+        f = (g * H) / H
+        assert key in f.fden and key not in g.fden
+        assert f == g and hash(f) == hash(g)
+        assert evaluate_at_singular(f, 1) == evaluate_at_singular(g, 1)
+        assert dv_operator(f, 1) == dv_operator(g, 1)
+
+
+@pytest.mark.parametrize("h", UNI_WIDE_FACTORS, ids=["3", "4"])
+def test_wider_univariate_factor_is_carried_not_divided(h):
+    g = FieldElement({5: 1, 1: -2, 0: 3}, {4: 1, 0: -1}, QUANTUM)
+    H = FieldElement(h, None, QUANTUM)
+    f = (g * H) / H
+    assert _fkey(_unormalize_factor(h)[0]) in f.fden
+    assert f == g and hash(f) == hash(g)
 
 
 def test_mixing_the_two_forms_raises():
