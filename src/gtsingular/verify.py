@@ -131,14 +131,28 @@ def _relation_instances(spec):
     all set in the branch below: the Cartan identities (q^0 = 1 and
     q^h q^h' = q^(h+h') against [h, h'] = 0), how h meets a generator g
     (the conjugation q^h g q^-h against the commutator [h, g]), the Cartan
-    part of [e_r, f_r] and the Serre coefficient ([2]_q or 2).
+    part of [e_r, f_r] and the q of the Serre relations (q = 1
+    classically).
 
     A residual is a list of unsummed (basis vector, coefficient) pairs,
     summed once by combine with one fe_sum per basis vector.  Each word's
     inner letters act through act_element; its outermost letter, and the
-    word's scalar (a sign, a weight, 1/(q - q^-1) or the Serre
-    coefficient), only contribute pairs, so no word is summed and reduced
-    on its own before the residual is.
+    word's scalar (a sign, a weight or 1/(q - q^-1)), only contribute
+    pairs, so no word is summed and reduced on its own before the residual
+    is.
+
+    A Serre instance (|r - s| = 1) is checked in its nested q-commutator
+    form
+        g_r^2 g_s - [2]_q g_r g_s g_r + g_s g_r^2 = [g_r, [g_r, g_s]_q]_{q^-1},
+    that is residual(b) = g_r u(b) - q^-1 u(g_r b) with the inner
+    commutator u(x) = g_r g_s x - q g_s g_r x of serre_inner.  Each u(x) is
+    summed and reduced once and kept in a memo that lives as long as this
+    relation table, so for one check call; it then serves b and every b'
+    whose g_r-image contains x.  The outer letter g_r on u(b), and the
+    terms of u(g_r b) times g_r's coefficients, stay unsummed pairs like
+    any outer letter: summing g_r u(b) on its own would add one more sum
+    and reduction per instance and vector, where the residual's one
+    combine sums all of them together.
     """
     n, qs, mode = spec.n, spec.qscale, spec.mode
     weights = _sample_weights(n)
@@ -191,7 +205,8 @@ def _relation_instances(spec):
         def cartan_part(b, alpha):
             return word(b, qh(alpha), c=-inv) + word(b, qh(alpha, -1), c=inv)
 
-        serre_coeff = FieldElement({qs: 1, -qs: 1}, None, QUANTUM)
+        # -q^-1: the outer q-commutator's scalar
+        outer_coeff = FieldElement.q_monomial(QUANTUM, -1, -qs)
     else:
         add(f"[h, h'] = 0, h={h0}, h'={hmix}",
             lambda b: commutator(b, qh(h0), qh(hmix)))
@@ -206,7 +221,7 @@ def _relation_instances(spec):
         def cartan_part(b, alpha):
             return word(b, qh(alpha), c=minus)
 
-        serre_coeff = FieldElement.q_monomial(CLASSICAL, 2)
+        outer_coeff = minus
 
     for h in weights:
         for r in range(1, n):
@@ -222,19 +237,44 @@ def _relation_instances(spec):
                 lambda b, r=r, s=s, alpha=alpha: commutator(b, gen_e(r), gen_f(s))
                 + (cartan_part(b, alpha) if r == s else []))
 
+    memo = {}
+
+    def serre(b, gr, gs):
+        """g_r u(b) - q^-1 u(g_r b) as unsummed pairs."""
+        pairs = [(tgt, coeff * c)
+                 for bv, c in serre_inner(memo, spec, gr, gs, b).terms.items()
+                 for tgt, coeff in act(gr, bv, spec).terms.items()]
+        for x, cx in act(gr, b, spec).terms.items():
+            c = cx * outer_coeff
+            pairs += [(tgt, cu * c)
+                      for tgt, cu in serre_inner(memo, spec, gr, gs, x).terms.items()]
+        return pairs
+
     for kind, gen in (("e", gen_e), ("f", gen_f)):
         for r in range(1, n):
             for s in range(1, n):
                 gr, gs = gen(r), gen(s)
                 if abs(r - s) == 1:
                     add(f"Serre {kind}_{r}{kind}_{s}",
-                        lambda b, gr=gr, gs=gs: word(b, gr, gr, gs)
-                        + word(b, gr, gs, gr, c=-serre_coeff)
-                        + word(b, gs, gr, gr))
+                        lambda b, gr=gr, gs=gs: serre(b, gr, gs))
                 elif s - r > 1:
                     add(f"[{kind}_{r}, {kind}_{s}] = 0",
                         lambda b, gr=gr, gs=gs: commutator(b, gr, gs))
     return instances
+
+
+def serre_inner(memo, spec, gr, gs, x):
+    """The inner q-commutator [g_r, g_s]_q x = g_r g_s x - q g_s g_r x
+    (q = 1 classically) of the Serre relation, as a summed module element.
+    It is computed once per (g_r, g_s, x) and kept in memo."""
+    key = gr, gs, x
+    u = memo.get(key)
+    if u is None:
+        swapped = act_element(gs, act(gr, x, spec), spec)
+        if spec.mode == QUANTUM:
+            swapped = swapped.scale(FieldElement.q_monomial(QUANTUM, 1, spec.qscale))
+        u = memo[key] = act_element(gr, act(gs, x, spec), spec) - swapped
+    return u
 
 
 def _leaves_basis(spec: ModuleSpec, bv: BasisVector, inside):

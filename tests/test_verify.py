@@ -18,7 +18,7 @@ from gtsingular.tableaux import (
     maximal_relation_set,
 )
 from gtsingular import gtcenter, verify
-from gtsingular.action import Fault, ModuleElement, ModuleSpec
+from gtsingular.action import Fault, ModuleElement, ModuleSpec, act, gen_e, gen_f
 from gtsingular.verify import (
     check_appendix,
     check_compatibility,
@@ -29,7 +29,7 @@ from gtsingular.verify import (
 )
 
 from gated_specs import gated_corpus
-from oracles import per_word_relation_instances, row_shifts, translation_key
+from oracles import act_word, per_word_relation_instances, row_shifts, translation_key
 from test_action import generic_spec_n2, singular_spec_n3
 from test_gtcenter import generic_spec_n3
 from test_exactalg import has_int_univariate_keys, is_canonical_element, vanishing_den
@@ -65,23 +65,58 @@ def test_relations_classical_singular_small():
 
 
 @pytest.mark.parametrize("mode", [QUANTUM, CLASSICAL])
-@pytest.mark.parametrize("fixture", [generic_spec_n2, singular_spec_n3], ids=["n2", "n3"])
-def test_fused_residuals_match_per_word_residuals(fixture, mode):
+@pytest.mark.parametrize("fixture, B", [(generic_spec_n2, 1), (singular_spec_n3, 1), (g4_spec, 0)],
+                         ids=["n2", "n3", "G4"])
+def test_fused_residuals_match_per_word_residuals(fixture, B, mode):
     """Each residual summed in one pass equals the residual summed word by
-    word, on every instance and window vector at B=1.  The sign flip makes
-    many residuals nonzero, so their values are compared too."""
+    word, on every instance and window vector at B.  The sign flip makes
+    many residuals nonzero, so their values are compared too; it leaves
+    every Serre residual zero (Serre is cubic in e), which
+    test_serre_inner_matches_word_oracle makes up for.  G4 brings the n = 4
+    Serre pairs and [e_1, e_3] = 0."""
     clean = fixture(mode)
     spec = ModuleSpec(clean.base, clean.relations, mode=mode, fault=Fault(sign_flip=True))
     fused = verify._relation_instances(spec)
     oracle = per_word_relation_instances(spec)
     assert [label for label, _ in fused] == [label for label, _ in oracle]
     nonzero = 0
-    for bv in spec.window(1):
+    for bv in spec.window(B):
         for (label, residual), (_, want) in zip(fused, oracle):
             got = residual(bv)
             assert got == want(bv), f"{label} on {bv!r}"
             nonzero += not got.is_zero()
     assert nonzero
+
+
+@pytest.mark.parametrize("mode", [QUANTUM, CLASSICAL])
+@pytest.mark.parametrize("fixture, B", [(singular_spec_n3, 1), (g4_spec, 0)], ids=["n3", "G4"])
+def test_serre_inner_matches_word_oracle(fixture, B, mode):
+    """The memoized inner commutator of a Serre instance equals
+    g_r g_s x - q g_s g_r x summed word by word, on every window vector x
+    and every target x of g_r on one, for each pair |r - s| = 1 of e's and
+    of f's.  These values are nonzero, unlike the Serre residuals of
+    test_fused_residuals_match_per_word_residuals, and a second call
+    returns the memoized element."""
+    spec = fixture(mode)
+    q = FieldElement.q_monomial(mode, 1, spec.qscale if mode == QUANTUM else 0)
+    memo = {}
+    for gen in (gen_e, gen_f):
+        for r in range(1, spec.n):
+            for s in (r - 1, r + 1):
+                if not 1 <= s < spec.n:
+                    continue
+                gr, gs = gen(r), gen(s)
+                xs = set()
+                for bv in spec.window(B):
+                    xs.add(bv)
+                    xs.update(act(gr, bv, spec).terms)
+                for x in sorted(xs):
+                    v = ModuleElement.basis(x, mode)
+                    want = act_word([gr, gs], v, spec) - act_word([gs, gr], v, spec).scale(q)
+                    got = verify.serre_inner(memo, spec, gr, gs, x)
+                    assert got == want and not got.is_zero(), f"[{gr!r}, {gs!r}]_q on {x!r}"
+                    assert verify.serre_inner(memo, spec, gr, gs, x) is got
+    assert memo
 
 
 def _field_elements(value):
