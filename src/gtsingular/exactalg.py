@@ -47,7 +47,9 @@ numerators and the like), which lets sums share factors and lets exact
 factor-by-factor cancellation keep intermediate results small.  Only
 two-term factors are ever cancelled, by division along exponent chains:
 the quantum brackets of the tableau formulas are binomials (see _reduce).
-A wider factor stays in the denominator, and the value stays exact.
+Both key forms divide with one chain walk (_updiv_binomial).  A wider
+factor, or a chain longer than _CHAIN_LIMIT, stays in the denominator: the
+value stays exact, and it equals and hashes like its reduced form.
 """
 
 from collections import Counter
@@ -276,7 +278,7 @@ def _pdiv_x_minus_y(a):
 
     Works on Laurent terms: negative exponents are allowed since X - Y
     divides P exactly when it divides X^m Y^m P.  The chains along
-    X/Y are keyed by (Q, X*Y), so the chain-sum test of _pdiv_binomial
+    X/Y are keyed by (Q, X*Y), so the chain-sum test of the chain division
     is the substitution Y -> X.
     """
     return _pdiv_binomial(a, (0, 1, 0), 1, (0, 0, 1), -1)
@@ -284,77 +286,50 @@ def _pdiv_x_minus_y(a):
 
 def _pdiv_binomial(a, lead, lc, trail, tc):
     """Exact division of the int dict a by lc*M_lead + tc*M_trail (lc > 0)
-    along exponent chains in the direction lead - trail; returns the
+    along exponent chains in the direction v = lead - trail; returns the
     quotient dict or None.
 
-    The factor maps each chain into itself, so it divides a exactly when it
-    divides every chain.  For M_lead - M_trail, which is M_trail*(s - 1)
-    with s the chain step, that holds exactly when every chain's
-    coefficients sum to zero; a first pass sums the chains into one dict
-    and rejects before any chain dict is built.  An exact quotient has
-    integer coefficients when the factor is primitive, so a quotient term
-    that lc does not divide rejects too."""
-    dq = lead[0] - trail[0]
-    dx = lead[1] - trail[1]
-    dy = lead[2] - trail[2]
-    # chain parameter: integer steps k[i] // step along the direction vector
-    # (floor division is exact for rational Q exponents as well); a chain id
-    # is only a dict key, so an integral Rat in it needs no _eq_key
-    i, step = (1, dx) if dx else (2, dy) if dy else (0, dq)
-    if lc == 1 and tc == -1:
-        sums = {}
-        get = sums.get
-        for k, c in a.items():
-            t = k[i] // step
-            cid = (k[0] - t * dq, k[1] - t * dx, k[2] - t * dy)
-            sums[cid] = get(cid, 0) + c
-        if any(sums.values()):
-            return None
-    chains = {}
+    Every key is cid + t*v on one chain cid, and the factor maps each chain
+    into itself, so the division is _updiv_binomial's: with n = len(a) and
+    index(cid) < n, the key packs into the int t*n + index(cid), the chains
+    become the residue classes mod n, and the factor becomes lc*Q^n + tc.
+    A quotient key t*n + index(cid) unpacks to cid + t*v - trail."""
+    v = (lead[0] - trail[0], lead[1] - trail[1], lead[2] - trail[2])
+    # chain parameter: integer steps along a nonzero component of v (floor
+    # division is exact for rational Q exponents as well); a chain id is
+    # only a dict key, so an integral Rat in it needs no _eq_key
+    i = 1 if v[1] else 2 if v[2] else 0
+    n = len(a)
+    index = {}
+    packed = {}
     for k, c in a.items():
-        t = k[i] // step
-        chains.setdefault((k[0] - t * dq, k[1] - t * dx, k[2] - t * dy), {})[t] = c
-    quo = {}
-    for cid, d in chains.items():
-        ts = sorted(d, reverse=True)
-        tmax, tmin = ts[0], ts[-1]
-        if tmax - tmin > _CHAIN_LIMIT:
-            return None
-        for t in range(tmax, tmin - 1, -1):
-            c = d.pop(t, None)
-            if not c:
-                continue
-            if lc == 1:
-                qc = c
-            else:
-                qc, r = divmod(c, lc)
-                if r:
-                    return None
-            qk = (
-                _eq_key(cid[0] + t * dq - lead[0]),
-                cid[1] + t * dx - lead[1],
-                cid[2] + t * dy - lead[2],
-            )
-            quo[qk] = qc
-            lower = d.get(t - 1)
-            v = qc * tc
-            if lower is None:
-                if v:
-                    d[t - 1] = -v
-            else:
-                lower = lower - v
-                if lower:
-                    d[t - 1] = lower
-                else:
-                    del d[t - 1]
-        if any(d.values()):
-            return None
-    return quo
+        t = k[i] // v[i]
+        cid = (k[0] - t * v[0], k[1] - t * v[1], k[2] - t * v[2])
+        packed[t * n + index.setdefault(cid, len(index))] = c
+    quo = _updiv_binomial(packed, n, lc, 0, tc)
+    if quo is None:
+        return None
+    cids = list(index)
+    out = {}
+    for e, c in quo.items():
+        t, j = divmod(e, n)
+        q, x, y = cids[j]
+        out[(_eq_key(q + t * v[0] - trail[0]), x + t * v[1] - trail[1],
+             y + t * v[2] - trail[2])] = c
+    return out
 
 
 def _updiv_binomial(a, lead, lc, trail, tc):
-    """_pdiv_binomial on univariate dicts: with step = lead - trail, an
-    exponent e lies on chain e mod step at position e // step."""
+    """Exact division of the univariate int dict a by lc*Q^lead + tc*Q^trail
+    (lc > 0), the one chain walk; returns the quotient dict or None.
+
+    With step = lead - trail, an exponent e lies on chain e mod step at
+    position e // step, and the factor maps each chain into itself, so it
+    divides a exactly when it divides every chain.  For Q^lead - Q^trail
+    that holds exactly when every chain's coefficients sum to zero, which a
+    first pass checks before any chain dict is built.  A quotient term that
+    lc does not divide rejects too (the factor is primitive), and a chain
+    longer than _CHAIN_LIMIT gives up."""
     step = lead - trail
     if lc == 1 and tc == -1:
         sums = {}
@@ -540,10 +515,14 @@ class FieldElement:
     Products concatenate factor multisets, and only sums expand, after
     extracting shared factors; trivial factors are dropped, and a built
     numerator is divided by each two-term denominator factor that divides
-    it exactly (_reduce), while a wider factor stays in fden.  All
-    parts being primitive with a positive leading coefficient, two equal
-    elements have equal contents, which __hash__ therefore reads, and
-    equality is exact via cross multiplication of the integer parts.
+    it exactly (_reduce), while a wider factor stays in fden.  Equality
+    is exact via cross multiplication of the integer parts.  __hash__
+    reads two invariants of the value, however it is factored or reduced:
+    the content (all parts are primitive with a positive leading
+    coefficient) and the leading key lead(num) + sum(lead(nfac)) -
+    sum(lead(fden)), since under a monomial order such as lex the leading
+    key of a product is the sum of the factors' (Geddes, Czapor and
+    Labahn, Algorithms for Computer Algebra, 1992, ch. 2).
 
     num and the factors of one element share one key form: trivariate
     (Q, X, Y) keys before the singular point is evaluated, bare Q
@@ -671,9 +650,20 @@ class FieldElement:
         return left == right
 
     def __hash__(self):
-        # equal elements may carry different factorizations and unreduced
-        # numerators, but their contents are equal (see the class docstring)
-        return hash((self.system, self.cn, self.cd))
+        # the content and the leading key (see the class docstring); a
+        # factor key's largest key is its last, and the content numerator
+        # and the exponents enter doubled, since CPython hashes the int -1
+        # like -2
+        if not self.num:
+            return hash((self.system, 0, 1))
+        ups = [max(self.num)] + [k[-1][0] for k in self.nfac]
+        downs = [k[-1][0] for k in self.fden]
+        if type(ups[0]) is tuple:
+            lead = tuple(2 * (sum(u[i] for u in ups) - sum(d[i] for d in downs))
+                         for i in range(3))
+        else:
+            lead = 2 * (sum(ups) - sum(downs))
+        return hash((self.system, 2 * self.cn, self.cd, lead))
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -762,17 +752,7 @@ class FieldElement:
         cn, cd = _qmul(self.cn, self.cd, *_qsplit(c))
         return FieldElement._raw(cn, cd, self.num, self.nfac, self.fden, self.system)
 
-    # -- canonical views ----------------------------------------------------
-
-    def canonical_key(self):
-        """Hashable exact identity for fully reduced (evaluated) elements."""
-        return (
-            self.system,
-            self.cn,
-            self.cd,
-            tuple(sorted(self.expanded_num().items())),
-            self.fden,
-        )
+    # -- rendering ------------------------------------------------------------
 
     def __repr__(self):
         return f"<FieldElement {format_element(self)}>"
@@ -931,12 +911,13 @@ def _reduce(num, fden, ring):
     normalized numerators and denominators are binomials, and the
     singular-point functional cancels the X - Y content of those brackets,
     again a binomial division (_pdiv_x_minus_y).  A binomial goes through
-    the chain division of the key form (_pdiv_binomial or _updiv_binomial),
-    which rejects M_lead - M_trail by its chain sums before any division.
+    the one chain division, _updiv_binomial (via _pdiv_binomial for
+    trivariate keys), which rejects M_lead - M_trail by its chain sums
+    before any division.
     A wider factor, such as a classical x - y + m or a multiplied-out
     product, is carried in fden and never tried.  The value stays exact
     either way: equality cross-multiplies, and hashing reads only the
-    content.
+    content and the leading key, which reduction does not change.
 
     A factor key holds its two sorted items, (trail, tc), (lead, lc).  fden
     is sorted, so a repeated factor comes right after its first copy; when

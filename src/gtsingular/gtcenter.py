@@ -132,17 +132,19 @@ def eigen_index_set(spec: ModuleSpec, m: int):
 
 
 def character_key(bv: BasisVector, spec: ModuleSpec):
-    """Hashable tuple of evaluated gamma values over all (m, k); equal for
-    the normal/derivative pair attached to one tau-orbit of shifts."""
+    """The tuple of evaluated gamma values over all (m, k), k >= 1; equal
+    for the normal/derivative pair attached to one tau-orbit of shifts.
+    Keys compare by the values' exact == and hash, so a value left
+    unreduced keys like its reduced form."""
     return tuple(
-        gamma_evaluated(spec, m, k, bv.z).canonical_key()
+        gamma_evaluated(spec, m, k, bv.z)
         for m in range(1, spec.n + 1)
         for k in range(1, m + 1)
     )
 
 
 class BlockRow(NamedTuple):
-    key: tuple
+    key: tuple  # the members' character_key: gamma values, FieldElements
     members: tuple
     dimension: int
     jordan: tuple  # ((m, k, size) for indices with a size-2 cell)
@@ -168,12 +170,13 @@ def _sweep(bv: BasisVector, spec: ModuleSpec):
 
 
 def block_report(spec: ModuleSpec, B: int, at=None):
-    """Group the window basis by character key and apply every c_mk -
-    gamma_mk (k = 0..m), and its square where it does not vanish, to every
-    member: the one sweep of the central generators over the window.  An
-    index has a size-2 cell on a block when it moves some member and its
-    square annihilates every member.  at, when given, is called as
-    at(step, bv) as each step of the sweep starts on a basis vector."""
+    """Group the window basis by character key, with the exact equality of
+    the gamma values, and apply every c_mk - gamma_mk (k = 0..m), and its
+    square where it does not vanish, to every member: the one sweep of the
+    central generators over the window.  An index has a size-2 cell on a
+    block when it moves some member and its square annihilates every
+    member.  at, when given, is called as at(step, bv) as each step of the
+    sweep starts on a basis vector."""
     blocks = {}
     for bv in spec.window(B):
         if at:

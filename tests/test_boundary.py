@@ -7,11 +7,13 @@ singular-point functional or the univariate form through
 ``gtcenter.py`` refers to one of those functions anywhere else, under its
 own name or an import alias, so the pipeline cannot fork again unnoticed.
 
-In ``exactalg.py`` the binomial chain divisions are the only exact
-division.  They are reached from the ``_Ring`` tables, from ``_reduce``
-through ``ring.div_binomial`` and from ``_pdiv_x_minus_y``, and the chain
-cap ``_CHAIN_LIMIT`` is the only size limit, so a second division path or
-a new silent give-up fails the scan.
+In ``exactalg.py`` one chain walk, ``_updiv_binomial``, is the only
+exact division.  It is reached from the ``_Ring`` tables, from ``_reduce``
+through ``ring.div_binomial`` and from ``_pdiv_binomial``, which packs
+trivariate chains into its univariate form (``_pdiv_x_minus_y`` divides
+through ``_pdiv_binomial``), and the chain cap ``_CHAIN_LIMIT`` is the
+only size limit, so a second division path or a new silent give-up fails
+the scan.
 """
 
 import ast
@@ -74,12 +76,12 @@ def test_scan_sees_references_outside_the_boundary():
     ]
 
 
-KERNELS = frozenset({"_pdiv_binomial", "_updiv_binomial", "div_binomial"})
-KERNEL_USERS = frozenset({"_Ring", "_TRI", "_UNI", "_reduce", "_pdiv_x_minus_y"})
+KERNELS = frozenset({"_updiv_binomial", "div_binomial"})
+KERNEL_USERS = frozenset({"_Ring", "_TRI", "_UNI", "_reduce", "_pdiv_binomial"})
 
 
 def kernel_references_outside(source, allowed=KERNEL_USERS):
-    """(line, owner) of every read of a binomial division kernel, by name
+    """(line, owner) of every read of the chain division kernel, by name
     or as an attribute, whose top-level owner (the function, class or
     assigned name it sits in) is not allowed."""
     found = []
@@ -129,11 +131,13 @@ def test_scan_sees_a_second_division_path_and_a_new_limit():
         "def _reduce(num, k, ring):\n"
         "    return ring.div_binomial(num, *k)\n"
         "def _pdiv_exact(a, f):\n"
-        "    return _pdiv_binomial(a, *f)\n"
+        "    return _updiv_binomial(a, *f)\n"
         "class FieldElement:\n"
         "    def cancel(self, ring):\n"
         "        return ring.div_binomial\n"
         "div = _updiv_binomial\n"
+        "def _pdiv_binomial(a, *f):\n"
+        "    return _updiv_binomial(a, *f)\n"
     )
     assert kernel_references_outside(src) == [
         (7, "_pdiv_exact"), (10, "FieldElement"), (11, "div"),

@@ -34,6 +34,7 @@ from gtsingular.exactalg import (
     _pmul,
     _sum,
     _times,
+    _CHAIN_LIMIT,
     _UNI,
     _reduce,
     _unormalize_factor,
@@ -670,26 +671,35 @@ def test_pdiv_exact_matches_fraction_oracle(f, g, extra):
 @settings(max_examples=60, deadline=None)
 @given(poly_elems(), nonzero_rats, st.integers(min_value=-3, max_value=3),
        st.integers(min_value=1, max_value=3))
-def test_canonical_key_agrees_with_eq_for_scalar_multiples(a, c, point, m):
-    """Equal scalar multiples of an evaluated element have one canonical
-    key and one hash; a multiple by c != 1 is neither equal nor keyed
-    alike."""
+def test_hash_agrees_with_eq_for_scalar_multiples(a, c, point, m):
+    """Equal scalar multiples of an evaluated element are equal and hash
+    alike; a multiple by c != 1 is neither equal nor hashed alike, since
+    the hash reads the content."""
     f = evaluate_at_singular(a / bracket(LinearExpr(Rat(m), 1, -1)), point)
     assert is_canonical_element(f)
     back = f.scale(c).scale(1 / c)
     assert back == f and hash(back) == hash(f)
-    assert back.canonical_key() == f.canonical_key()
-    assert (-(-f)).canonical_key() == f.canonical_key()
+    assert -(-f) == f and hash(-(-f)) == hash(f)
     other = f.scale(c)
-    assert (other == f) == (other.canonical_key() == f.canonical_key()) == (
-        c == 1 or f.is_zero())
+    assert (other == f) == (hash(other) == hash(f)) == (c == 1 or f.is_zero())
 
 
 @pytest.mark.parametrize("system", [QUANTUM, CLASSICAL])
 def test_hash_reads_the_content(system):
-    """Scalars with distinct contents do not all share one hash."""
-    values = [Rat(p, q) for p in range(-4, 5) if p for q in (1, 2, 3)]
-    assert len({hash(FieldElement.scalar(v, system)) for v in values}) > 1
+    """Scalars with distinct contents hash apart, -1 and -2 included."""
+    values = {Rat(p, q) for p in range(-4, 5) if p for q in (1, 2, 3)}
+    assert len({hash(FieldElement.scalar(v, system)) for v in values}) == len(values)
+
+
+def test_hash_reads_the_leading_key():
+    """Monomials of one content hash apart by their exponent, in both key
+    forms, and so do two binomials over one denominator."""
+    assert len({hash(FieldElement.q_monomial(QUANTUM, 1, a)) for a in range(-5, 6)}) == 11
+    assert len({hash(Q(a)) for a in range(-5, 6)}) == 11
+    assert len({hash(X(a) * Y(-a)) for a in range(-5, 6)}) == 11
+    den = {1: 1, 0: -1}
+    assert hash(FieldElement({3: 1, 0: 1}, den, QUANTUM)) != hash(
+        FieldElement({2: 1, 0: 1}, den, QUANTUM))
 
 
 scalar_rats = st.one_of(st.just(Rat(0)), nonzero_rats)
@@ -819,17 +829,17 @@ def test_unormalize_factor_matches_embedding(d):
 @settings(max_examples=250, deadline=None)
 @given(uni_binomials, uni_dicts, st.one_of(st.none(), st.tuples(uni_exponents, nonzero_ints)))
 def test_updiv_exact_matches_embedding(f, g, extra):
-    """The univariate chain division by a binomial against the trivariate
-    one on the embedding, on multiples (extra None) and on multiples plus
-    a monomial, which no binomial divides."""
+    """The univariate chain division by a binomial against Laurent long
+    division with exact rational coefficients on the embedding, on
+    multiples (extra None) and on multiples plus a monomial, which no
+    binomial divides."""
     canon = _unormalize_factor(f)[0]
     a = _upmul(canon, g)
     if extra is not None:
         a = _collect([extra], a)
     (trail, tc), (lead, lc) = _fkey(canon)
     got = _updiv_binomial(a, lead, lc, trail, tc)
-    (ttrail, ttc), (tlead, tlc) = _fkey(embed(canon))
-    want = _pdiv_binomial(embed(a), tlead, tlc, ttrail, ttc)
+    want = oracle_long_division({k: Rat(c) for k, c in embed(a).items()}, embed(canon))
     assert (got is None) == (want is None) == (extra is not None)
     if got is not None:
         assert embed(got) == want
@@ -840,8 +850,8 @@ def test_updiv_exact_matches_embedding(f, g, extra):
 @given(uni_dicts, uni_factors, uni_dicts, uni_factors)
 def test_univariate_arithmetic_matches_embedding(an, ad, bn, bd):
     """Every operation on univariate elements builds, key for key, what the
-    trivariate primitives build on the embedding; equality, canonical keys
-    and hashes agree between the forms and with each other."""
+    trivariate primitives build on the embedding; equality and hashes
+    agree between the forms and with each other."""
     ua, ub = FieldElement(an, ad, QUANTUM), FieldElement(bn, bd, QUANTUM)
     ta = FieldElement(embed(an), embed(ad), QUANTUM)
     tb = FieldElement(embed(bn), embed(bd), QUANTUM)
@@ -850,7 +860,7 @@ def test_univariate_arithmetic_matches_embedding(an, ad, bn, bd):
         assert is_canonical_element(u) and is_univariate(u.num or {0: 1})
         assert (u.cn, u.cd, embed(u.num), tuple(map(embed_key, u.nfac)),
                 tuple(map(embed_key, u.fden))) == (t.cn, t.cd, t.num, t.nfac, t.fden)
-        assert univariate(t).canonical_key() == u.canonical_key()
+        assert univariate(t) == u and hash(univariate(t)) == hash(u)
         assert format_element(u) == format_element(t)
 
     same(ua, ta)
@@ -858,12 +868,9 @@ def test_univariate_arithmetic_matches_embedding(an, ad, bn, bd):
                  (ua / ub, ta / tb), (fe_sum([ua, ub, -ua], QUANTUM), fe_sum([ta, tb, -ta], QUANTUM))):
         same(u, t)
     assert (ua == ub) == (ta == tb)
-    # equal elements hash alike; canonical keys are exact for one reduction
-    # path, which negation and scaling keep
-    assert ua * ub / ub == ua and hash(ua * ub / ub) == hash(ua)
-    for x in (-(-ua), ua.scale(Rat(3, 2)).scale(Rat(2, 3))):
+    # equal elements hash alike, however they were built
+    for x in (ua * ub / ub, -(-ua), ua.scale(Rat(3, 2)).scale(Rat(2, 3))):
         assert x == ua and hash(x) == hash(ua)
-        assert x.canonical_key() == ua.canonical_key()
 
 
 @settings(max_examples=100, deadline=None)
@@ -916,6 +923,31 @@ def test_wider_univariate_factor_is_carried_not_divided(h):
     f = (g * H) / H
     assert _fkey(_unormalize_factor(h)[0]) in f.fden
     assert f == g and hash(f) == hash(g)
+
+
+@pytest.mark.parametrize("form", ["univariate", "trivariate"])
+def test_chain_limit_gives_up_and_leaves_the_value_exact(form):
+    """Q^(L+1) - 1 over Q - 1, and X^(L+1) - 1 over X - 1 through the packed
+    trivariate path, with L = _CHAIN_LIMIT: the quotient exists, but its
+    chain is longer than L, so the division gives up and the factor stays
+    in the denominator.  The value still equals the reduced one, the
+    geometric sum, and hashes like it."""
+    L = _CHAIN_LIMIT
+    if form == "univariate":
+        def key(e):
+            return e
+        div = _updiv_binomial
+    else:
+        def key(e):
+            return (0, e, 0)
+        div = _pdiv_binomial
+    num = {key(L + 1): 1, key(0): -1}
+    assert div(num, key(1), 1, key(0), -1) is None
+    unreduced = FieldElement(num, {key(1): 1, key(0): -1}, QUANTUM)
+    reduced = FieldElement({key(e): 1 for e in range(L + 1)}, None, QUANTUM)
+    assert unreduced.fden == (_fkey({key(1): 1, key(0): -1}),)
+    assert not reduced.fden
+    assert unreduced == reduced and hash(unreduced) == hash(reduced)
 
 
 def test_mixing_the_two_forms_raises():

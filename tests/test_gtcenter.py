@@ -11,9 +11,11 @@ from gtsingular.exactalg import (
     FieldElement,
     q_pochhammer_factorial,
     univariate,
+    _fkey,
 )
 from gtsingular.tableaux import RelationSet, Tableau
 from gtsingular.action import BasisVector, DERIVATIVE, NORMAL, ModuleElement, ModuleSpec
+from gtsingular import gtcenter
 from gtsingular.gtcenter import (
     act_central,
     act_central_element,
@@ -224,3 +226,41 @@ def test_block_report_matches_golden(name):
     # boundary and placement step of the generator action
     golden = json.loads(GOLDEN_BLOCKS.read_text())
     assert block_rows(golden_specs()[name]) == golden[name]
+
+
+@pytest.mark.parametrize("name", ["n3-quantum", "n3-classical"])
+def test_block_report_groups_unreduced_gammas_exactly(name, monkeypatch):
+    """One member of a normal/derivative pair gets its gamma values as
+    (g h)/h, with h of three terms, which is carried in the denominator and
+    never divided out.  Grouping compares values exactly, so the member
+    stays in its partner's block and the rows are the golden ones."""
+    spec = golden_specs()[name]
+    row = next(row for row in block_report(spec, 1) if row.dimension == 2)
+    target, partner = row.members[1], row.members[0]
+    assert target.z != partner.z
+    H = FieldElement({2: 1, 1: 1, 0: 1}, None, spec.mode)
+    reduced = gtcenter.gamma_evaluated
+
+    def unreduced(spec, m, k, z):
+        g = reduced(spec, m, k, z)
+        return (g * H) / H if z == target.z else g
+
+    monkeypatch.setattr(gtcenter, "gamma_evaluated", unreduced)
+    values = character_key(target, spec)
+    assert all(_fkey(H.num) in v.fden for v in values if v)
+    assert values == character_key(partner, spec)
+    golden = json.loads(GOLDEN_BLOCKS.read_text())
+    assert block_rows(spec) == golden[name]
+
+
+def test_quantum_character_keys_hash_apart():
+    """The gamma values' hash reads their leading key as well as their
+    content, so on the n = 3 fixture at B = 1 the quantum character keys
+    have as many hashes as there are blocks."""
+    spec = singular_spec_n3(QUANTUM)
+    hashes = {
+        hash(tuple(gamma_evaluated(spec, m, k, bv.z)
+                   for m in range(1, spec.n + 1) for k in range(1, m + 1)))
+        for bv in spec.window(1)
+    }
+    assert len(hashes) == len(block_report(spec, 1))
