@@ -1,11 +1,11 @@
 """Arbitrary-precision rationals.
 
-gmpy2.mpq when available (much faster), fractions.Fraction otherwise.  Both
-hash compatibly with int, so they can share dict keys.
+gmpy2.mpq with the ``gmpy2`` extra (much faster), fractions.Fraction otherwise.
+Both hash compatibly with int, so they can share dict keys.
 
-Rat holds rational Q exponents, tableau entries and the scalars that
-cross the API edge of ``exactalg``: inside it, term-dict coefficients are
-Python ints and the content of an element is a pair of coprime ints.
+Rat holds tableau entries and the scalars and Q exponents that cross the
+API edge of ``exactalg``; inside it, coefficients and contents are Python
+ints, and so are the scaled Q exponents of module specs and check_appendix.
 """
 
 try:
@@ -18,8 +18,6 @@ def rat(a, b=None):
     """Coerce to an exact rational.  Accepts ints, rationals and 'p/q' strings."""
     if b is not None:
         return Rat(a, b)
-    if isinstance(a, str):
-        return Rat(a)
     return Rat(a)
 
 

@@ -179,6 +179,8 @@ class ModuleSpec:
 
     def __init__(self, tableau: Tableau, relations: RelationSet, mode=QUANTUM,
                  fault: Fault = None):
+        if mode not in (QUANTUM, CLASSICAL):
+            raise ValueError(f"unknown mode {mode!r}")
         if tableau.n != relations.n:
             raise ValueError("tableau and relation set have different heights")
         rep = is_admissible(relations)

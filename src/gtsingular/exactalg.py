@@ -30,9 +30,9 @@ Term dicts come in two key forms, one per stage of the module pipeline:
   symbolic in X and Y, before the singular point is evaluated;
 * univariate, {expQ: c}: everything evaluate_at_singular and dv_operator
   return, and every module-stage value built from them (the action, its
-  caches, gtcenter's evaluated gammas).  In a module spec the exponent is
-  an int in units of 1/qscale; check_appendix evaluates at half-integer
-  points, where it may be a Rat.  A classical value is a scalar {0: c}.
+  caches, gtcenter's evaluated gammas).  The exponent is an int in units
+  of 1/qscale in a module spec and of 1/2 in check_appendix; it is a Rat
+  only at a rational point a caller passes.  A classical value is {0: c}.
 
 One element holds one form, and each operation picks the primitives of
 that form once (_TRI or _UNI), never per term; an operation that meets

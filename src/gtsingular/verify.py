@@ -360,16 +360,19 @@ def check_compatibility(spec: ModuleSpec, B: int) -> CheckReport:
 # functional identities on random smooth elements
 # ---------------------------------------------------------------------------
 
-def sample_smooth(rng, system=QUANTUM, nterms=4):
+def sample_smooth(rng, system=QUANTUM, nterms=4, scale=1):
     """Random element smooth on X = Y: Laurent numerator over a product of
-    bracket factors with nonzero constant offset."""
+    bracket factors with nonzero constant offset.  In units of 1/scale (see
+    bracket) the draw is the same, each Q exponent times scale."""
+    if system == CLASSICAL and scale != 1:
+        raise ValueError(f"the classical system takes scale 1, got {scale}")
     num = FieldElement.zero(system)
     for _ in range(nterms):
         if system == QUANTUM:
             term = FieldElement.monomial(
                 system,
                 Rat(rng.randint(-4, 4)),
-                rng.randint(-3, 3),
+                scale * rng.randint(-3, 3),
                 rng.randint(-2, 2),
                 rng.randint(-2, 2),
             )
@@ -383,29 +386,29 @@ def sample_smooth(rng, system=QUANTUM, nterms=4):
     den = FieldElement.one(system)
     for _ in range(rng.randint(0, 2)):
         m = rng.choice([-2, -1, 1, 2, 3])
-        den = den * bracket(LinearExpr(Rat(m), 1, -1), system)
+        den = den * bracket(LinearExpr(Rat(scale * m), 1, -1), system, scale)
     return num / den
 
 
-def _sample_invertible(rng, system, c):
+def _sample_invertible(rng, system, c, scale=1):
     while True:
-        f = sample_smooth(rng, system)
+        f = sample_smooth(rng, system, scale=scale)
         if not evaluate_at_singular(f, c).is_zero():
             return f
 
 
-def pole_families(rng, system, c):
+def pole_families(rng, system, c, scale=1):
     """The pole-bearing families of check_appendix, as (name, [(f_m, h_m)],
-    whether the ev identity is checked).  The identities concern the total
-    sum f_m h_m / [x-y], that is sum f_m g_m with g_m = h_m/[x-y], whose
-    terms have a first-order pole on X = Y."""
+    whether the ev identity is checked), at the point c in units of 1/scale.
+    The identities concern the total sum f_m h_m / [x-y], that is sum f_m g_m
+    with g_m = h_m/[x-y], whose terms have a first-order pole on X = Y."""
     # weak family: f = (a, a^tau), h = (h1, -h1^tau); the twisted sum is
     # symmetric, so its dv vanishes while the sum itself does not.
-    a = sample_smooth(rng, system)
-    h1 = _sample_invertible(rng, system, c)
+    a = sample_smooth(rng, system, scale=scale)
+    h1 = _sample_invertible(rng, system, c, scale)
     weak = [(a, h1), (tau_swap(a), -tau_swap(h1))]
     # strong family: the twisted sum vanishes identically.
-    bden = _sample_invertible(rng, system, c)
+    bden = _sample_invertible(rng, system, c, scale)
     w = -(tau_swap(a) * h1) / tau_swap(bden)
     strong = [(a, h1), (bden, w)]
     return [("weak", weak, False), ("strong", strong, True)]
@@ -414,62 +417,68 @@ def pole_families(rng, system, c):
 def check_appendix(system=QUANTUM, samples=100, seed=20240901) -> CheckReport:
     """Identities of the singular-point functional on seeded random smooth
     elements, plus constructed families with first-order poles on X = Y.
-    Raises ValueError when samples < 1: a check of no samples shows
-    nothing."""
+    Quantum exponents are in units of 1/2 (scale 2), so the half-integer
+    points are integral: Q -> Q^(1/2) is an injective ring map, so each
+    identity holds exactly when it does in units of 1, on the same draws.
+    Raises ValueError for an unknown system, or when samples < 1."""
+    if system not in (QUANTUM, CLASSICAL):
+        raise ValueError(f"unknown mode {system!r}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     t0 = time.time()
     rng = random.Random(seed)
-    b = bracket(LinearExpr(Rat(0), 1, -1), system)
+    scale = 2 if system == QUANTUM else 1
+    b = bracket(LinearExpr(Rat(0), 1, -1), system, scale)
     # multiply by 1/[x-y] rather than divide by [x-y]: a quotient divides the
     # classical binomial x - y out of the numerator, leaving no pole on X = Y
     inv_b = FieldElement.one(system) / b
     failure = None
     summary = f"functional identities on {samples} samples ({system})"
     for trial in range(samples):
-        c = Rat(rng.randint(-4, 4), rng.choice([1, 1, 2]))
-        f = sample_smooth(rng, system)
-        g = sample_smooth(rng, system)
+        c = scale * Rat(rng.randint(-4, 4), rng.choice([1, 1, 2]))
+        f = sample_smooth(rng, system, scale=scale)
+        g = sample_smooth(rng, system, scale=scale)
         fs = f + tau_swap(f)
         checks = []
-        checks.append(("dv(f^tau) = -dv(f)", dv_operator(tau_swap(f), c) == -dv_operator(f, c)))
-        checks.append(("dv(sym) = 0", dv_operator(fs, c).is_zero()))
+        checks.append(("dv(f^tau) = -dv(f)",
+                       dv_operator(tau_swap(f), c, scale) == -dv_operator(f, c, scale)))
+        checks.append(("dv(sym) = 0", dv_operator(fs, c, scale).is_zero()))
         h = (f - tau_swap(f)) * inv_b
         checks.append(
             ("ev((f-f^tau)/[x-y]) = 2 dv(f)",
-             evaluate_at_singular(h, c) == dv_operator(f, c).scale(2))
+             evaluate_at_singular(h, c) == dv_operator(f, c, scale).scale(2))
         )
         checks.append(
             ("ev(f) = dv([x-y] f)",
-             evaluate_at_singular(f, c) == dv_operator(b * f, c))
+             evaluate_at_singular(f, c) == dv_operator(b * f, c, scale))
         )
-        prod_lhs = dv_operator(f * g, c)
-        prod_rhs = dv_operator(f, c) * evaluate_at_singular(g, c) + evaluate_at_singular(
-            f, c
-        ) * dv_operator(g, c)
+        prod_lhs = dv_operator(f * g, c, scale)
+        prod_rhs = (dv_operator(f, c, scale) * evaluate_at_singular(g, c)
+                    + evaluate_at_singular(f, c) * dv_operator(g, c, scale))
         checks.append(("product rule", prod_lhs == prod_rhs))
         checks.append(
             ("dv([x-y]f) = dv([x-y]f^tau)",
-             dv_operator(b * f, c) == dv_operator(b * tau_swap(f), c))
+             dv_operator(b * f, c, scale) == dv_operator(b * tau_swap(f), c, scale))
         )
         gs = g + tau_swap(g)
         checks.append(
             ("dv(f) dv([x-y]g) = dv(fg) for symmetric g",
-             dv_operator(f, c) * dv_operator(b * gs, c) == dv_operator(f * gs, c))
+             dv_operator(f, c, scale) * dv_operator(b * gs, c, scale)
+             == dv_operator(f * gs, c, scale))
         )
 
-        for name, fam, test_ev in pole_families(rng, system, c):
+        for name, fam, test_ev in pole_families(rng, system, c, scale):
             lhs_i = FieldElement.zero(system)
             lhs_ii = FieldElement.zero(system)
             total = FieldElement.zero(system)
             for fm, hm in fam:
-                lhs_i = lhs_i + dv_operator(fm, c) * dv_operator(hm, c)
-                lhs_ii = lhs_ii + dv_operator(fm, c) * evaluate_at_singular(hm, c)
+                lhs_i = lhs_i + dv_operator(fm, c, scale) * dv_operator(hm, c, scale)
+                lhs_ii = lhs_ii + dv_operator(fm, c, scale) * evaluate_at_singular(hm, c)
                 total = total + fm * hm
             total = total * inv_b
             checks.append(
                 (f"pole family ({name}) dv identity",
-                 lhs_i.scale(2) == dv_operator(total, c))
+                 lhs_i.scale(2) == dv_operator(total, c, scale))
             )
             if test_ev:
                 checks.append(

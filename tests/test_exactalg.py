@@ -186,6 +186,12 @@ def test_bracket_odd(c, cx, cy):
     assert bracket(-d, CLASSICAL) == -bracket(d, CLASSICAL)
 
 
+def test_rat_parses_strings():
+    assert rat("3/4") == Rat(3, 4)
+    assert rat("-6/4") == Rat(-3, 2)
+    assert rat("-2") == -2 and rat("-2").denominator == 1
+
+
 class TestBracket:
     def test_two(self):
         assert bracket(LinearExpr.constant(2)) == Q(1) + Q(-1)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from gtsingular._rat import Rat
@@ -7,6 +9,8 @@ from gtsingular.exactalg import (
     DivisionByZero,
     FieldElement,
     PoleAtEvaluation,
+    dv_operator,
+    evaluate_at_singular,
 )
 from gtsingular.tableaux import (
     Position,
@@ -29,7 +33,13 @@ from gtsingular.verify import (
 )
 
 from gated_specs import gated_corpus
-from oracles import act_word, per_word_relation_instances, row_shifts, translation_key
+from oracles import (
+    act_word,
+    per_word_relation_instances,
+    row_shifts,
+    scale_q_exponents,
+    translation_key,
+)
 from test_action import generic_spec_n2, singular_spec_n3
 from test_gtcenter import generic_spec_n3
 from test_exactalg import has_int_univariate_keys, is_canonical_element, vanishing_den
@@ -293,18 +303,74 @@ def test_appendix_quick():
     assert rep, rep.render()
 
 
-def test_appendix_classical_exercises_poles(monkeypatch):
-    # the classical pole-family and difference-quotient inputs must keep their
+def _assert_exercises_poles(monkeypatch, system, seed):
+    # the pole-family and difference-quotient inputs must keep their
     # vanishing denominator factor, so that pole cancellation is exercised
     seen = {}
     for name in ("dv_operator", "evaluate_at_singular"):
-        def record(f, c, _fn=getattr(verify, name), _name=name):
+        def record(f, c, *rest, _fn=getattr(verify, name), _name=name):
             seen[_name] = seen.get(_name, False) or vanishing_den(f, c)
-            return _fn(f, c)
+            return _fn(f, c, *rest)
         monkeypatch.setattr(verify, name, record)
-    rep = check_appendix(CLASSICAL, samples=3, seed=11)
+    rep = check_appendix(system, samples=3, seed=seed)
     assert rep, rep.render()
     assert seen == {"dv_operator": True, "evaluate_at_singular": True}
+
+
+def test_appendix_classical_exercises_poles(monkeypatch):
+    _assert_exercises_poles(monkeypatch, CLASSICAL, 11)
+
+
+def test_appendix_quantum_exercises_poles_in_units_of_one_half(monkeypatch):
+    _assert_exercises_poles(monkeypatch, QUANTUM, 11)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_appendix_quantum_values_have_int_exponents(monkeypatch, seed):
+    # check_appendix works in units of 1/2, so its half-integer points
+    # leave no rational Q exponent in any functional value
+    values = []
+    for name in ("dv_operator", "evaluate_at_singular"):
+        def record(*args, _fn=getattr(verify, name)):
+            values.append(_fn(*args))
+            return values[-1]
+        monkeypatch.setattr(verify, name, record)
+    rep = check_appendix(QUANTUM, samples=10, seed=seed)
+    assert rep, rep.render()
+    assert values and all(has_int_univariate_keys(v) for v in values)
+
+
+@pytest.mark.parametrize("c", [Rat(-3, 2), Rat(1, 2), 0, 1, Rat(5, 2)], ids=str)
+@pytest.mark.parametrize("seed", [0, 3])
+def test_functionals_in_units_of_one_half_match_units_of_one(seed, c):
+    # twin draws at scale 1 and 2 are the same element under Q -> Q^(1/2)
+    f1 = verify.sample_smooth(random.Random(seed), QUANTUM)
+    f2 = verify.sample_smooth(random.Random(seed), QUANTUM, scale=2)
+    half = Rat(1, 2)
+    assert scale_q_exponents(dv_operator(f2, 2 * c, 2), half) == dv_operator(f1, c)
+    assert scale_q_exponents(evaluate_at_singular(f2, 2 * c), half) == evaluate_at_singular(f1, c)
+    pole1 = verify.pole_families(random.Random(seed), QUANTUM, c)
+    pole2 = verify.pole_families(random.Random(seed), QUANTUM, 2 * c, 2)
+    for (_, fam1, _), (_, fam2, _) in zip(pole1, pole2):
+        for (a1, b1), (a2, b2) in zip(fam1, fam2):
+            for g1, g2 in ((a1, a2), (b1, b2)):
+                assert scale_q_exponents(dv_operator(g2, 2 * c, 2), half) == dv_operator(g1, c)
+                assert (scale_q_exponents(evaluate_at_singular(g2, 2 * c), half)
+                        == evaluate_at_singular(g1, c))
+
+
+def test_classical_draws_take_scale_one_only():
+    with pytest.raises(ValueError, match="scale"):
+        verify.sample_smooth(random.Random(0), CLASSICAL, scale=2)
+
+
+def test_unknown_mode_is_rejected():
+    with pytest.raises(ValueError, match="'Quantum'"):
+        check_appendix("Quantum", 2, 0)
+    with pytest.raises(ValueError, match="'Quantum'"):
+        generic_spec_n2(mode="Quantum")
+    with pytest.raises(ValueError, match="'Quantum'"):
+        check_finite_dimensional([2, 1, 0], "Quantum")
 
 
 def test_gamma_generic_and_singular():
