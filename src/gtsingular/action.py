@@ -24,7 +24,7 @@ derivative: z_i > z_j, and derivative vectors with z_i = z_j are zero).
 from math import gcd as _gcd
 from typing import NamedTuple
 
-from ._rat import rat
+from ._rat import as_int
 from .exactalg import (
     CLASSICAL,
     QUANTUM,
@@ -109,7 +109,7 @@ def gen_qeps(k):
 
 
 def gen_qh(h):
-    return Generator("qh", 0, tuple(int(v) for v in h))
+    return Generator("qh", 0, tuple(as_int(v) for v in h))
 
 
 class ModuleElement:
@@ -250,9 +250,7 @@ class ModuleSpec:
 
     def scaled(self, d: LinearExpr) -> LinearExpr:
         """An unscaled linear exponent moved into the spec's exponent units."""
-        if self.qscale == 1:
-            return d
-        return LinearExpr(rat(d.const * self.qscale), d.cx, d.cy)
+        return d._replace(const=d.const * self.qscale)
 
     def bracket(self, d: LinearExpr) -> FieldElement:
         """Bracket of an unscaled entry difference, in this spec's units."""
@@ -290,7 +288,7 @@ class ModuleSpec:
         return BasisVector(DERIVATIVE, self.tau(z)), -1
 
     def basis_vector(self, kind, z) -> BasisVector:
-        z = tuple(int(v) for v in z)
+        z = tuple(as_int(v) for v in z)
         if len(z) != self.nfree:
             raise ValueError(f"shift vector must have length {self.nfree}")
         if not self.in_basis(z):

@@ -3,8 +3,11 @@
 Elements are rational functions over Q in three formal quantities:
 
 * quantum system: Q (the quantum parameter q), X (= q^x) and Y (= q^y),
-  where x, y are the two entries of a singular pair.  Monomials carry a
-  rational exponent of Q and integer exponents of X, Y.
+  where x, y are the two entries of a singular pair.  Monomials carry int
+  exponents of Q, X and Y: a rational exponent of q is an int in units of
+  1/scale (the relabeling Q -> Q^(1/scale), see bracket).  The API edge,
+  _qexp, converts a quantum exponent or point a caller passes once, and
+  raises ValueError for a non-integral one rather than rounding it.
 * classical system: the polynomial variables x and y themselves (the Q
   slot of a monomial is unused).
 
@@ -31,8 +34,8 @@ Term dicts come in two key forms, one per stage of the module pipeline:
 * univariate, {expQ: c}: everything evaluate_at_singular and dv_operator
   return, and every module-stage value built from them (the action, its
   caches, gtcenter's evaluated gammas).  The exponent is an int in units
-  of 1/qscale in a module spec and of 1/2 in check_appendix; it is a Rat
-  only at a rational point a caller passes.  A classical value is {0: c}.
+  of 1/qscale in a module spec and of 1/2 in check_appendix.  A classical
+  value is {0: c}, and classical points stay rational.
 
 One element holds one form, and each operation picks the primitives of
 that form once (_TRI or _UNI), never per term; an operation that meets
@@ -57,7 +60,7 @@ from itertools import chain
 from math import gcd, lcm
 from typing import NamedTuple
 
-from ._rat import Rat, rat, is_integral, as_int
+from ._rat import Rat, as_int, rat
 
 QUANTUM = "quantum"
 CLASSICAL = "classical"
@@ -81,17 +84,20 @@ class NegativeArgument(ValueError):
     """Operation defined for nonnegative integer arguments only."""
 
 
+def _qexp(e):
+    """A quantum Q exponent or point as an int (see the module docstring)."""
+    try:
+        return as_int(e)
+    except ValueError:
+        raise ValueError(
+            f"quantum exponent {e!r} is not an integer: pass exponents in "
+            f"units of 1/scale (the relabeling Q -> Q^(1/scale))") from None
+
+
 # ---------------------------------------------------------------------------
 # term dictionaries: {(expQ, expX, expY): int} or {expQ: int}, no zero
 # coefficients stored; the helpers up to _sum serve both key forms
 # ---------------------------------------------------------------------------
-
-def _eq_key(e):
-    # store integral Q-exponents as plain ints (hash-compatible with Rat)
-    if isinstance(e, int):
-        return e
-    return int(e.numerator) if e.denominator == 1 else e
-
 
 def _qreduce(n, d):
     """n/d as a content: coprime ints, the denominator positive."""
@@ -147,6 +153,12 @@ def _integral(d):
         {k: int(c.numerator) * (den // int(c.denominator)) for k, c in d.items()}
     )
     return (*_qreduce(g, den), prim)
+
+
+def _int_q_keys(d):
+    """A caller's term dict with every Q exponent passed through _qexp."""
+    return {(_qexp(k[0]), k[1], k[2]) if type(k) is tuple else _qexp(k): c
+            for k, c in d.items()}
 
 
 def _collect(pairs, into=None):
@@ -216,7 +228,7 @@ def _pmul(a, b):
     out = {}
     for (q1, x1, y1), c1 in a.items():
         for (q2, x2, y2), c2 in b.items():
-            k = (_eq_key(q1 + q2), x1 + x2, y1 + y2)
+            k = (q1 + q2, x1 + x2, y1 + y2)
             c = c1 * c2
             s = out.get(k)
             if s is None:
@@ -260,7 +272,7 @@ def _pshift(a, s, sign=1):
     dq, dx, dy = s
     if sign < 0:
         dq, dx, dy = -dq, -dx, -dy
-    return {(_eq_key(q + dq), x + dx, y + dy): c for (q, x, y), c in a.items()}
+    return {(q + dq, x + dx, y + dy): c for (q, x, y), c in a.items()}
 
 
 def _upshift(a, s, sign=1):
@@ -295,9 +307,7 @@ def _pdiv_binomial(a, lead, lc, trail, tc):
     become the residue classes mod n, and the factor becomes lc*Q^n + tc.
     A quotient key t*n + index(cid) unpacks to cid + t*v - trail."""
     v = (lead[0] - trail[0], lead[1] - trail[1], lead[2] - trail[2])
-    # chain parameter: integer steps along a nonzero component of v (floor
-    # division is exact for rational Q exponents as well); a chain id is
-    # only a dict key, so an integral Rat in it needs no _eq_key
+    # chain parameter: integer steps along a nonzero component of v
     i = 1 if v[1] else 2 if v[2] else 0
     n = len(a)
     index = {}
@@ -314,7 +324,7 @@ def _pdiv_binomial(a, lead, lc, trail, tc):
     for e, c in quo.items():
         t, j = divmod(e, n)
         q, x, y = cids[j]
-        out[(_eq_key(q + t * v[0] - trail[0]), x + t * v[1] - trail[1],
+        out[(q + t * v[0] - trail[0], x + t * v[1] - trail[1],
              y + t * v[2] - trail[2])] = c
     return out
 
@@ -379,7 +389,7 @@ def _updiv_binomial(a, lead, lc, trail, tc):
 def _peval_quantum(a, cx, cy):
     """X -> Q^cx, Y -> Q^cy in a trivariate dict, as a univariate (content
     numerator, content denominator, primitive part) triple."""
-    d = _collect((_eq_key(q + x * cx + y * cy), c) for (q, x, y), c in a.items())
+    d = _collect((q + x * cx + y * cy, c) for (q, x, y), c in a.items())
     if not d:
         return 0, 1, d
     g, d = _primitive(d)
@@ -530,19 +540,20 @@ class FieldElement:
     below build trivariate elements; evaluate_at_singular, dv_operator and
     univariate() return univariate ones, and so does the constructor when
     given dicts keyed by bare Q exponents.  Arithmetic and equality
-    between the two forms raise TypeError.
+    between the two forms raise TypeError.  Every exponent in a key is an
+    int, Q exponents in the caller's units of 1/scale.
     """
 
     __slots__ = ("cn", "cd", "num", "nfac", "fden", "system")
 
     def __init__(self, num, den=None, system=None):
         """num / den for term dicts with exact rational or int coefficients,
-        both keyed alike."""
+        both keyed alike; each Q exponent goes through _qexp."""
         if system is None:
             raise TypeError("system is required")
-        nn, nd, num = _integral(num)
+        nn, nd, num = _integral(_int_q_keys(num))
         one = _ring(num).one if num else _PONE
-        dn, dd, den = _integral(one if den is None else den)
+        dn, dd, den = _integral(one if den is None else _int_q_keys(den))
         if not den:
             raise DivisionByZero("zero denominator")
         if num and _ring(den) is not _ring(num):
@@ -586,20 +597,20 @@ class FieldElement:
     @classmethod
     def monomial(cls, system, coeff, expq=0, expx=0, expy=0):
         c = rat(coeff)
+        e = _qexp(expq)
         if not c:
             return cls.zero(system)
-        return cls._raw(*_qsplit(c), {(_eq_key(rat(expq)), expx, expy): 1}, (), (),
-                        system)
+        return cls._raw(*_qsplit(c), {(e, expx, expy): 1}, (), (), system)
 
     @classmethod
     def q_monomial(cls, system, coeff, expq=0):
         """coeff * Q^expq in the univariate form; in the classical system
         expq is 0 and this is the scalar coeff."""
         c = rat(coeff)
+        e = _qexp(expq)
         if not c:
             return cls.zero(system)
-        return cls._raw(*_qsplit(c), {_eq_key(rat(expq)): 1} if expq else _UONE, (), (),
-                        system)
+        return cls._raw(*_qsplit(c), {e: 1} if e else _UONE, (), (), system)
 
     # -- views ---------------------------------------------------------------
 
@@ -949,7 +960,8 @@ def _reduce(num, fden, ring):
 # ---------------------------------------------------------------------------
 
 class LinearExpr(NamedTuple):
-    """const + cx*x + cy*y with exact rational const and integer cx, cy.
+    """const + cx*x + cy*y with integer cx, cy.  const is an int in quantum
+    units of 1/scale (see bracket), a Rat classically.
 
     Differences of two tableau entries always have cx, cy in {-1, 0, 1};
     weight exponents may carry larger integer coefficients.
@@ -958,10 +970,6 @@ class LinearExpr(NamedTuple):
     const: object
     cx: int
     cy: int
-
-    @classmethod
-    def constant(cls, c):
-        return cls(rat(c), 0, 0)
 
     def __add__(self, other):
         return LinearExpr(self.const + other.const, self.cx + other.cx, self.cy + other.cy)
@@ -998,13 +1006,13 @@ def bracket(d: LinearExpr, system=QUANTUM, scale=1) -> FieldElement:
 
     In the classical system the bracket of d is d itself.  A scale of D
     means exponents are expressed in units of 1/D (the relabeling
-    Q -> Q^(1/D)); d.const must already be scaled by the caller and the
+    Q -> Q^(1/D)): d.const is an int already scaled by the caller, and the
     reference denominator becomes Q^D - Q^-D.
     """
     if system == CLASSICAL:
         return linear_element(d, system)
-    c = rat(d.const)
-    num = _psub({(_eq_key(c), d.cx, d.cy): 1}, {(_eq_key(-c), -d.cx, -d.cy): 1})
+    c = _qexp(d.const)
+    num = _psub({(c, d.cx, d.cy): 1}, {(-c, -d.cx, -d.cy): 1})
     den = {(scale, 0, 0): 1, (-scale, 0, 0): -1}
     return _build(1, 1, num, [], [den], system)
 
@@ -1137,10 +1145,12 @@ def _build_values(cn, cd, num, num_vals, den_vals, system):
 def evaluate_at_singular(f: FieldElement, c) -> FieldElement:
     """Substitute X -> Q^c and Y -> Q^c (classical: x, y -> c).
 
-    X - Y content is cancelled exactly between the two sides before the
-    substitution, to bounded depth per factor.  The value is univariate."""
-    c = _eq_key(rat(c))
+    A quantum c is an int in the units of f's Q exponents; a classical c
+    is any rational.  X - Y content is cancelled exactly between the two
+    sides before the substitution, to bounded depth per factor.  The value
+    is univariate."""
     system = f.system
+    c = _qexp(c) if system == QUANTUM else rat(c)
     if not f.num:
         return FieldElement.zero(system)
     nums, dens = _cancel_xy(f, c)
@@ -1160,8 +1170,9 @@ def dv_operator(f: FieldElement, c, scale=1) -> FieldElement:
 
     The Euler form is the x-derivative of f(q^x, q^y): d/dx = ln q * X d/dX,
     which cancels the 1/ln q of the defining formula.  With exponents in
-    units of 1/D (scale=D) the prefactor becomes (Q^D - Q^-D)/4 and c must
-    be the scaled evaluation exponent.
+    units of 1/D (scale=D) the prefactor becomes (Q^D - Q^-D)/4 and c is the
+    evaluation exponent in those units, an int; a classical c is any
+    rational.
 
     The X - Y content of every denominator factor is first cancelled
     against the numerator factor by factor (as in evaluate_at_singular),
@@ -1170,8 +1181,8 @@ def dv_operator(f: FieldElement, c, scale=1) -> FieldElement:
     vanish there, in which case only its derivative survives; with two or
     more vanishing parts the functional is zero.  The value is univariate.
     """
-    c = _eq_key(rat(c))
     system = f.system
+    c = _qexp(c) if system == QUANTUM else rat(c)
     if not f.num:
         return FieldElement.zero(system)
     nums, den_parts = _cancel_xy(f, c)
@@ -1212,28 +1223,10 @@ def dv_operator(f: FieldElement, c, scale=1) -> FieldElement:
 # canonical plain-text rendering
 # ---------------------------------------------------------------------------
 
-def _fmt_pow(name, e):
-    if isinstance(e, int) or is_integral(e):
-        return f"{name}^{as_int(rat(e))}"
-    return f"{name}^({e})"
-
-
 def _fmt_term(key, coeff, system):
     q, x, y = key
-    parts = [str(coeff)]
-    if system == QUANTUM:
-        if q:
-            parts.append(_fmt_pow("Q", q))
-        if x:
-            parts.append(_fmt_pow("X", x))
-        if y:
-            parts.append(_fmt_pow("Y", y))
-    else:
-        if x:
-            parts.append(_fmt_pow("x", x))
-        if y:
-            parts.append(_fmt_pow("y", y))
-    return " * ".join(parts)
+    powers = (("Q", q), ("X", x), ("Y", y)) if system == QUANTUM else (("x", x), ("y", y))
+    return " * ".join([str(coeff)] + [f"{name}^{e}" for name, e in powers if e])
 
 
 def format_terms(terms, system, scale=1):

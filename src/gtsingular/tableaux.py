@@ -361,7 +361,7 @@ class Tableau:
         else:
             if len(shift) != n - 1 or any(len(shift[r]) != r + 1 for r in range(n - 1)):
                 raise ValueError("shift must have rows of lengths 1..n-1")
-            self.shift = tuple(tuple(int(v) for v in row) for row in shift)
+            self.shift = tuple(tuple(as_int(v) for v in row) for row in shift)
 
     def entry(self, row, col):
         v = self.base[row - 1][col - 1]
@@ -548,7 +548,7 @@ def highest_weight_tableau(lam) -> Tableau:
     """Base tableau of the finite-dimensional module with dominant integral
     highest weight lam, in the shifted coordinates v_{ki} = lam_i - i + 1
     that turn interlacing into the relation set of interlacing_relations."""
-    lam = [as_int(rat(v)) for v in lam]
+    lam = [as_int(v) for v in lam]
     n = len(lam)
     if any(lam[i] < lam[i + 1] for i in range(n - 1)):
         raise ValueError("highest weight must be weakly decreasing")

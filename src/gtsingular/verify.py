@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from ._rat import Rat, is_integral
+from ._rat import Rat, as_int, is_integral
 from .exactalg import (
     CLASSICAL,
     QUANTUM,
@@ -555,7 +555,7 @@ def check_finite_dimensional(lam, mode=QUANTUM) -> CheckReport:
     """Basis count against the pattern count and the Weyl product, and
     closure of the generator action inside the finite basis."""
     t0 = time.time()
-    lam = [int(v) for v in lam]
+    lam = [as_int(v) for v in lam]
     n = len(lam)
     spec = ModuleSpec(highest_weight_tableau(lam), interlacing_relations(n), mode=mode)
     B = lam[0] - lam[-1] + n

@@ -33,7 +33,7 @@ from collections import deque
 from itertools import product
 
 from gtsingular import action, exactalg, tableaux
-from gtsingular._rat import Rat, is_integral, rat
+from gtsingular._rat import Rat, as_int, is_integral, rat
 from gtsingular.exactalg import (
     _PONE,
     CLASSICAL,
@@ -43,7 +43,6 @@ from gtsingular.exactalg import (
     PoleAtEvaluation,
     _build,
     _collect,
-    _eq_key,
     _eval_terms,
     _peuler,
     _pmul,
@@ -367,7 +366,7 @@ def oracle_long_division(a, f):
 def fraction_pmul(a, b):
     """Product of two term dicts with exact rational coefficients."""
     return naive_collect(
-        (((_eq_key(q1 + q2), x1 + x2, y1 + y2), c1 * c2)
+        (((q1 + q2, x1 + x2, y1 + y2), c1 * c2)
          for (q1, x1, y1), c1 in a.items() for (q2, x2, y2), c2 in b.items()),
         {},
     )
@@ -378,7 +377,7 @@ def fraction_normalize(d):
     exponents, the canonical form of Fraction-coefficient factors."""
     mins = [min(k[i] for k in d) for i in range(3)]
     lc = d[max(d)]
-    return {(_eq_key(q - mins[0]), x - mins[1], y - mins[2]): c / lc
+    return {(q - mins[0], x - mins[1], y - mins[2]): c / lc
             for (q, x, y), c in d.items()}
 
 
@@ -398,7 +397,7 @@ def fraction_pdiv_exact(a, f):
     chains = {}
     for k, c in a.items():
         t = param(k)
-        cid = (_eq_key(k[0] - t * step[0]), k[1] - t * step[1], k[2] - t * step[2])
+        cid = (k[0] - t * step[0], k[1] - t * step[1], k[2] - t * step[2])
         chains.setdefault(cid, {})[t] = c
     if lc == 1 and tc == -1 and any(sum(d.values()) for d in chains.values()):
         return None
@@ -412,7 +411,7 @@ def fraction_pdiv_exact(a, f):
             if not c:
                 continue
             qc = c / lc
-            quo[(_eq_key(cid[0] + t * step[0] - lead[0]),
+            quo[(cid[0] + t * step[0] - lead[0],
                  cid[1] + t * step[1] - lead[1],
                  cid[2] + t * step[2] - lead[2])] = qc
             d[t - 1] = d.get(t - 1, 0) - qc * tc
@@ -468,8 +467,11 @@ def _quotient_rule(f, deriv):
 
 def evaluate_at(f, cx, cy):
     """Two-point substitution X -> Q^cx, Y -> Q^cy (classical x, y values),
-    a univariate element."""
-    cx, cy = rat(cx), rat(cy)
+    a univariate element.  Quantum points are ints in the caller's units."""
+    if f.system == QUANTUM:
+        cx, cy = as_int(cx), as_int(cy)
+    else:
+        cx, cy = rat(cx), rat(cy)
     cont = Rat(f.cn, f.cd)
     nums = []
     for d in [f.num] + [dict(k) for k in f.nfac]:
@@ -488,13 +490,15 @@ def evaluate_at(f, cx, cy):
 
 
 def scale_q_exponents(f, factor):
-    """Relabel Q -> Q^factor in a univariate element: multiply every
-    Q-exponent by an exact rational, moving the element between scaled and
-    unscaled exponent conventions."""
+    """Relabel Q -> Q^factor in an element of either key form: multiply
+    every Q-exponent by an exact rational, moving the element between two
+    exponent units.  Raises ValueError when an exponent would not be an
+    int."""
     factor = rat(factor)
 
     def stretch(d):
-        return {_eq_key(q * factor): c for q, c in d.items()}
+        return {(as_int(k[0] * factor), k[1], k[2]) if type(k) is tuple
+                else as_int(k * factor): c for k, c in d.items()}
 
     return _build(
         f.cn,

@@ -1,3 +1,5 @@
+from math import lcm
+
 import pytest
 
 from gtsingular._rat import Rat
@@ -144,6 +146,17 @@ class TestGeneratorValidation:
         assert act(gen_qh((1,)), bv, spec) == want
         assert act(gen_qh((1, 0, 0, 0, 0)), bv, spec) == want
 
+    def test_non_integral_weights_and_shifts_are_rejected(self):
+        # int() would truncate them to qh(0,1,0) and T[0,0,0]
+        spec = singular_spec_n3()
+        for v in (0.5, Rat(1, 2), "1/2"):
+            with pytest.raises(ValueError):
+                gen_qh((v, 1, 0))
+        with pytest.raises(ValueError):
+            spec.basis_vector(NORMAL, (0.4, 0, 0))
+        assert gen_qh((1.0, Rat(1), "0")) == gen_qh((1, 1, 0))
+        assert spec.basis_vector(NORMAL, (0.0, 0, 0)) == spec.basis_vector(NORMAL, (0, 0, 0))
+
 
 class TestSingularPipeline:
     def test_tau_fixed_derivative_is_zero(self):
@@ -246,20 +259,18 @@ class TestGenericConsistency:
         gen_base = Tableau(3, [[Rat(1, 7)], [a, b], [Rat(5, 2), Rat(1, 3), Rat(9, 11)]])
         gspec = ModuleSpec(gen_base, RelationSet(3, []))
         sspec = singular_spec_n3()
+        # the two specs scale exponents differently; compare in units of
+        # 1/D, which both scales divide and in which a and b are integral
+        D = lcm(sspec.qscale, gspec.qscale)
         for z in [(0, 0, 0), (1, -1, 2), (0, 2, 0)]:
             for kind, k in [("e", 1), ("e", 2), ("f", 1), ("f", 2)]:
                 for r in range(1, k + 1):
-                    # the two specs scale exponents differently; compare in
-                    # true exponent units
-                    sym = scale_q_exponents(
-                        evaluate_at(
-                            sspec.raw_coeff(kind, k, r, z),
-                            a * sspec.qscale,
-                            b * sspec.qscale,
-                        ),
-                        Rat(1, sspec.qscale),
+                    sym = evaluate_at(
+                        scale_q_exponents(sspec.raw_coeff(kind, k, r, z), D // sspec.qscale),
+                        a * D,
+                        b * D,
                     )
                     direct = scale_q_exponents(
-                        univariate(gspec.raw_coeff(kind, k, r, z)), Rat(1, gspec.qscale)
+                        univariate(gspec.raw_coeff(kind, k, r, z)), D // gspec.qscale
                     )
                     assert sym == direct, (kind, k, r, z)

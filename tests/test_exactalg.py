@@ -7,7 +7,8 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gtsingular._rat import Rat, rat
+from gtsingular import _rat
+from gtsingular._rat import Rat, as_int, rat
 from gtsingular.exactalg import (
     CLASSICAL,
     QUANTUM,
@@ -26,7 +27,6 @@ from gtsingular.exactalg import (
     tau_swap,
     univariate,
     _collect,
-    _eq_key,
     _fkey,
     _integral,
     _normalize_factor,
@@ -80,22 +80,24 @@ ZERO = FieldElement.zero(QUANTUM)
 XY = LinearExpr(Rat(0), 1, -1)  # the difference x - y
 
 
-def random_smooth(rng, system=QUANTUM, nterms=4):
+def random_smooth(rng, system=QUANTUM, nterms=4, scale=1):
     """Random element smooth on X = Y: Laurent numerator over a denominator
-    built from factors that do not vanish at X = Y = Q^c."""
+    built from factors that do not vanish at X = Y = Q^c.  In units of
+    1/scale (see bracket) the draw is the same, each Q exponent times
+    scale."""
     num = ZERO if system == QUANTUM else FieldElement.zero(system)
     for _ in range(nterms):
         num = num + FieldElement.monomial(
             system,
             Rat(rng.randint(-4, 4)),
-            rng.randint(-3, 3) if system == QUANTUM else 0,
+            scale * rng.randint(-3, 3) if system == QUANTUM else 0,
             rng.randint(-2, 2) if system == QUANTUM else rng.randint(0, 2),
             rng.randint(-2, 2) if system == QUANTUM else rng.randint(0, 2),
         )
     den = FieldElement.one(system)
     for _ in range(rng.randint(0, 2)):
         m = rng.choice([-2, -1, 1, 2, 3])
-        den = den * bracket(LinearExpr(Rat(m), 1, -1), system)
+        den = den * bracket(LinearExpr(scale * m, 1, -1), system, scale)
     if num.is_zero():
         num = FieldElement.one(system)
     return num / den
@@ -182,8 +184,10 @@ def test_field_axioms(a, b, c):
 )
 def test_bracket_odd(c, cx, cy):
     d = LinearExpr(c, cx, cy)
-    assert bracket(-d) == -bracket(d)
     assert bracket(-d, CLASSICAL) == -bracket(d, CLASSICAL)
+    # quantum: in units of 1/6, where every small_rats value is integral
+    d6 = LinearExpr(as_int(6 * c), cx, cy)
+    assert bracket(-d6, QUANTUM, 6) == -bracket(d6, QUANTUM, 6)
 
 
 def test_rat_parses_strings():
@@ -194,10 +198,10 @@ def test_rat_parses_strings():
 
 class TestBracket:
     def test_two(self):
-        assert bracket(LinearExpr.constant(2)) == Q(1) + Q(-1)
+        assert bracket(LinearExpr(2, 0, 0)) == Q(1) + Q(-1)
 
     def test_zero(self):
-        assert bracket(LinearExpr.constant(0)).is_zero()
+        assert bracket(LinearExpr(0, 0, 0)).is_zero()
 
     def test_x_minus_y_vanishes_on_diagonal(self):
         assert evaluate_at_singular(bracket(XY), 3).is_zero()
@@ -258,15 +262,17 @@ class TestTauSwap:
 
 class TestEvaluation:
     def test_ratio_of_equal_powers(self):
-        assert evaluate_at_singular(X() / Y(), Rat(7, 3)).is_one()
+        # the point 7/3 in units of 1/3
+        assert evaluate_at_singular(X() / Y(), 7).is_one()
 
     def test_cancellation_before_substitution(self):
         f = (X() - Y()) / (X() - Y())
         assert evaluate_at_singular(f, 1).is_one()
 
     def test_substitution_values(self):
+        # X^2 Y^-1 at the point 1/2, in units of 1/2: Q^(1/2) is Q^1
         f = X(2) * Y(-1)
-        assert evaluate_at_singular(f, Rat(1, 2)) == univariate(Q(Rat(1, 2)))
+        assert evaluate_at_singular(f, 1) == univariate(Q(1))
 
     def test_two_point(self):
         f = X() * Y()
@@ -282,7 +288,7 @@ class TestEvaluation:
         f = ONE / bracket(LinearExpr(Rat(-3), 1, 0))
         with pytest.raises(PoleAtEvaluation):
             evaluate_at_singular(f, 3)
-        assert evaluate_at_singular(f, 4) == univariate(ONE / bracket(LinearExpr.constant(1)))
+        assert evaluate_at_singular(f, 4) == univariate(ONE / bracket(LinearExpr(1, 0, 0)))
 
     def test_classical_laurent_term_at_zero_is_a_pole(self):
         # a classical monomial denominator becomes a negative exponent
@@ -307,7 +313,8 @@ class TestEvaluation:
 class TestDvOperator:
     def test_normalizer(self):
         # the defining calibration: the functional sends [x-y]_q to 1
-        assert dv_operator(bracket(XY), Rat(4, 7)).is_one()
+        # at the point 4/7, in units of 1/7
+        assert dv_operator(bracket(XY, QUANTUM, 7), 4, 7).is_one()
 
     def test_classical_normalizer(self):
         assert dv_operator(bracket(XY, CLASSICAL), 5).is_one()
@@ -421,35 +428,39 @@ class TestDvPoleInputs:
 
     @SYSTEMS
     def test_pole_family_totals(self, system):
+        # the points may be half-integers: quantum exponents in units of 1/2
+        scale = 2 if system == QUANTUM else 1
         rng = random.Random(22)
-        inv_b = FieldElement.one(system) / bracket(XY, system)
+        inv_b = FieldElement.one(system) / bracket(XY, system, scale)
         for _ in range(2):
-            c = Rat(rng.randint(-4, 4), rng.choice([1, 1, 2]))
-            for name, fam, _ in pole_families(rng, system, c):
+            c = scale * Rat(rng.randint(-4, 4), rng.choice([1, 1, 2]))
+            for name, fam, _ in pole_families(rng, system, c, scale):
                 total = FieldElement.zero(system)
                 for fm, hm in fam:
                     total = total + fm * hm
                 total = total * inv_b
                 assert vanishing_den(total, c), name
-                assert dv_operator(total, c) == oracle_dv(total, c), name
+                assert dv_operator(total, c, scale) == oracle_dv(total, c, scale), name
 
     @SYSTEMS
     def test_squared_bracket_over_bracket(self, system):
+        # half-integer points: quantum exponents in units of 1/2
+        scale = 2 if system == QUANTUM else 1
         rng = random.Random(23)
         one = FieldElement.one(system)
-        b = bracket(XY, system)
+        b = bracket(XY, system, scale)
         inv_b = one / b
         # a double inverse keeps [x-y]^2 as one numerator factor, and 1/[x-y]^2
         # has one denominator factor of second order in X - Y
         bb_factor = one / (one / (b * b))
         inv_bb = one / (b * b)
         for _ in range(4):
-            f = random_smooth(rng, system)
-            c = Rat(rng.randint(-3, 3), 2)
-            want = dv_operator(b * f, c)
+            f = random_smooth(rng, system, scale=scale)
+            c = scale * Rat(rng.randint(-3, 3), 2)
+            want = dv_operator(b * f, c, scale)
             for g in ((b * b * f) * inv_b, f * bb_factor * inv_b, (b * b * b * f) * inv_bb):
                 assert vanishing_den(g, c)
-                assert dv_operator(g, c) == oracle_dv(g, c) == want
+                assert dv_operator(g, c, scale) == oracle_dv(g, c, scale) == want
 
     @SYSTEMS
     def test_uncancellable_pole_raises(self, system):
@@ -465,15 +476,16 @@ class TestDvPoleInputs:
 def random_factor(rng, system, binomial=False):
     """A normalized factor of 2-4 terms (2 when binomial): primitive with
     integer coefficients, a positive leading coefficient and zero minimal
-    exponents.  Quantum factors have rational Q exponents; a third of the
-    other classical ones are x - y + c."""
+    exponents.  Quantum factors have Q exponents in units of 1/6, so that
+    they stand for thirds and halves; a third of the other classical ones
+    are x - y + c."""
     if not binomial and system == CLASSICAL and rng.random() < 1 / 3:
         c = Rat(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2]))
         return {(0, 1, 0): Rat(1), (0, 0, 1): Rat(-1), (0, 0, 0): c}
     nterms = 2 if binomial else rng.randint(2, 4)
     terms = {}
     while len(terms) < nterms:
-        q = Rat(rng.randint(-3, 3), rng.choice([1, 2, 3])) if system == QUANTUM else 0
+        q = as_int(6 * Rat(rng.randint(-3, 3), rng.choice([1, 2, 3]))) if system == QUANTUM else 0
         key = (q, rng.randint(0, 2), rng.randint(0, 2))
         terms[key] = Rat(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2]))
     return _normalize_factor(_integral(terms)[2])[0]
@@ -482,8 +494,8 @@ def random_factor(rng, system, binomial=False):
 def random_laurent(rng, system, nterms):
     out = {}
     for _ in range(nterms):
-        q = Rat(rng.randint(-4, 4), rng.choice([1, 2])) if system == QUANTUM else 0
-        key = (_eq_key(q), rng.randint(-2, 2), rng.randint(-2, 2))
+        q = as_int(6 * Rat(rng.randint(-4, 4), rng.choice([1, 2]))) if system == QUANTUM else 0
+        key = (q, rng.randint(-2, 2), rng.randint(-2, 2))
         out[key] = rng.choice([-2, -1, 1, 3]) * rng.choice([1, 3])
     return out
 
@@ -503,7 +515,7 @@ def test_pdiv_exact_against_long_division(system):
         # f has two terms, so it divides no monomial and a + c*m is no
         # multiple of f
         bad = dict(a)
-        key = (Rat(rng.randint(-4, 4), 2) if system == QUANTUM else 0,
+        key = (3 * rng.randint(-4, 4) if system == QUANTUM else 0,
                rng.randint(-3, 4), rng.randint(-3, 4))
         bad[key] = bad.get(key, 0) + rng.choice([-1, 1, 2])
         bad = {k: v for k, v in bad.items() if v}
@@ -599,23 +611,32 @@ def is_canonical_element(f):
             and all(m == 0 for d in factors for m in min_exponents(d)))
 
 
-def has_int_univariate_keys(f):
-    """Every key of f's numerator and factors is a bare int Q exponent."""
-    parts = [f.num] + [dict(k) for k in f.nfac + f.fden]
-    return all(type(e) is int for d in parts for e in d)
+def has_int_keys(f, univariate=False):
+    """Every exponent in f's numerator and factors is an int: a bare Q
+    exponent, or each of Q, X and Y in a trivariate key, which univariate
+    rules out."""
+    for d in [f.num] + [dict(k) for k in f.nfac + f.fden]:
+        for k in d:
+            if type(k) is tuple:
+                if univariate or not all(type(e) is int for e in k):
+                    return False
+            elif type(k) is not int:
+                return False
+    return True
 
 
 def scaled(c, d):
     return {k: c * v for k, v in d.items()}
 
 
-# Term dicts with exact rational coefficients, rational Q exponents and
-# negative exponents: the inputs of the Fraction-coefficient oracles.
+# Term dicts with exact rational coefficients and negative exponents: the
+# inputs of the Fraction-coefficient oracles.  Q exponents are in units of
+# 1/6, so 3 and 4 stand for the exponents 1/2 and 2/3.
 term_keys = st.tuples(
-    st.sampled_from([0, 1, -2, Rat(1, 2), Rat(-3, 2), Rat(2, 3)]),
+    st.sampled_from([0, 6, -12, 3, -9, 4]),
     st.integers(min_value=-2, max_value=2),
     st.integers(min_value=-2, max_value=2),
-).map(lambda k: (_eq_key(rat(k[0])), k[1], k[2]))
+)
 nonzero_rats = st.builds(
     Rat,
     st.integers(min_value=-6, max_value=6).filter(bool),
@@ -748,9 +769,8 @@ def embed_key(k):
     return tuple(sorted(((e, 0, 0), c) for e, c in k))
 
 
-uni_exponents = st.sampled_from(
-    [0, 1, 2, 5, -1, -3, Rat(1, 2), Rat(-3, 2), Rat(2, 3), Rat(7, 6)]
-).map(lambda e: _eq_key(rat(e)))
+# Q exponents in units of 1/6, as term_keys
+uni_exponents = st.sampled_from([0, 6, 12, 30, -6, -18, 3, -9, 4, 7])
 nonzero_ints = st.integers(min_value=-6, max_value=6).filter(bool)
 uni_dicts = st.dictionaries(uni_exponents, nonzero_ints, min_size=1, max_size=6)
 uni_factors = st.dictionaries(uni_exponents, nonzero_ints, min_size=2, max_size=4)
@@ -892,14 +912,15 @@ def test_hash_agrees_with_eq_when_reduction_is_skipped(n, f, c):
     assert unreduced == reduced and hash(unreduced) == hash(reduced)
 
 
-# Factors of three and four terms that do not vanish at x = y = 1.
+# Factors of three and four terms that do not vanish at x = y = 1, quantum
+# Q exponents in units of 1/6.
 WIDE_FACTORS = {
-    QUANTUM: [{(0, 0, 0): 1, (1, 1, 0): 1, (2, 0, 2): 1},
-              {(0, 0, 0): 2, (1, 1, 0): -1, (0, 1, 1): 1, (Rat(1, 2), 0, 2): 3}],
+    QUANTUM: [{(0, 0, 0): 1, (6, 1, 0): 1, (12, 0, 2): 1},
+              {(0, 0, 0): 2, (6, 1, 0): -1, (0, 1, 1): 1, (3, 0, 2): 3}],
     CLASSICAL: [{(0, 0, 0): 1, (0, 1, 0): 1, (0, 0, 2): 2},
                 {(0, 0, 0): 1, (0, 1, 0): 1, (0, 0, 2): 1, (0, 1, 1): 3}],
 }
-UNI_WIDE_FACTORS = [{2: 1, 1: 1, 0: 1}, {3: 2, 1: -1, Rat(1, 2): 1, 0: 3}]
+UNI_WIDE_FACTORS = [{12: 1, 6: 1, 0: 1}, {18: 2, 6: -1, 3: 1, 0: 3}]
 
 
 @SYSTEMS
@@ -912,19 +933,20 @@ def test_wider_factor_is_carried_not_divided(system, width):
     key = _fkey(_normalize_factor(h)[0])
     assert len(key) == width
     H = FieldElement(h, None, system)
+    scale = 6 if system == QUANTUM else 1
     rng = random.Random(23)
     for _ in range(5):
-        g = random_smooth(rng, system)
+        g = random_smooth(rng, system, scale=scale)
         f = (g * H) / H
         assert key in f.fden and key not in g.fden
         assert f == g and hash(f) == hash(g)
-        assert evaluate_at_singular(f, 1) == evaluate_at_singular(g, 1)
-        assert dv_operator(f, 1) == dv_operator(g, 1)
+        assert evaluate_at_singular(f, scale) == evaluate_at_singular(g, scale)
+        assert dv_operator(f, scale, scale) == dv_operator(g, scale, scale)
 
 
 @pytest.mark.parametrize("h", UNI_WIDE_FACTORS, ids=["3", "4"])
 def test_wider_univariate_factor_is_carried_not_divided(h):
-    g = FieldElement({5: 1, 1: -2, 0: 3}, {4: 1, 0: -1}, QUANTUM)
+    g = FieldElement({30: 1, 6: -2, 0: 3}, {24: 1, 0: -1}, QUANTUM)
     H = FieldElement(h, None, QUANTUM)
     f = (g * H) / H
     assert _fkey(_unormalize_factor(h)[0]) in f.fden
@@ -976,3 +998,78 @@ def test_mixing_the_two_forms_raises():
         univariate(X() + ONE)
     # the zero element has no terms and belongs to both forms
     assert u + ZERO is u and (ZERO * u).is_zero() and ZERO != u
+
+
+# ---------------------------------------------------------------------------
+# the API edge: a quantum Q exponent or point is an int in units of 1/scale
+# ---------------------------------------------------------------------------
+
+QUANTUM_EDGES = {
+    "monomial": lambda e: FieldElement.monomial(QUANTUM, 1, e, 1),
+    "q_monomial": lambda e: FieldElement.q_monomial(QUANTUM, 1, e),
+    "q_power": lambda e: q_power(LinearExpr(e, 1, 0), QUANTUM),
+    "bracket": lambda e: bracket(LinearExpr(e, 1, -1)),
+    "FieldElement": lambda e: FieldElement({(e, 1, 0): 1}, None, QUANTUM),
+    "FieldElement-den": lambda e: FieldElement({0: 1}, {e: 1, 0: 1}, QUANTUM),
+    "evaluate_at_singular": lambda e: evaluate_at_singular(X() / (X() + ONE), e),
+    "dv_operator": lambda e: dv_operator(X() / (X() + ONE), e),
+}
+
+
+@pytest.mark.parametrize("value", [Rat(1, 2), 0.5, "1/2"], ids=["Rat", "float", "str"])
+@pytest.mark.parametrize("edge", sorted(QUANTUM_EDGES))
+def test_quantum_edge_rejects_non_integral_exponents(edge, value):
+    with pytest.raises(ValueError, match="units of 1/scale"):
+        QUANTUM_EDGES[edge](value)
+
+
+@pytest.mark.parametrize("edge", sorted(QUANTUM_EDGES))
+def test_quantum_edge_takes_integral_values_as_ints(edge, monkeypatch):
+    """An integral Rat, float or string gives what the int gives, with int
+    keys; an int passes without building a rational."""
+    want = QUANTUM_EDGES[edge](3)
+    for v in (Rat(3), 3.0, "3"):
+        got = QUANTUM_EDGES[edge](v)
+        assert got == want and has_int_keys(got)
+
+    def no_rational(*args):
+        raise AssertionError("an int exponent built a rational")
+
+    monkeypatch.setattr(_rat, "rat", no_rational)
+    assert QUANTUM_EDGES[edge](3) == want
+
+
+def test_classical_functionals_take_rational_points():
+    x = linear_element(LinearExpr(0, 1, 0), CLASSICAL)
+    y = linear_element(LinearExpr(0, 0, 1), CLASSICAL)
+    f = x * x * y / (x + y + FieldElement.one(CLASSICAL))
+    # x^2 y / (x + y + 1) at x = y = 1/3 is (1/27) / (5/3) = 1/45, and
+    # (1/2)(d/dx - d/dy) of it is (1/2)(2xy - x^2)/(x + y + 1) there = 1/30
+    for c in (Rat(1, 3), "1/3"):
+        assert evaluate_at_singular(f, c) == univariate(FieldElement.scalar(Rat(1, 45), CLASSICAL))
+        assert dv_operator(f, c) == univariate(FieldElement.scalar(Rat(1, 30), CLASSICAL))
+        assert dv_operator(f, c) == oracle_dv(f, c)
+
+
+bracket_products = st.lists(st.sampled_from([-2, -1, 1, 2, 3]), max_size=2).map(
+    lambda ms: reduce(operator.mul, (bracket(LinearExpr(m, 1, -1)) for m in ms), ONE))
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_elems(), poly_elems(), bracket_products, bracket_products,
+       st.integers(min_value=-3, max_value=3))
+def test_int_keyed_operands_give_int_keys(a, b, da, db, c):
+    """Sums, products, quotients and fe_sum of int-keyed elements keep int
+    keys in num, nfac and fden, and both functionals return univariate
+    elements with int keys."""
+    a, b = a / da, b * db
+    values = [a + b, a - b, a * b, fe_sum([a, b, a * b], QUANTUM)]
+    if b:
+        values.append(a / b)
+    for f in values:
+        assert has_int_keys(f)
+        try:
+            ev, dv = evaluate_at_singular(f, c), dv_operator(f, c)
+        except PoleAtEvaluation:
+            continue
+        assert has_int_keys(ev, univariate=True) and has_int_keys(dv, univariate=True)

@@ -50,6 +50,13 @@ def test_universe_sizes():
     assert len(set(relation_universe(3))) == 22
 
 
+def test_non_integral_shift_is_rejected():
+    # int() would truncate 0.7 to the shift 0
+    with pytest.raises(ValueError):
+        Tableau(2, [[0], [1, 0]], [[0.7]])
+    assert Tableau(2, [[0], [1, 0]], [[Rat(2)]]).shift == ((2,),)
+
+
 def test_relation_validation():
     with pytest.raises(ValueError):
         RelationSet(3, [R(P(2, 1), P(2, 2), False)])  # same-row weak below top

@@ -42,7 +42,7 @@ from oracles import (
 )
 from test_action import generic_spec_n2, singular_spec_n3
 from test_gtcenter import generic_spec_n3
-from test_exactalg import has_int_univariate_keys, is_canonical_element, vanishing_den
+from test_exactalg import has_int_keys, is_canonical_element, vanishing_den
 
 
 def g4_spec(mode=CLASSICAL, fault=None):
@@ -154,7 +154,7 @@ def test_cached_coefficients_keep_integer_primitive_parts(mode):
         cached = list(spec._act_cache.values()) + list(spec._piece_cache.values())
         elems = [e for v in cached for e in _field_elements(v)]
         assert len(elems) > (5 if spec.is_generic() else 50)
-        assert all(is_canonical_element(e) and has_int_univariate_keys(e) for e in elems)
+        assert all(is_canonical_element(e) and has_int_keys(e, univariate=True) for e in elems)
 
 
 @pytest.mark.parametrize("lam", [[2, 1, 0], [1, 0, 0]])
@@ -337,26 +337,29 @@ def test_appendix_quantum_values_have_int_exponents(monkeypatch, seed):
         monkeypatch.setattr(verify, name, record)
     rep = check_appendix(QUANTUM, samples=10, seed=seed)
     assert rep, rep.render()
-    assert values and all(has_int_univariate_keys(v) for v in values)
+    assert values and all(has_int_keys(v, univariate=True) for v in values)
 
 
 @pytest.mark.parametrize("c", [Rat(-3, 2), Rat(1, 2), 0, 1, Rat(5, 2)], ids=str)
 @pytest.mark.parametrize("seed", [0, 3])
 def test_functionals_in_units_of_one_half_match_units_of_one(seed, c):
-    # twin draws at scale 1 and 2 are the same element under Q -> Q^(1/2)
-    f1 = verify.sample_smooth(random.Random(seed), QUANTUM)
-    f2 = verify.sample_smooth(random.Random(seed), QUANTUM, scale=2)
+    # twin draws at scale 2 and 4 are the same element under Q -> Q^(1/2),
+    # and at both the point c is integral
+    f1 = verify.sample_smooth(random.Random(seed), QUANTUM, scale=2)
+    f2 = verify.sample_smooth(random.Random(seed), QUANTUM, scale=4)
     half = Rat(1, 2)
-    assert scale_q_exponents(dv_operator(f2, 2 * c, 2), half) == dv_operator(f1, c)
-    assert scale_q_exponents(evaluate_at_singular(f2, 2 * c), half) == evaluate_at_singular(f1, c)
-    pole1 = verify.pole_families(random.Random(seed), QUANTUM, c)
-    pole2 = verify.pole_families(random.Random(seed), QUANTUM, 2 * c, 2)
+    assert scale_q_exponents(dv_operator(f2, 4 * c, 4), half) == dv_operator(f1, 2 * c, 2)
+    assert (scale_q_exponents(evaluate_at_singular(f2, 4 * c), half)
+            == evaluate_at_singular(f1, 2 * c))
+    pole1 = verify.pole_families(random.Random(seed), QUANTUM, 2 * c, 2)
+    pole2 = verify.pole_families(random.Random(seed), QUANTUM, 4 * c, 4)
     for (_, fam1, _), (_, fam2, _) in zip(pole1, pole2):
         for (a1, b1), (a2, b2) in zip(fam1, fam2):
             for g1, g2 in ((a1, a2), (b1, b2)):
-                assert scale_q_exponents(dv_operator(g2, 2 * c, 2), half) == dv_operator(g1, c)
-                assert (scale_q_exponents(evaluate_at_singular(g2, 2 * c), half)
-                        == evaluate_at_singular(g1, c))
+                assert (scale_q_exponents(dv_operator(g2, 4 * c, 4), half)
+                        == dv_operator(g1, 2 * c, 2))
+                assert (scale_q_exponents(evaluate_at_singular(g2, 4 * c), half)
+                        == evaluate_at_singular(g1, 2 * c))
 
 
 def test_classical_draws_take_scale_one_only():
@@ -441,6 +444,13 @@ def test_finite_dimensional_small():
     assert rep, rep.render()
     rep = check_finite_dimensional([2, 1, 0], CLASSICAL)
     assert rep, rep.render()
+
+
+def test_finite_dimensional_rejects_non_integral_weights():
+    # int() would truncate (2.5, 1, 0) to the weight (2, 1, 0) and pass
+    for lam in ([2.5, 1, 0], [Rat(5, 2), 1, 0]):
+        with pytest.raises(ValueError):
+            check_finite_dimensional(lam)
 
 
 @pytest.mark.parametrize("mode", [QUANTUM, CLASSICAL])
