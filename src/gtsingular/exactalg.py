@@ -7,7 +7,8 @@ Elements are rational functions over Q in three formal quantities:
   exponents of Q, X and Y: a rational exponent of q is an int in units of
   1/scale (the relabeling Q -> Q^(1/scale), see bracket).  The API edge,
   _qexp, converts a quantum exponent or point a caller passes once, and
-  raises ValueError for a non-integral one rather than rounding it.
+  raises ValueError for a non-integral one rather than rounding it; X, Y
+  exponents and LinearExpr.cx, cy go through as_int there in both systems.
 * classical system: the polynomial variables x and y themselves (the Q
   slot of a monomial is unused).
 
@@ -156,8 +157,9 @@ def _integral(d):
 
 
 def _int_q_keys(d):
-    """A caller's term dict with every Q exponent passed through _qexp."""
-    return {(_qexp(k[0]), k[1], k[2]) if type(k) is tuple else _qexp(k): c
+    """A caller's term dict with every Q exponent passed through _qexp and
+    every X and Y exponent through as_int."""
+    return {(_qexp(k[0]), as_int(k[1]), as_int(k[2])) if type(k) is tuple else _qexp(k): c
             for k, c in d.items()}
 
 
@@ -600,7 +602,7 @@ class FieldElement:
         e = _qexp(expq)
         if not c:
             return cls.zero(system)
-        return cls._raw(*_qsplit(c), {(e, expx, expy): 1}, (), (), system)
+        return cls._raw(*_qsplit(c), {(e, as_int(expx), as_int(expy)): 1}, (), (), system)
 
     @classmethod
     def q_monomial(cls, system, coeff, expq=0):
@@ -724,6 +726,13 @@ class FieldElement:
                                  self.system)
 
     def __mul__(self, other):
+        """Two factor-free elements of one system whose numerator is _UONE
+        itself multiply their contents (the scalar fast path of fe_sum); a
+        polynomial left operand pays one identity test for it."""
+        if (self.num is _UONE and type(other) is FieldElement and other.num is _UONE
+                and self.system == other.system
+                and not (self.nfac or self.fden or other.nfac or other.fden)):
+            return _scalar(_qmul(self.cn, self.cd, other.cn, other.cd), self.system)
         ring = self._check(other)
         if ring is None:
             return FieldElement.zero(self.system)
@@ -772,6 +781,18 @@ class FieldElement:
         return format_element(self)
 
 
+def _scalar(content, system):
+    """The factor-free element content * _UONE of the scalar fast path,
+    built here rather than by _raw, whose classmethod call and argument
+    unpacking cost about a third of a scalar product."""
+    e = object.__new__(FieldElement)
+    e.cn, e.cd = content
+    e.num = _UONE
+    e.nfac = e.fden = ()
+    e.system = system
+    return e
+
+
 def univariate(f: FieldElement) -> FieldElement:
     """f, which must be free of X and Y, in the univariate form: the same
     value with every (q, 0, 0) key replaced by q.  A generic spec, whose
@@ -802,12 +823,24 @@ def fe_sum(elems, system):
     factors stay factored, the denominator union is taken once, and every
     group sum is expanded only against what it is missing.  A group whose
     sum vanishes takes no part in the union.  The parts share one key
-    form."""
+    form.
+
+    Scalar fast path, also in __mul__: parts with no factors and the
+    numerator _UONE itself (every classical module-stage value) have their
+    int contents summed over the lcm, as _sum would.  The identity test
+    costs a polynomial first part one comparison."""
     elems = [e for e in elems if e.num]
     if not elems:
         return FieldElement.zero(system)
     if len(elems) == 1:
         return elems[0]
+    if elems[0].num is _UONE and all(e.num is _UONE and not (e.nfac or e.fden)
+                                      for e in elems):
+        den = lcm(*(e.cd for e in elems))
+        s = sum(e.cn * (den // e.cd) for e in elems)
+        if not s:
+            return FieldElement.zero(system)
+        return _scalar(_qreduce(s, den), system)
     forms = {type(next(iter(e.num))) is tuple for e in elems}
     if len(forms) > 1:
         raise TypeError(_MIXED)
@@ -988,7 +1021,8 @@ def linear_element(d: LinearExpr, system) -> FieldElement:
     """The expression itself as a field element (classical building block)."""
     if system == QUANTUM:
         raise ValueError("linear_element is a classical-system construction")
-    cn, cd, num = _integral({(0, 0, 0): rat(d.const), (0, 1, 0): d.cx, (0, 0, 1): d.cy})
+    cn, cd, num = _integral({(0, 0, 0): rat(d.const), (0, 1, 0): as_int(d.cx),
+                             (0, 0, 1): as_int(d.cy)})
     if not num:
         return FieldElement.zero(system)
     return FieldElement._raw(cn, cd, num, (), (), system)
@@ -1011,8 +1045,8 @@ def bracket(d: LinearExpr, system=QUANTUM, scale=1) -> FieldElement:
     """
     if system == CLASSICAL:
         return linear_element(d, system)
-    c = _qexp(d.const)
-    num = _psub({(c, d.cx, d.cy): 1}, {(-c, -d.cx, -d.cy): 1})
+    c, cx, cy = _qexp(d.const), as_int(d.cx), as_int(d.cy)
+    num = _psub({(c, cx, cy): 1}, {(-c, -cx, -cy): 1})
     den = {(scale, 0, 0): 1, (-scale, 0, 0): -1}
     return _build(1, 1, num, [], [den], system)
 

@@ -154,14 +154,17 @@ class BlockRow(NamedTuple):
 
 def _sweep(bv: BasisVector, spec: ModuleSpec):
     """The (m, k), k = 0..m, whose c_mk - gamma_mk moves bv, and those among
-    them whose square does not annihilate it."""
+    them whose square does not annihilate it.  c_mk bv == gamma_mk bv
+    exactly when their difference is zero, since neither stores a zero
+    coefficient, so the difference is built only when bv moves."""
     moved = []
     unsquared = []
     for m in range(1, spec.n + 1):
         for k in range(0, m + 1):
             gval = gamma_evaluated(spec, m, k, bv.z)
-            res = act_central(m, k, bv, spec) - ModuleElement({bv: gval})
-            if not res.is_zero():
+            image, eigen = act_central(m, k, bv, spec), ModuleElement({bv: gval})
+            if image != eigen:
+                res = image - eigen
                 moved.append((m, k))
                 res2 = act_central_element(m, k, res, spec) - res.scale(gval)
                 if not res2.is_zero():

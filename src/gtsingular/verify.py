@@ -328,7 +328,14 @@ def check_compatibility(spec: ModuleSpec, B: int) -> CheckReport:
     """The pipeline is well defined: both shift representatives give the
     same element on normal tableaux, and opposite elements on derivative
     tableaux.  A coefficient that cannot be computed fails the check with
-    the generator and the tableau where it arose."""
+    the generator and the tableau where it arose.
+
+    z and tau z make the same two comparisons, so each tau-orbit is visited
+    once, at its first shift z in window order, and a tau-fixed shift is
+    only expanded.  A side whose shift is canonical for its pipeline comes
+    from act's cache, which the relation check fills; the other is
+    expanded.  The z side is evaluated before the tau z side, so a failure
+    names the step, z, g and error that a visit of every shift names."""
     t0 = time.time()
     if spec.is_generic():
         raise ValueError("compatibility checks need a singular spec")
@@ -339,18 +346,35 @@ def check_compatibility(spec: ModuleSpec, B: int) -> CheckReport:
 
     steps = [(g, f"normal pipeline of {g!r}", f"derivative pipeline of {g!r}")
              for g in gens]
+    zi, zj = spec.zi, spec.zj
+
+    def normal(g, z):
+        if z[zi] <= z[zj]:
+            return act(g, BasisVector(NORMAL, z), spec)
+        return expand_normal(spec, g, z)
+
+    def derivative(g, z):
+        if z[zi] > z[zj]:
+            return act(g, BasisVector(DERIVATIVE, z), spec)
+        return expand_derivative(spec, g, z)
 
     def sweep(at):
+        visited = set()
         for z in shifts:
             tz = spec.tau(z)
-            for g, normal, derivative in steps:
-                at(normal, BasisVector(NORMAL, z))
-                if expand_normal(spec, g, z) != expand_normal(spec, g, tz):
+            if tz in visited:
+                continue
+            visited.add(z)
+            for g, normal_step, derivative_step in steps:
+                at(normal_step, BasisVector(NORMAL, z))
+                if z == tz:
+                    normal(g, z)
+                    continue
+                if normal(g, z) != normal(g, tz):
                     return f"normal pipeline differs across tau at z={z}, g={g!r}"
-                if z != tz:
-                    at(derivative, BasisVector(DERIVATIVE, z))
-                    if expand_derivative(spec, g, z) != -expand_derivative(spec, g, tz):
-                        return f"derivative pipeline not antisymmetric at z={z}, g={g!r}"
+                at(derivative_step, BasisVector(DERIVATIVE, z))
+                if derivative(g, z) != -derivative(g, tz):
+                    return f"derivative pipeline not antisymmetric at z={z}, g={g!r}"
         return None
 
     return _finish("compatibility", summary, B, _guarded(sweep), t0)
@@ -587,9 +611,13 @@ def check_finite_dimensional(lam, mode=QUANTUM) -> CheckReport:
 
 def irreducibility_evidence(spec: ModuleSpec, B: int) -> CheckReport:
     """Exact irreducibility hypothesis (maximality plus non-integral gaps
-    off the support) and, separately, window-reachability evidence.  A
-    coefficient that cannot be computed fails the check with the generator
-    and the basis vector where it arose, and leaves the evidence unknown."""
+    off the support) and, separately, window-reachability evidence: the
+    window's interior (shift entries at most B - 1 in size, or the whole
+    window when none is) is strongly connected by nonzero e_r, f_r moves inside the window, which one search
+    on the moves and one on the reversed moves from an interior vertex
+    decide (M. Sharir, Comput. Math. Appl. 7, 1981).  A coefficient that
+    cannot be computed fails the check with the generator and the basis
+    vector where it arose, and leaves the evidence unknown."""
     t0 = time.time()
     M, _ = maximal_relation_set(spec.base)
     support = spec.relations.support
@@ -606,6 +634,7 @@ def irreducibility_evidence(spec: ModuleSpec, B: int) -> CheckReport:
     index = {bv: t for t, bv in enumerate(window)}
     gens = [gen_e(r) for r in range(1, spec.n)] + [gen_f(r) for r in range(1, spec.n)]
     adj = [[] for _ in window]
+    radj = [[] for _ in window]
 
     def sweep(at):
         for bv, t in index.items():
@@ -615,14 +644,14 @@ def irreducibility_evidence(spec: ModuleSpec, B: int) -> CheckReport:
                     u = index.get(tgt)
                     if u is not None and not coeff.is_zero():
                         adj[t].append(u)
+                        radj[u].append(t)
         return None
 
-    def reach(start):
+    def reach(start, edges):
         seen = {start}
         stack = [start]
         while stack:
-            v = stack.pop()
-            for u in adj[v]:
+            for u in edges[stack.pop()]:
                 if u not in seen:
                     seen.add(u)
                     stack.append(u)
@@ -634,13 +663,9 @@ def irreducibility_evidence(spec: ModuleSpec, B: int) -> CheckReport:
         interior = [
             t for bv, t in index.items() if all(abs(v) <= B - 1 for v in bv.z)
         ] or list(range(len(window)))
-        base_reach = reach(interior[0])
-        connected = all(t in base_reach for t in interior)
-        if connected:
-            for t in interior[1:]:
-                if interior[0] not in reach(t):
-                    connected = False
-                    break
+        start = interior[0]
+        forward, backward = reach(start, adj), reach(start, radj)
+        connected = all(t in forward and t in backward for t in interior)
         evidence = "yes" if connected else "no"
 
     summary = (

@@ -517,6 +517,41 @@ def act_word(word, elem, spec):
     return elem
 
 
+def oracle_window_connectivity(spec, B):
+    """The window-connectivity evidence of irreducibility_evidence by
+    all-pairs reachability, as that check first decided it: on the graph
+    of nonzero e_r, f_r moves inside the window, one search from the first
+    interior vertex (every shift entry at most B - 1 in size, or any
+    vertex when none is), then one search from every other interior
+    vertex back to it.  True when the interior is strongly connected."""
+    window = spec.window(B)
+    index = {bv: t for t, bv in enumerate(window)}
+    gens = [g(r) for g in (action.gen_e, action.gen_f) for r in range(1, spec.n)]
+    adj = [[] for _ in window]
+    for bv, t in index.items():
+        for g in gens:
+            for tgt, coeff in action.act(g, bv, spec):
+                u = index.get(tgt)
+                if u is not None and not coeff.is_zero():
+                    adj[t].append(u)
+
+    def reach(start):
+        seen = {start}
+        stack = [start]
+        while stack:
+            for u in adj[stack.pop()]:
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        return seen
+
+    interior = [t for bv, t in index.items() if all(abs(v) <= B - 1 for v in bv.z)]
+    interior = interior or list(range(len(window)))
+    if not reach(interior[0]).issuperset(interior):
+        return False
+    return all(interior[0] in reach(t) for t in interior[1:])
+
+
 def weight_exponent(spec, k, z):
     """a_k = sum(row k) - sum(row k-1) + k at shift z, as an exact unscaled
     linear expression in the entries."""

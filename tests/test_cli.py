@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from gtsingular import cli, verify
 from gtsingular.exactalg import CLASSICAL
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_findim_pass(capsys):
@@ -46,3 +53,13 @@ def test_no_samples_is_a_usage_error(samples, capsys):
         cli.main(["appendix", "--samples", samples])
     assert exc.value.code == 2
     assert "samples must be at least 1" in capsys.readouterr().err
+
+
+def test_python_m_gtsingular_runs_the_cli():
+    # the console script needs an install; the package runs from source
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "gtsingular", "findim", "2", "1", "0"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("[PASS] finite-dimensional: highest weight (2, 1, 0)")

@@ -36,6 +36,7 @@ from gtsingular.exactalg import (
     _times,
     _CHAIN_LIMIT,
     _UNI,
+    _UONE,
     _reduce,
     _unormalize_factor,
     _updiv_binomial,
@@ -755,6 +756,57 @@ def test_classical_scalar_contents_match_fraction_oracle(values, cancel):
     assert va != vb or hash(a) == hash(b)
 
 
+def general_path(e):
+    """e with its numerator replaced by an equal but distinct {0: 1}, which
+    * and fe_sum take through their general path."""
+    return FieldElement._raw(e.cn, e.cd, {0: 1}, e.nfac, e.fden, e.system)
+
+
+def parts_of(e):
+    return e.cn, e.cd, e.num, e.nfac, e.fden, e.system
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([QUANTUM, CLASSICAL]), st.lists(scalar_rats, min_size=1, max_size=6),
+       st.booleans())
+@example(CLASSICAL, [Rat(1, 2), Rat(-1, 2)], False)
+@example(QUANTUM, [Rat(-3, 4), Rat(5)], True)
+def test_scalar_fast_path_matches_general_path(system, values, cancel):
+    """Products and fe_sum of factor-free one-monomial elements, whose
+    numerator is the shared _UONE (the scalar fast path), build what the
+    general path builds from the same values with an equal but distinct
+    {0: 1}: sums that cancel to zero, zero parts and negative contents
+    included.  A _UONE numerator over a denominator factor is no scalar and
+    takes the general path."""
+    if cancel:
+        values = values + [-v for v in values]
+    fast = [FieldElement.q_monomial(system, v) for v in values]
+    assert all(e.num is _UONE for e in fast if e)
+    slow = [general_path(e) if e else e for e in fast]
+    over = fast[0] / FieldElement({2: 1, 0: -1}, None, system) if fast[0] else fast[0]
+    assert not over or (over.num is _UONE and over.fden)
+    for a, b, x, y in ((fast[0], fast[-1], slow[0], slow[-1]), (over, fast[-1], over, slow[-1])):
+        assert parts_of(a * b) == parts_of(x * y)
+        assert parts_of(b * a) == parts_of(y * x)
+    for picks in (fast, fast + [over], fast[:1] + slow[1:]):
+        got = fe_sum(picks, system)
+        want = fe_sum([general_path(e) if e and e.num is _UONE else e for e in picks], system)
+        assert is_canonical_element(got) and parts_of(got) == parts_of(want)
+    assert scalar_value(fe_sum(fast, system)) == sum(values, Rat(0))
+
+
+def test_scalar_fast_path_keeps_the_operand_errors():
+    """Scalars of two systems still raise ValueError, and a product with a
+    non-FieldElement operand TypeError."""
+    q, c = FieldElement.q_monomial(QUANTUM, 2), FieldElement.q_monomial(CLASSICAL, 3)
+    assert q.num is _UONE and c.num is _UONE
+    with pytest.raises(ValueError, match="mixed number systems"):
+        q * c
+    for other in (3, Rat(1, 2), None):
+        with pytest.raises(TypeError):
+            c * other
+
+
 # ---------------------------------------------------------------------------
 # the univariate form of the module stage against the trivariate primitives
 # on the (e, 0, 0) embedding
@@ -1037,6 +1089,35 @@ def test_quantum_edge_takes_integral_values_as_ints(edge, monkeypatch):
 
     monkeypatch.setattr(_rat, "rat", no_rational)
     assert QUANTUM_EDGES[edge](3) == want
+
+
+# X and Y exponents, and the x, y coefficients of a LinearExpr, are ints
+# in both systems
+XY_EDGES = {
+    "monomial-x": lambda s, e: FieldElement.monomial(s, 1, 0, e, 0),
+    "monomial-y": lambda s, e: FieldElement.monomial(s, 1, 0, 1, e),
+    "FieldElement-x": lambda s, e: FieldElement({(0, e, 0): 1}, None, s),
+    "FieldElement-den-y": lambda s, e: FieldElement({(0, 0, 0): 1}, {(0, 0, e): 1, (0, 0, 0): 1}, s),
+    "bracket-cx": lambda s, e: bracket(LinearExpr(0, e, -1), s),
+    "bracket-cy": lambda s, e: bracket(LinearExpr(0, 1, e), s),
+}
+
+
+@pytest.mark.parametrize("value", [Rat(1, 2), 0.5, "1/2"], ids=["Rat", "float", "str"])
+@pytest.mark.parametrize("system", [QUANTUM, CLASSICAL])
+@pytest.mark.parametrize("edge", sorted(XY_EDGES))
+def test_xy_edge_rejects_non_integral_values(edge, system, value):
+    with pytest.raises(ValueError, match="not an integer"):
+        XY_EDGES[edge](system, value)
+
+
+@pytest.mark.parametrize("system", [QUANTUM, CLASSICAL])
+@pytest.mark.parametrize("edge", sorted(XY_EDGES))
+def test_xy_edge_takes_integral_values_as_ints(edge, system):
+    want = XY_EDGES[edge](system, -1)
+    for v in (Rat(-1), -1.0, "-1"):
+        got = XY_EDGES[edge](system, v)
+        assert got == want and has_int_keys(got)
 
 
 def test_classical_functionals_take_rational_points():

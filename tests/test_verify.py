@@ -22,7 +22,16 @@ from gtsingular.tableaux import (
     maximal_relation_set,
 )
 from gtsingular import gtcenter, verify
-from gtsingular.action import Fault, ModuleElement, ModuleSpec, act, gen_e, gen_f
+from gtsingular.action import (
+    DERIVATIVE,
+    NORMAL,
+    Fault,
+    ModuleElement,
+    ModuleSpec,
+    act,
+    gen_e,
+    gen_f,
+)
 from gtsingular.verify import (
     check_appendix,
     check_compatibility,
@@ -35,6 +44,7 @@ from gtsingular.verify import (
 from gated_specs import gated_corpus
 from oracles import (
     act_word,
+    oracle_window_connectivity,
     per_word_relation_instances,
     row_shifts,
     scale_q_exponents,
@@ -265,6 +275,83 @@ def test_compatibility_division_by_zero_is_a_failed_report(monkeypatch, tag, exp
     rep = check_compatibility(singular_spec_n3(), 1)
     assert not rep.passed
     assert rep.counterexample == expected
+
+
+def tau_asymmetric_pieces(monkeypatch, tag):
+    """Double one piece of the tag-N (dv) or tag-D (ev) e-coefficients at
+    the shifts with z_11 = 0 that are not canonical for that pipeline
+    (normal: z_i > z_j, derivative: z_i < z_j), outside _pieces' cache, so
+    each pipeline disagrees with its tau twin there."""
+    real = ModuleSpec._pieces
+
+    def pieces(self, t, kind, k, r, z):
+        dv, ev = val = real(self, t, kind, k, r, z)
+        zi, zj = z[self.zi], z[self.zj]
+        if t != tag or kind != "e" or z[0] or (zi <= zj if tag == "N" else zi >= zj):
+            return val
+        return (dv.scale(2), ev) if tag == "N" else (dv, ev.scale(2))
+
+    monkeypatch.setattr(ModuleSpec, "_pieces", pieces)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("mode", [QUANTUM, CLASSICAL])
+@pytest.mark.parametrize("tag, expected", [
+    ("N", "normal pipeline differs across tau at z=(0, -1, 0), g=e1"),
+    ("D", "derivative pipeline not antisymmetric at z=(0, -1, 0), g=e1"),
+], ids=["normal", "derivative"])
+def test_compatibility_walk_reports_the_first_failing_orbit(monkeypatch, tag, expected, mode, warm):
+    """A tau-asymmetric pipeline fails on the counterexample a visit of
+    every shift reported, whether or not the relation check has filled
+    act's cache first (warm).  The expected strings are those of a walk
+    that compared both representatives at every shift."""
+    spec = singular_spec_n3(mode)
+    tau_asymmetric_pieces(monkeypatch, tag)
+    if warm:
+        check_defining_relations(spec, 1)
+    rep = check_compatibility(spec, 1)
+    assert not rep.passed
+    assert rep.counterexample == expected
+    assert rep.summary == f"7 generators on 27 shifts ({mode})"
+
+
+@pytest.mark.parametrize("mode", [QUANTUM, CLASSICAL])
+def test_compatibility_caches_canonical_vectors_only(mode):
+    """The non-canonical side of each comparison is expanded, not read
+    through act, so act's cache keeps canonical keys only."""
+    spec = singular_spec_n3(mode)
+    assert check_compatibility(spec, 1)
+    canonical = {NORMAL: spec.canonical_normal,
+                 DERIVATIVE: lambda z: spec.canonical_derivative(z)[0]}
+    assert spec._act_cache
+    assert all(bv == canonical[bv.kind](bv.z) for _, bv in spec._act_cache)
+
+
+def generic_spec_n3_integral_gap(mode, top):
+    """A generic n = 3 spec with C empty and an integral gap between rows 1
+    and 2, l_11 - l_21 = 2 top - 1, off the support: the hypothesis fails."""
+    T = Tableau(3, [[top], [1 - top, Rat(1, 3)], [Rat(1, 5), Rat(2, 7), Rat(3, 11)]])
+    return ModuleSpec(T, RelationSet(3, []), mode=mode)
+
+
+@pytest.mark.parametrize("mode", [QUANTUM, CLASSICAL])
+@pytest.mark.parametrize("B", [1, 2])
+@pytest.mark.parametrize("make", [
+    singular_spec_n3,
+    lambda mode: generic_spec_n3_integral_gap(mode, 1),
+    lambda mode: generic_spec_n3_integral_gap(mode, 0),
+], ids=["n3-singular", "generic-top-1", "generic-top-0"])
+def test_two_search_connectivity_matches_all_pairs_oracle(make, B, mode):
+    """The forward and reverse search agree with all-pairs reachability.
+    At B=2 the generic specs read "no": with top entry 1 some interior
+    vertex cannot reach back to the first, and with top entry 0 the first
+    cannot reach some interior vertex."""
+    spec = make(mode)
+    evidence = "yes" if oracle_window_connectivity(spec, B) else "no"
+    rep = irreducibility_evidence(spec, B)
+    assert f"evidence={evidence} on" in rep.summary
+    if B == 2 and spec.is_generic():
+        assert evidence == "no"
 
 
 def test_irreducibility_division_by_zero_is_a_failed_report(monkeypatch):
