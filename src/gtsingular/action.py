@@ -447,6 +447,12 @@ def place(spec: ModuleSpec, targets) -> ModuleElement:
     return ModuleElement._raw(_collect(pairs))
 
 
+def _weight(g: Generator, n):
+    """The weight of a weight generator: h for qh(h), eps_k of length n for
+    qeps_k."""
+    return g.h if g.kind == "qh" else tuple(int(t == g.index) for t in range(1, n + 1))
+
+
 def _expand(spec: ModuleSpec, tag, g: Generator, z) -> ModuleElement:
     """g on the tableau at shift z, for the _evaluated tag of the input
     kind.  e_k and f_k move column r to each gated target with the pieces
@@ -455,8 +461,7 @@ def _expand(spec: ModuleSpec, tag, g: Generator, z) -> ModuleElement:
     input, (0, W) on a derivative input and W on a generic spec."""
     k = g.index
     if g.kind in ("qeps", "qh"):
-        h = g.h if g.kind == "qh" else tuple(int(t == k) for t in range(1, spec.n + 1))
-        val = spec.weight_element(h, z)
+        val = spec.weight_element(_weight(g, spec.n), z)
         if tag != "G":
             zero = FieldElement.zero(spec.mode)
             val = (val, zero) if tag == "N" else (zero, val)
@@ -508,7 +513,12 @@ def _check_generator(g: Generator, n):
 
 def act(g: Generator, bv: BasisVector, spec: ModuleSpec) -> ModuleElement:
     """Action of one generator on one canonical basis vector.  The cache
-    holds checked generators only, so a hit needs no check."""
+    holds checked generators only, so a hit needs no check.  qeps_k is
+    checked, then keyed as qh(eps_k), the same operator, so both forms
+    share one cache entry."""
+    if g.kind == "qeps":
+        _check_generator(g, spec.n)
+        g = Generator("qh", 0, _weight(g, spec.n))
     key = (g, bv)
     cache = spec._act_cache
     hit = cache.get(key)

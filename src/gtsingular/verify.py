@@ -11,8 +11,7 @@ error into a failure naming the step and the basis vector.
 
 import random
 import time
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ._rat import Rat, as_int, is_integral
 from .exactalg import (
@@ -53,8 +52,14 @@ from .action import (
 from .gtcenter import block_report, eigen_index_set
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
+    """The outcome of one check; true exactly when it passed.
+
+    A NamedTuple, like the package's other records, rather than a
+    dataclass: importing gtsingular should not load dataclasses and, with
+    it, inspect.  So a report is immutable, hashable and iterable, though
+    nothing mutates, hashes or iterates one."""
+
     name: str
     summary: str
     bound: Optional[int]

@@ -146,6 +146,18 @@ class TestGeneratorValidation:
         assert act(gen_qh((1,)), bv, spec) == want
         assert act(gen_qh((1, 0, 0, 0, 0)), bv, spec) == want
 
+    @pytest.mark.parametrize("mode", [QUANTUM, CLASSICAL])
+    def test_qeps_shares_the_cache_entry_of_qh_eps(self, mode):
+        """qeps_k and qh(eps_k) are one operator under one act cache key,
+        whichever form acts first."""
+        spec = singular_spec_n3(mode)
+        for bv in (BasisVector(NORMAL, (0, 1, 0)), spec.basis_vector(DERIVATIVE, (0, 2, 0))):
+            for k in (1, 2, 3):
+                eps = gen_qh(tuple(int(t == k) for t in (1, 2, 3)))
+                first, second = (eps, gen_qeps(k)) if k % 2 else (gen_qeps(k), eps)
+                assert act(second, bv, spec) is act(first, bv, spec)
+        assert {key[0].kind for key in spec._act_cache} == {"qh"}
+
     def test_non_integral_weights_and_shifts_are_rejected(self):
         # int() would truncate them to qh(0,1,0) and T[0,0,0]
         spec = singular_spec_n3()

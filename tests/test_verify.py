@@ -661,3 +661,42 @@ def test_generated_gated_n4_gamma_and_compatibility(index, mode):
 
 def test_generated_corpus_covers_singular_rows_2_and_3():
     assert {sp.row for _, _, sp in generated_n4()} == {2, 3}
+
+
+# The CheckReport contract: render(), repr, truth and equality as they were
+# when CheckReport was a dataclass.
+_CX = "f1 leaves the basis from T[-3] to T[-4]"
+_HEAD = "compatibility: 12 generators on 125 shifts (classical)"
+
+
+@pytest.mark.parametrize("passed, bound, seed, expected", [
+    (True, None, None, f"[PASS] {_HEAD}  (0.12s)"),
+    (True, None, 7, f"[PASS] {_HEAD}  (seed=7, 0.12s)"),
+    (True, 2, None, f"[PASS] {_HEAD}  (bound=2, 0.12s)"),
+    (True, 2, 7, f"[PASS] {_HEAD}  (bound=2, seed=7, 0.12s)"),
+    (False, None, None, f"[FAIL] {_HEAD}  (0.12s)\n    counterexample: {_CX}"),
+    (False, None, 7, f"[FAIL] {_HEAD}  (seed=7, 0.12s)\n    counterexample: {_CX}"),
+    (False, 2, None, f"[FAIL] {_HEAD}  (bound=2, 0.12s)\n    counterexample: {_CX}"),
+    (False, 2, 7, f"[FAIL] {_HEAD}  (bound=2, seed=7, 0.12s)\n    counterexample: {_CX}"),
+])
+def test_check_report_render_and_truth(passed, bound, seed, expected):
+    rep = verify.CheckReport("compatibility", "12 generators on 125 shifts (classical)",
+                             bound, passed, None if passed else _CX, 0.125, seed)
+    assert rep.render() == expected
+    assert bool(rep) is passed
+
+
+def test_check_report_repr_equality_and_construction():
+    six = verify.CheckReport("appendix-identities", "stub", None, False, "sample 0", 0.0)
+    seven = verify.CheckReport("appendix-identities", "stub", None, False, "sample 0", 0.0, None)
+    assert six.seed is None
+    assert six == seven
+    assert six != verify.CheckReport("appendix-identities", "stub", None, False, "sample 0", 0.0, 3)
+    assert repr(verify.CheckReport("defining-relations", "s", 2, True, None, 0.004, 0)) == (
+        "CheckReport(name='defining-relations', summary='s', bound=2, passed=True, "
+        "counterexample=None, seconds=0.004, seed=0)"
+    )
+    assert repr(six) == (
+        "CheckReport(name='appendix-identities', summary='stub', bound=None, passed=False, "
+        "counterexample='sample 0', seconds=0.0, seed=None)"
+    )
