@@ -11,6 +11,10 @@ ModuleSpec._evaluated:
 * on a singular spec a normal input multiplies it by [x-y]_q first, and
   the singular-point functional splits it into a (dv, ev) pair.
 
+An e/f coefficient is a Coefficient of entry differences.  A classical
+one crosses as its linear factors (affine_functional), with no polynomial
+built; a quantum one becomes its bracket quotient first.
+
 The one placement step, place, puts each (target shift, piece) pair on the
 basis: a generic value on the tableau at the target; a singular dv on the
 canonical normal vector and ev on the canonical derivative vector.
@@ -28,10 +32,12 @@ from ._rat import as_int
 from .exactalg import (
     CLASSICAL,
     QUANTUM,
+    Coefficient,
     FieldElement,
     LinearExpr,
     PoleAtEvaluation,
     _collect,
+    affine_functional,
     bracket,
     dv_operator,
     evaluate_at_singular,
@@ -218,6 +224,7 @@ class ModuleSpec:
             self.zj = z_index(sp.row, sp.j)
             self.eval_point = tableau.base[sp.row - 1][sp.i - 1]
             self.eval_scaled = self._sbase[sp.row - 1][sp.i - 1]
+            self._xy = bracket(LinearExpr(0, 1, -1), mode, self.qscale)
         else:
             self.zi = self.zj = None
             self.eval_point = None
@@ -248,13 +255,9 @@ class ModuleSpec:
             v = v + z[z_index(row, col)] * scale
         return LinearExpr(v, 0, 0)
 
-    def scaled(self, d: LinearExpr) -> LinearExpr:
-        """An unscaled linear exponent moved into the spec's exponent units."""
-        return d._replace(const=d.const * self.qscale)
-
     def bracket(self, d: LinearExpr) -> FieldElement:
         """Bracket of an unscaled entry difference, in this spec's units."""
-        return bracket(self.scaled(d), self.mode, self.qscale)
+        return bracket(d._replace(const=d.const * self.qscale), self.mode, self.qscale)
 
     def tau(self, z):
         if self.singular is GENERIC:
@@ -319,39 +322,45 @@ class ModuleSpec:
         s = self._row_start[row]
         return z[s:s + row]
 
-    def raw_coeff(self, kind, k, r, z) -> FieldElement:
+    def raw_coeff(self, kind, k, r, z) -> Coefficient:
         """Unevaluated tableau-formula coefficient for e_k (kind 'e') or f_k
-        (kind 'f') moving column r, at shift z; symbolic in X, Y when the
-        singular row is involved.  It divides by one denominator bracket at
-        a time, so every denominator factor stays a binomial."""
-        mode, scale, entry = self.mode, self.qscale, self.entry_linear
+        (kind 'f') moving column r, at shift z, as its entry differences:
+        symbolic in x, y when the singular row is involved."""
+        entry = self.entry_linear
         lkr = entry(k, r, z)
         other = k + 1 if kind == "e" else k - 1
-        coeff = FieldElement.one(mode)
-        for s in range(1, other + 1):
-            coeff = coeff * bracket(lkr - entry(other, s, z), mode, scale)
-        for s in range(1, k + 1):
-            if s != r:
-                coeff = coeff / bracket(lkr - entry(k, s, z), mode, scale)
-        return -coeff if kind == "e" and not self.fault.sign_flip else coeff
+        return Coefficient(
+            -1 if kind == "e" and not self.fault.sign_flip else 1,
+            tuple(lkr - entry(other, s, z) for s in range(1, other + 1)),
+            tuple(lkr - entry(k, s, z) for s in range(1, k + 1) if s != r),
+        )
 
     def _evaluated(self, tag, f) -> FieldElement:
         """The one evaluation boundary of the module stage: a symbolic value
-        f (a tableau-formula coefficient or a gamma_mk) moved past the
+        f (a raw_coeff Coefficient or a gamma_mk element) moved past the
         singular point.
 
         tag 'G': f on a generic spec, in the univariate form;
         tag 'N': (dv, ev) of [x-y]_q * f, the pieces of a normal input;
         tag 'D': (dv, ev) of f, the pieces of a derivative input;
         tag 'E': f evaluated at the singular point.
+
+        A classical Coefficient under 'N' (x - y appended) or 'D' goes to
+        affine_functional; any other becomes its bracket quotient first.
         """
+        c = self.eval_scaled
+        if isinstance(f, Coefficient):
+            if self.mode == CLASSICAL and tag in ("N", "D"):
+                if tag == "N":
+                    f = f._replace(num=f.num + (LinearExpr(0, 1, -1),))
+                return affine_functional(f, c)
+            f = f.element(self.mode, self.qscale)
         if tag == "G":
             return univariate(f)
-        c = self.eval_scaled
         if tag == "E":
             return evaluate_at_singular(f, c)
         if tag == "N":
-            f = bracket(LinearExpr(0, 1, -1), self.mode, self.qscale) * f
+            f = self._xy * f
         return dv_operator(f, c, self.qscale), evaluate_at_singular(f, c)
 
     def _pieces(self, tag, kind, k, r, z):

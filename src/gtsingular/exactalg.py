@@ -1051,6 +1051,72 @@ def bracket(d: LinearExpr, system=QUANTUM, scale=1) -> FieldElement:
     return _build(1, 1, num, [], [den], system)
 
 
+class Coefficient(NamedTuple):
+    """sign * prod([d]_q for d in num) / prod([d]_q for d in den), with
+    num and den tuples of LinearExpr in the caller's exponent units."""
+
+    sign: int
+    num: tuple
+    den: tuple
+
+    def element(self, system=QUANTUM, scale=1) -> FieldElement:
+        """The bracket quotient; one division per bracket keeps every
+        denominator factor a binomial."""
+        out = FieldElement.one(system)
+        for d in self.num:
+            out = out * bracket(d, system, scale)
+        for d in self.den:
+            out = out / bracket(d, system, scale)
+        return -out if self.sign < 0 else out
+
+
+def affine_functional(coeff: Coefficient, c):
+    """(dv_operator, evaluate_at_singular) of a classical Coefficient at
+    x = y = c, with no polynomial built: L = cx*x + cy*y + const has the
+    value const + (cx + cy)c and the derivative (cx - cy)/2 there.  A zero
+    denominator factor raises DivisionByZero, then a zero numerator factor
+    gives (0, 0).  A denominator factor vanishing at c cancels against a
+    proportional numerator factor, or raises PoleAtEvaluation.  The
+    quotient rule on ints (each factor times its value's denominator)
+    does the rest, vanishing numerator factors included."""
+    zero = FieldElement.zero(CLASSICAL)
+    if any(d.is_zero() for d in coeff.den):
+        raise DivisionByZero("zero denominator factor")
+    if any(d.is_zero() for d in coeff.num):
+        return zero, zero
+    pc, rc = _qsplit(rat(c))
+
+    def scaled(d):
+        # (value, twice the derivative, scale) of scale * d
+        p, q = _qsplit(d.const)
+        return p * rc + (d.cx + d.cy) * pc * q, (d.cx - d.cy) * q * rc, q * rc
+
+    nums, dens, sn, sd = list(coeff.num), [], coeff.sign, 1
+    for d in coeff.den:
+        if scaled(d)[0]:
+            dens.append(d)
+            continue
+        m = next((m for m in nums if not scaled(m)[0] and m.cx * d.cy == m.cy * d.cx), None)
+        if m is None:
+            raise PoleAtEvaluation("a denominator factor vanishes at the singular point "
+                                   "and no numerator factor cancels it")
+        nums.remove(m)
+        sn, sd = sn * (m.cx or m.cy), sd * (d.cx or d.cy)  # m / d
+    out = []
+    for factors in (nums, dens):
+        v, dv, s = 1, 0, 1
+        for a, e, b in map(scaled, factors):
+            v, dv, s = v * a, dv * a + v * e, s * b
+        out += (v, dv, s)
+    p, p1, bn, q, q1, bd = out
+
+    def quotient(n, d):
+        return _scalar((n, 1), CLASSICAL) / _scalar((d, 1), CLASSICAL) if n else zero
+
+    t, u = sn * bd, sd * bn * q
+    return quotient(t * (p1 * q - p * q1), 2 * u * q), quotient(t * p, u)
+
+
 def q_pochhammer_factorial(m: int, system=QUANTUM, scale=1) -> FieldElement:
     """(m)!-analogue built from (t)_{q^-2} = (q^(-2t) - 1)/(q^-2 - 1).
 

@@ -278,11 +278,15 @@ class TestGenericConsistency:
             for kind, k in [("e", 1), ("e", 2), ("f", 1), ("f", 2)]:
                 for r in range(1, k + 1):
                     sym = evaluate_at(
-                        scale_q_exponents(sspec.raw_coeff(kind, k, r, z), D // sspec.qscale),
+                        scale_q_exponents(
+                            sspec.raw_coeff(kind, k, r, z).element(sspec.mode, sspec.qscale),
+                            D // sspec.qscale,
+                        ),
                         a * D,
                         b * D,
                     )
                     direct = scale_q_exponents(
-                        univariate(gspec.raw_coeff(kind, k, r, z)), D // gspec.qscale
+                        univariate(gspec.raw_coeff(kind, k, r, z).element(gspec.mode, gspec.qscale)),
+                        D // gspec.qscale,
                     )
                     assert sym == direct, (kind, k, r, z)

@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 
 import pytest
 
@@ -700,3 +702,23 @@ def test_check_report_repr_equality_and_construction():
         "CheckReport(name='appendix-identities', summary='stub', bound=None, passed=False, "
         "counterexample='sample 0', seconds=0.0, seed=None)"
     )
+
+
+CHEAP_CHECKS = [
+    (check_defining_relations, lambda: (generic_spec_n2(CLASSICAL), 1)),
+    (check_compatibility, lambda: (singular_spec_n3(CLASSICAL), 0)),
+    (check_gamma, lambda: (generic_spec_n2(CLASSICAL), 1)),
+    (irreducibility_evidence, lambda: (generic_spec_n2(CLASSICAL), 1)),
+    (check_appendix, lambda: (CLASSICAL, 1, 0)),
+    (check_finite_dimensional, lambda: ([1, 0], CLASSICAL)),
+]
+
+
+@pytest.mark.parametrize("check, args", [pytest.param(*case, id=case[0].__name__)
+                                         for case in CHEAP_CHECKS])
+def test_report_seconds_survive_a_wall_clock_set_back(monkeypatch, check, args):
+    # the wall clock jumps back an hour at every read; a report's seconds
+    # come from a monotonic clock, so they stay nonnegative
+    clock = itertools.count(0, -3600)
+    monkeypatch.setattr(time, "time", lambda: next(clock))
+    assert check(*args()).seconds >= 0
