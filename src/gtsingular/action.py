@@ -11,9 +11,10 @@ ModuleSpec._evaluated:
 * on a singular spec a normal input multiplies it by [x-y]_q first, and
   the singular-point functional splits it into a (dv, ev) pair.
 
-An e/f coefficient is a Coefficient of entry differences.  A classical
-one crosses as its linear factors (affine_functional), with no polynomial
-built; a quantum one becomes its bracket quotient first.
+An e/f coefficient is a Coefficient of entry differences.  On a singular
+spec it crosses as its factors: dv_operator and evaluate_at_singular read
+it in both systems with no polynomial in X, Y built, [x-y]_q appended as
+one more factor for a normal input.
 
 The one placement step, place, puts each (target shift, piece) pair on the
 basis: a generic value on the tableau at the target; a singular dv on the
@@ -37,7 +38,6 @@ from .exactalg import (
     LinearExpr,
     PoleAtEvaluation,
     _collect,
-    affine_functional,
     bracket,
     dv_operator,
     evaluate_at_singular,
@@ -59,6 +59,7 @@ from .tableaux import (
 
 NORMAL = "T"
 DERIVATIVE = "DT"
+_XY = LinearExpr(0, 1, -1)
 
 
 class NonRealizable(RuntimeError):
@@ -224,7 +225,7 @@ class ModuleSpec:
             self.zj = z_index(sp.row, sp.j)
             self.eval_point = tableau.base[sp.row - 1][sp.i - 1]
             self.eval_scaled = self._sbase[sp.row - 1][sp.i - 1]
-            self._xy = bracket(LinearExpr(0, 1, -1), mode, self.qscale)
+            self._xy = bracket(_XY, mode, self.qscale)
         else:
             self.zi = self.zj = None
             self.eval_point = None
@@ -333,6 +334,7 @@ class ModuleSpec:
             -1 if kind == "e" and not self.fault.sign_flip else 1,
             tuple(lkr - entry(other, s, z) for s in range(1, other + 1)),
             tuple(lkr - entry(k, s, z) for s in range(1, k + 1) if s != r),
+            self.mode,
         )
 
     def _evaluated(self, tag, f) -> FieldElement:
@@ -345,23 +347,22 @@ class ModuleSpec:
         tag 'D': (dv, ev) of f, the pieces of a derivative input;
         tag 'E': f evaluated at the singular point.
 
-        A classical Coefficient under 'N' (x - y appended) or 'D' goes to
-        affine_functional; any other becomes its bracket quotient first.
+        A Coefficient under 'N' (x - y appended as a factor) or 'D' crosses
+        as it is, at scale qscale; under 'G' or 'E' as its bracket quotient.
         """
         c = self.eval_scaled
         if isinstance(f, Coefficient):
-            if self.mode == CLASSICAL and tag in ("N", "D"):
-                if tag == "N":
-                    f = f._replace(num=f.num + (LinearExpr(0, 1, -1),))
-                return affine_functional(f, c)
-            f = f.element(self.mode, self.qscale)
+            if tag == "N":
+                f, tag = f._replace(num=f.num + (_XY,)), "D"
+            elif tag != "D":
+                f = f.element(self.qscale)
         if tag == "G":
             return univariate(f)
         if tag == "E":
             return evaluate_at_singular(f, c)
         if tag == "N":
             f = self._xy * f
-        return dv_operator(f, c, self.qscale), evaluate_at_singular(f, c)
+        return dv_operator(f, c, self.qscale), evaluate_at_singular(f, c, self.qscale)
 
     def _pieces(self, tag, kind, k, r, z):
         """_evaluated(tag, raw_coeff(kind, k, r, z)), memoized by the shift
@@ -562,12 +563,15 @@ def combine(pairs, spec: ModuleSpec) -> ModuleElement:
     return ModuleElement._raw(out)
 
 
-def act_element(g: Generator, elem: ModuleElement, spec: ModuleSpec) -> ModuleElement:
+def act_element(g: Generator, elem: ModuleElement, spec: ModuleSpec, *more) -> ModuleElement:
     """g on a module element: every term of g on each basis vector of elem,
-    times that vector's coefficient, summed by combine."""
+    times that vector's coefficient, summed by combine.  Each further
+    (generator, element) pair in more adds its terms to the same sum, so a
+    sum of words is reduced once."""
     return combine(
         ((tgt, coeff * c)
-         for bv, c in elem.terms.items()
-         for tgt, coeff in act(g, bv, spec).terms.items()),
+         for gen, e in ((g, elem),) + more
+         for bv, c in e.terms.items()
+         for tgt, coeff in act(gen, bv, spec).terms.items()),
         spec,
     )

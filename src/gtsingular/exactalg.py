@@ -30,8 +30,10 @@ at the API edge and rebuilt only for rendering.
 
 Term dicts come in two key forms, one per stage of the module pipeline:
 
-* trivariate, {(expQ, expX, expY): c}: the tableau-formula coefficients,
-  symbolic in X and Y, before the singular point is evaluated;
+* trivariate, {(expQ, expX, expY): c}: values symbolic in X and Y before
+  the singular point is evaluated (gamma values, check_appendix samples).
+  An e/f Coefficient crosses that point on its factors' values and never
+  takes this form (_factor_values);
 * univariate, {expQ: c}: everything evaluate_at_singular and dv_operator
   return, and every module-stage value built from them (the action, its
   caches, gtcenter's evaluated gammas).  The exponent is an int in units
@@ -1013,9 +1015,6 @@ class LinearExpr(NamedTuple):
     def __neg__(self):
         return LinearExpr(-self.const, -self.cx, -self.cy)
 
-    def is_zero(self):
-        return not self.const and not self.cx and not self.cy
-
 
 def linear_element(d: LinearExpr, system) -> FieldElement:
     """The expression itself as a field element (classical building block)."""
@@ -1052,69 +1051,115 @@ def bracket(d: LinearExpr, system=QUANTUM, scale=1) -> FieldElement:
 
 
 class Coefficient(NamedTuple):
-    """sign * prod([d]_q for d in num) / prod([d]_q for d in den), with
-    num and den tuples of LinearExpr in the caller's exponent units."""
+    """sign * prod([d] for d in num) / prod([d] for d in den), [d] the
+    system's bracket (d itself classically), with num and den tuples of
+    LinearExpr, entry differences in the caller's exponent units."""
 
     sign: int
     num: tuple
     den: tuple
+    system: str
 
-    def element(self, system=QUANTUM, scale=1) -> FieldElement:
+    def element(self, scale=1) -> FieldElement:
         """The bracket quotient; one division per bracket keeps every
         denominator factor a binomial."""
-        out = FieldElement.one(system)
+        out = FieldElement.one(self.system)
         for d in self.num:
-            out = out * bracket(d, system, scale)
+            out = out * bracket(d, self.system, scale)
         for d in self.den:
-            out = out / bracket(d, system, scale)
+            out = out / bracket(d, self.system, scale)
         return -out if self.sign < 0 else out
 
 
-def affine_functional(coeff: Coefficient, c):
-    """(dv_operator, evaluate_at_singular) of a classical Coefficient at
-    x = y = c, with no polynomial built: L = cx*x + cy*y + const has the
-    value const + (cx + cy)c and the derivative (cx - cy)/2 there.  A zero
-    denominator factor raises DivisionByZero, then a zero numerator factor
-    gives (0, 0).  A denominator factor vanishing at c cancels against a
-    proportional numerator factor, or raises PoleAtEvaluation.  The
-    quotient rule on ints (each factor times its value's denominator)
-    does the rest, vanishing numerator factors included."""
-    zero = FieldElement.zero(CLASSICAL)
-    if any(d.is_zero() for d in coeff.den):
-        raise DivisionByZero("zero denominator factor")
-    if any(d.is_zero() for d in coeff.num):
-        return zero, zero
-    pc, rc = _qsplit(rat(c))
+def _factor_values(coeff: Coefficient, c):
+    """The pole rules of a Coefficient at x = y = c, for both systems:
+    (sign, numerator values, denominator values) with every denominator
+    factor vanishing at c cancelled; sign 0 if a numerator factor is zero.
+    L = cx*x + cy*y + const is valued by A = const + (cx + cy)c and
+    s = cx - cy: quantum (A, s), classical (b*A, b*s, b), b making ints.
+    Raises ValueError unless |cx|, |cy| <= 1, DivisionByZero for a zero
+    denominator factor and PoleAtEvaluation for a vanishing one with no
+    proportional vanishing numerator factor L', then L' = +-L, [L']/[L] = +-1."""
+    if coeff.system == QUANTUM:
+        c = _qexp(c)
 
-    def scaled(d):
-        # (value, twice the derivative, scale) of scale * d
-        p, q = _qsplit(d.const)
-        return p * rc + (d.cx + d.cy) * pc * q, (d.cx - d.cy) * q * rc, q * rc
+        def value(d):
+            if d.cx * d.cx > 1 or d.cy * d.cy > 1:
+                raise ValueError("a Coefficient factor needs |cx|, |cy| <= 1")
+            return d, _qexp(d.const) + (d.cx + d.cy) * c, d.cx - d.cy
+    else:
+        pc, rc = _qsplit(c if isinstance(c, (int, Rat)) else rat(c))
 
-    nums, dens, sn, sd = list(coeff.num), [], coeff.sign, 1
-    for d in coeff.den:
-        if scaled(d)[0]:
-            dens.append(d)
+        def value(d):
+            if d.cx * d.cx > 1 or d.cy * d.cy > 1:
+                raise ValueError("a Coefficient factor needs |cx|, |cy| <= 1")
+            p, q = _qsplit(d.const)
+            return d, p * rc + (d.cx + d.cy) * pc * q, (d.cx - d.cy) * q * rc, q * rc
+    dens, nums = [value(d) for d in coeff.den], [value(d) for d in coeff.num]
+    for v in dens:
+        if not (v[1] or v[0].cx or v[0].cy):
+            raise DivisionByZero("zero denominator factor")
+    for v in nums:
+        if not (v[1] or v[0].cx or v[0].cy):
+            return 0, [], []
+    sign, kept = coeff.sign, []
+    for v in dens:
+        if v[1]:
+            kept.append(v[1:])
             continue
-        m = next((m for m in nums if not scaled(m)[0] and m.cx * d.cy == m.cy * d.cx), None)
+        d = v[0]
+        m = next((m for m in nums if not m[1] and m[0].cx * d.cy == m[0].cy * d.cx), None)
         if m is None:
             raise PoleAtEvaluation("a denominator factor vanishes at the singular point "
                                    "and no numerator factor cancels it")
         nums.remove(m)
-        sn, sd = sn * (m.cx or m.cy), sd * (d.cx or d.cy)  # m / d
-    out = []
-    for factors in (nums, dens):
-        v, dv, s = 1, 0, 1
-        for a, e, b in map(scaled, factors):
-            v, dv, s = v * a, dv * a + v * e, s * b
-        out += (v, dv, s)
-    p, p1, bn, q, q1, bd = out
+        sign *= (m[0].cx or m[0].cy) * (d.cx or d.cy)
+    return sign, [v[1:] for v in nums], kept
 
-    def quotient(n, d):
-        return _scalar((n, 1), CLASSICAL) / _scalar((d, 1), CLASSICAL) if n else zero
 
-    t, u = sn * bd, sd * bn * q
-    return quotient(t * (p1 * q - p * q1), 2 * u * q), quotient(t * p, u)
+def _bracket_product(values, derivative):
+    """(value, 4 * derivative or {} unless asked) of a product of quantum
+    factors [A]_q = (Q^A - Q^-A)/W, W = Q^D - Q^-D, with the derivative
+    s(Q^A + Q^-A)/4 (dv_operator's prefactor cancels W): dicts, W left out."""
+    v, dv = _UONE, {}
+    for a, s in values:
+        b = {a: 1, -a: -1} if a else {}
+        if derivative:
+            dv = _upmul(dv, b)
+            if s:
+                dv = _collect(_upmul(v, {a: s, -a: s} if a else {0: 2 * s}).items(), dv)
+        v = _upmul(v, b)
+    return v, dv
+
+
+def _factor_functional(coeff: Coefficient, c, scale, derivative):
+    """evaluate_at_singular (derivative false) or dv_operator (true) of a
+    Coefficient: the quotient rule on its factor values, vanishing numerator
+    factors included, builds only the asked value; a quantum one keeps each
+    denominator bracket its own binomial, with |#num - #den| copies of W."""
+    sign, nums, dens = _factor_values(coeff, c)
+    if not sign:
+        return FieldElement.zero(coeff.system)
+    if coeff.system == CLASSICAL:
+        out = []
+        for values in (nums, dens):  # the product rule on ints
+            v, dv, s = 1, 0, 1
+            for a, e, b in values:
+                v, dv, s = v * a, dv * a + v * e, s * b
+            out += (v, dv, s)
+        p, p1, bn, q, q1, bd = out
+        n, d = (p1 * q - p * q1, 2 * bn * q * q) if derivative else (p, bn * q)
+        if not n:
+            return FieldElement.zero(CLASSICAL)
+        return _scalar((sign * bd * n, 1), CLASSICAL) / _scalar((d, 1), CLASSICAL)
+    w, bs = {scale: 1, -scale: -1}, [{b: 1, -b: -1} for b, _ in dens]
+    p, p1 = _bracket_product(nums, derivative)
+    e = len(dens) - len(nums) + derivative
+    if derivative and p:
+        q, q1 = _bracket_product(dens, True)
+        p1, bs = _psub(_upmul(p1, q), _upmul(p, q1)), bs + bs
+    return _build(sign, 4 if derivative else 1, p1 if derivative else p, [w] * e,
+                  bs + [w] * -e, QUANTUM)
 
 
 def q_pochhammer_factorial(m: int, system=QUANTUM, scale=1) -> FieldElement:
@@ -1242,13 +1287,17 @@ def _build_values(cn, cd, num, num_vals, den_vals, system):
                   system)
 
 
-def evaluate_at_singular(f: FieldElement, c) -> FieldElement:
+def evaluate_at_singular(f, c, scale=1) -> FieldElement:
     """Substitute X -> Q^c and Y -> Q^c (classical: x, y -> c).
 
     A quantum c is an int in the units of f's Q exponents; a classical c
     is any rational.  X - Y content is cancelled exactly between the two
-    sides before the substitution, to bounded depth per factor.  The value
-    is univariate."""
+    sides before the substitution, to bounded depth per factor.  A
+    Coefficient f is read on its factors (_factor_values), building no
+    polynomial in X, Y; scale is its brackets' D (see bracket), unused for
+    a FieldElement.  The value is univariate."""
+    if isinstance(f, Coefficient):
+        return _factor_functional(f, c, scale, False)
     system = f.system
     c = _qexp(c) if system == QUANTUM else rat(c)
     if not f.num:
@@ -1262,7 +1311,7 @@ def evaluate_at_singular(f: FieldElement, c) -> FieldElement:
                          system)
 
 
-def dv_operator(f: FieldElement, c, scale=1) -> FieldElement:
+def dv_operator(f, c, scale=1) -> FieldElement:
     """The singular-point functional:
 
     quantum   ((Q - Q^-1)/4) (X d/dX - Y d/dY) f, then X, Y -> Q^c;
@@ -1279,8 +1328,12 @@ def dv_operator(f: FieldElement, c, scale=1) -> FieldElement:
     which leaves a product of parts with no denominator vanishing at the
     point.  The product rule then applies: at most one numerator part may
     vanish there, in which case only its derivative survives; with two or
-    more vanishing parts the functional is zero.  The value is univariate.
+    more vanishing parts the functional is zero.  A Coefficient f takes the
+    same rule on its factors (see evaluate_at_singular).  The value is
+    univariate.
     """
+    if isinstance(f, Coefficient):
+        return _factor_functional(f, c, scale, True)
     system = f.system
     c = _qexp(c) if system == QUANTUM else rat(c)
     if not f.num:

@@ -185,21 +185,22 @@ def _relation_instances(spec):
     def commutator(b, g1, g2):
         return word(b, g1, g2) + word(b, g2, g1, c=minus)
 
-    def qh(h, sign=1):
-        return gen_qh(tuple(sign * t for t in h))
+    def qh(h):
+        """The weight generators q^h and q^-h, built once for the table."""
+        return gen_qh(h), gen_qh(tuple(-t for t in h))
 
     h0, hmix = weights[0], weights[-1]
     if mode == QUANTUM:
-        add("q^0 = 1", lambda b: word(b, qh((0,) * n)) + [(b, minus)])
+        add("q^0 = 1", lambda b, q0=gen_qh((0,) * n): word(b, q0) + [(b, minus)])
         for h in (h0, weights[n - 1]):
             hsum = tuple(a + c for a, c in zip(h, hmix))
             add(f"q^h q^h' = q^(h+h'), h={h}, h'={hmix}",
-                lambda b, h=h, hsum=hsum: word(b, qh(hmix), qh(h))
-                + word(b, qh(hsum), c=minus))
+                lambda b, gh=gen_qh(h), gm=gen_qh(hmix), gs=gen_qh(hsum):
+                word(b, gm, gh) + word(b, gs, c=minus))
         meet_label = "q^h {g} q^-h = q^<h,a_{r}> {g}, h={h}"
 
         def meet(b, h, g):
-            return word(b, qh(h), g, qh(h, -1))
+            return word(b, h[0], g, h[1])
 
         def weight_scalar(c):
             return FieldElement.q_monomial(QUANTUM, 1, c * qs)
@@ -208,23 +209,23 @@ def _relation_instances(spec):
         inv = FieldElement({0: 1}, {qs: 1, -qs: -1}, QUANTUM)
 
         def cartan_part(b, alpha):
-            return word(b, qh(alpha), c=-inv) + word(b, qh(alpha, -1), c=inv)
+            return word(b, alpha[0], c=-inv) + word(b, alpha[1], c=inv)
 
         # -q^-1: the outer q-commutator's scalar
         outer_coeff = FieldElement.q_monomial(QUANTUM, -1, -qs)
     else:
         add(f"[h, h'] = 0, h={h0}, h'={hmix}",
-            lambda b: commutator(b, qh(h0), qh(hmix)))
+            lambda b, g0=gen_qh(h0), gm=gen_qh(hmix): commutator(b, g0, gm))
         meet_label = "[h, {g}] = <h,a_{r}> {g}, h={h}"
 
         def meet(b, h, g):
-            return commutator(b, qh(h), g)
+            return commutator(b, h[0], g)
 
         def weight_scalar(c):
             return FieldElement.q_monomial(CLASSICAL, c)
 
         def cartan_part(b, alpha):
-            return word(b, qh(alpha), c=minus)
+            return word(b, alpha[0], c=minus)
 
         outer_coeff = minus
 
@@ -233,10 +234,10 @@ def _relation_instances(spec):
             for kind, gen, sgn in (("e", gen_e, 1), ("f", gen_f, -1)):
                 g, c = gen(r), -weight_scalar(sgn * spec.pairing_alpha(h, r))
                 add(meet_label.format(g=f"{kind}_{r}", r=r, h=h),
-                    lambda b, h=h, g=g, c=c: meet(b, h, g) + word(b, g, c=c))
+                    lambda b, gh=qh(h), g=g, c=c: meet(b, gh, g) + word(b, g, c=c))
 
     for r in range(1, n):
-        alpha = tuple(1 if t == r else (-1 if t == r + 1 else 0) for t in range(1, n + 1))
+        alpha = qh(tuple(1 if t == r else (-1 if t == r + 1 else 0) for t in range(1, n + 1)))
         for s in range(1, n):
             add(f"[e_{r}, f_{s}] commutator",
                 lambda b, r=r, s=s, alpha=alpha: commutator(b, gen_e(r), gen_f(s))
@@ -270,15 +271,17 @@ def _relation_instances(spec):
 
 def serre_inner(memo, spec, gr, gs, x):
     """The inner q-commutator [g_r, g_s]_q x = g_r g_s x - q g_s g_r x
-    (q = 1 classically) of the Serre relation, as a summed module element.
-    It is computed once per (g_r, g_s, x) and kept in memo."""
+    (q = 1 classically) of the Serre relation, as a summed module element:
+    one act_element sum over both words, -q folded into the inner letter's
+    coefficients.  It is computed once per (g_r, g_s, x) and kept in
+    memo."""
     key = gr, gs, x
     u = memo.get(key)
     if u is None:
-        swapped = act_element(gs, act(gr, x, spec), spec)
-        if spec.mode == QUANTUM:
-            swapped = swapped.scale(FieldElement.q_monomial(QUANTUM, 1, spec.qscale))
-        u = memo[key] = act_element(gr, act(gs, x, spec), spec) - swapped
+        minus_q = FieldElement.q_monomial(
+            spec.mode, -1, spec.qscale if spec.mode == QUANTUM else 0)
+        u = memo[key] = act_element(gr, act(gs, x, spec), spec,
+                                    (gs, act(gr, x, spec).scale(minus_q)))
     return u
 
 

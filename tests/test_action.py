@@ -279,14 +279,14 @@ class TestGenericConsistency:
                 for r in range(1, k + 1):
                     sym = evaluate_at(
                         scale_q_exponents(
-                            sspec.raw_coeff(kind, k, r, z).element(sspec.mode, sspec.qscale),
+                            sspec.raw_coeff(kind, k, r, z).element(sspec.qscale),
                             D // sspec.qscale,
                         ),
                         a * D,
                         b * D,
                     )
                     direct = scale_q_exponents(
-                        univariate(gspec.raw_coeff(kind, k, r, z).element(gspec.mode, gspec.qscale)),
+                        univariate(gspec.raw_coeff(kind, k, r, z).element(gspec.qscale)),
                         D // gspec.qscale,
                     )
                     assert sym == direct, (kind, k, r, z)

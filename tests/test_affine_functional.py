@@ -1,27 +1,30 @@
-"""The classical factor path of ModuleSpec._evaluated against the element
-path.
+"""The factor path of the singular-point functionals against the element
+path, in both systems.
 
-A classical e/f coefficient crosses the evaluation boundary as a
-Coefficient, and affine_functional takes its (dv, ev) pieces from the
-values and derivatives of its linear factors at x = y = c.  The oracle is
-the path every other value takes: the bracket quotient, Coefficient.element,
-through dv_operator and evaluate_at_singular.  Values must be ==, and an
-input that raises must raise the same exception type on both paths.
+An e/f coefficient crosses the evaluation boundary as a Coefficient, and
+dv_operator and evaluate_at_singular take its (dv, ev) pieces from the
+values and derivatives of its factors at x = y = c: classically the linear
+factors themselves, in the quantum system their brackets [A]_q.  The
+oracle is the path every other value takes: the bracket quotient,
+Coefficient.element, through the same two functions.  Values must be ==,
+and an input that raises must raise the same exception type on both
+paths.
 """
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from gtsingular import exactalg
 from gtsingular._rat import Rat
 from gtsingular.action import ModuleSpec
 from gtsingular.exactalg import (
     CLASSICAL,
+    QUANTUM,
     Coefficient,
     DivisionByZero,
     FieldElement,
     LinearExpr,
     PoleAtEvaluation,
-    affine_functional,
     bracket,
     dv_operator,
     evaluate_at_singular,
@@ -33,6 +36,7 @@ from test_action import singular_spec_n3
 from test_verify import g4_spec
 
 XY = LinearExpr(0, 1, -1)
+MODES = (CLASSICAL, QUANTUM)
 
 
 def outcome(fn, *args):
@@ -43,33 +47,34 @@ def outcome(fn, *args):
         return type(exc)
 
 
-def element_pieces(coeff, c, tag):
+def element_pieces(coeff, c, tag, scale=1):
     """The oracle: (dv, ev) of the bracket quotient, times [x-y] under 'N'."""
-    f = coeff.element(CLASSICAL)
+    f = coeff.element(scale)
     if tag == "N":
-        f = bracket(XY, CLASSICAL) * f
-    return dv_operator(f, c), evaluate_at_singular(f, c)
+        f = bracket(XY, coeff.system, scale) * f
+    return dv_operator(f, c, scale), evaluate_at_singular(f, c)
 
 
-def factor_pieces(coeff, c, tag):
+def factor_pieces(coeff, c, tag, scale=1):
     if tag == "N":
         coeff = coeff._replace(num=coeff.num + (XY,))
-    return affine_functional(coeff, c)
+    return dv_operator(coeff, c, scale), evaluate_at_singular(coeff, c, scale)
 
 
-# --- every e/f piece the checks reach on the classical corpora -----------
+# --- every e/f piece the checks reach on the corpora ----------------------
 
-def classical_corpus():
-    """(name, spec, B): the n=3 fixture at B=2, G4 at B=1 and the classical
-    twins of the gated n=4 corpus at B=1."""
-    yield "n3", singular_spec_n3(CLASSICAL), 2
-    yield "G4", g4_spec(CLASSICAL), 1
+def corpus(mode):
+    """(name, spec, B): the n=3 fixture at B=2, G4 at B=1 and the gated n=4
+    corpus at B=1, in one system; quantum names end in -quantum."""
+    tail = "-quantum" if mode == QUANTUM else ""
+    yield f"n3{tail}", singular_spec_n3(mode), 2
+    yield f"G4{tail}", g4_spec(mode), 1
     for i, (T, C, _) in enumerate(gated_corpus(4, 4, 0, (2, 3), 216, 1)):
-        yield f"gated{i}", ModuleSpec(T, C, mode=CLASSICAL), 1
+        yield f"gated{i}{tail}", ModuleSpec(T, C, mode=mode), 1
 
 
-@pytest.mark.parametrize("name, spec, B",
-                         [pytest.param(*case, id=case[0]) for case in classical_corpus()])
+@pytest.mark.parametrize("name, spec, B", [pytest.param(*case, id=case[0])
+                                           for mode in MODES for case in corpus(mode)])
 def test_factor_path_matches_element_path_on_reached_pieces(monkeypatch, name, spec, B):
     reached = []
     real = ModuleSpec._evaluated
@@ -86,56 +91,121 @@ def test_factor_path_matches_element_path_on_reached_pieces(monkeypatch, name, s
     assert reached
     for tag, coeff in reached:
         got = outcome(spec._evaluated, tag, coeff)
-        want = outcome(spec._evaluated, tag, coeff.element(CLASSICAL, spec.qscale))
+        want = outcome(spec._evaluated, tag, coeff.element(spec.qscale))
         assert got == want, (name, tag, coeff)
 
 
-def test_classical_pieces_build_no_element(monkeypatch):
+def relation_check_builds_no_element(monkeypatch, mode):
     def refuse(*args):
-        raise AssertionError("a classical e/f coefficient became an element")
+        raise AssertionError("an e/f coefficient became an element")
 
     monkeypatch.setattr(Coefficient, "element", refuse)
-    assert check_defining_relations(singular_spec_n3(CLASSICAL), 1)
+    assert check_defining_relations(singular_spec_n3(mode), 1)
+
+
+def test_classical_pieces_build_no_element(monkeypatch):
+    relation_check_builds_no_element(monkeypatch, CLASSICAL)
+
+
+def test_quantum_pieces_build_no_element(monkeypatch):
+    relation_check_builds_no_element(monkeypatch, QUANTUM)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_relation_check_divides_no_trivariate_polynomial(monkeypatch, mode):
+    spec = singular_spec_n3(mode)
+    calls = []
+
+    def refuse(*args):
+        calls.append(args)
+        raise AssertionError("a trivariate binomial division")
+
+    monkeypatch.setattr(exactalg, "_TRI", exactalg._TRI._replace(div_binomial=refuse))
+    assert check_defining_relations(spec, 1)
+    assert calls == []
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("shape", [(2, 0), (0, -2), (2, -2)])
+def test_factor_path_takes_entry_differences_only(mode, shape):
+    wide = LinearExpr(Rat(1) if mode == CLASSICAL else 1, *shape)
+    for coeff in (Coefficient(1, (wide,), (), mode), Coefficient(1, (), (wide,), mode)):
+        with pytest.raises(ValueError):
+            dv_operator(coeff, 1)
+        with pytest.raises(ValueError):
+            evaluate_at_singular(coeff, 1)
 
 
 # --- the rules, on hand-made products -------------------------------------
 
-def lin(const, cx=0, cy=0):
-    return LinearExpr(Rat(const), cx, cy)
-
-
-def scalars(dv, ev):
+def classical(dv, ev):
     return FieldElement.q_monomial(CLASSICAL, dv), FieldElement.q_monomial(CLASSICAL, ev)
 
 
-# at c = 1: x - 1 and y - 1 vanish, x - y vanishes everywhere
+def quantum(dv, ev):
+    """Univariate quantum values from (numerator, denominator) dicts."""
+    return tuple(FieldElement(*v, system=QUANTUM) if isinstance(v, tuple)
+                 else FieldElement.q_monomial(QUANTUM, v) for v in (dv, ev))
+
+
+def qb(a):
+    """The numerator of [a]_q = (Q^a - Q^-a)/(Q - Q^-1), scale 1."""
+    return {a: 1, -a: -1}
+
+
+W = qb(1)
+
+# (name, sign, numerator, denominator, tag, classical want, quantum want):
+# factors (const, cx, cy) at c = 1, where x - 1 and y - 1 vanish and x - y
+# vanishes everywhere
 RULES = [
-    ("pole-does-not-cancel", Coefficient(1, (lin(2, 0, 1),), (lin(-1, 1),)), "D",
-     PoleAtEvaluation),
-    ("pole-does-not-cancel-N", Coefficient(1, (), (lin(-1, 0, 1),)), "N", PoleAtEvaluation),
-    ("zero-denominator", Coefficient(1, (lin(0),), (lin(0),)), "D", DivisionByZero),
-    ("zero-numerator-over-pole", Coefficient(1, (lin(0),), (lin(-1, 1),)), "D",
-     scalars(0, 0)),
+    ("pole-does-not-cancel", 1, [(2, 0, 1)], [(-1, 1, 0)], "D",
+     PoleAtEvaluation, PoleAtEvaluation),
+    ("pole-does-not-cancel-N", 1, [], [(-1, 0, 1)], "N", PoleAtEvaluation, PoleAtEvaluation),
+    ("zero-denominator", 1, [(0, 0, 0)], [(0, 0, 0)], "D", DivisionByZero, DivisionByZero),
+    ("zero-numerator-over-pole", 1, [(0, 0, 0)], [(-1, 1, 0)], "D",
+     classical(0, 0), quantum(0, 0)),
     # (x - y) / (y - x) = -1
-    ("cancel-x-y", Coefficient(1, (), (lin(0, -1, 1),)), "N", scalars(0, -1)),
-    # -(x - 1)(x + 1) / (1 - x) = x + 1: ev 2, dv 1/2
-    ("cancel-proportional", Coefficient(-1, (lin(-1, 1), lin(1, 1)), (lin(1, -1),)), "D",
-     scalars(Rat(1, 2), 2)),
-    # (y - 1) * 3 / 2: ev 0, dv -3/4
-    ("one-vanishing", Coefficient(1, (lin(-1, 0, 1), lin(3)), (lin(2),)), "D",
-     scalars(Rat(-3, 4), 0)),
-    ("two-vanishing", Coefficient(1, (lin(-1, 1),), (lin(5),)), "N", scalars(0, 0)),
-    # (x + 1) / (y + 2) at 1: ev 2/3, dv (2/3)(1/4 + 1/6) = 5/18
-    ("quotient-rule", Coefficient(1, (lin(1, 1),), (lin(2, 0, 1),)), "D",
-     scalars(Rat(5, 18), Rat(2, 3))),
+    ("cancel-x-y", 1, [], [(0, -1, 1)], "N", classical(0, -1), quantum(0, -1)),
+    # -(x - 1)(x + 1) / (1 - x) = x + 1: ev 2, dv 1/2; quantum [x + 1]_q:
+    # ev [2]_q, dv (Q^2 + Q^-2)/4
+    ("cancel-proportional", -1, [(-1, 1, 0), (1, 1, 0)], [(1, -1, 0)], "D",
+     classical(Rat(1, 2), 2), quantum(({2: 1, -2: 1}, {0: 4}), (qb(2), W))),
+    # (y - 1) * 3 / 2: ev 0, dv -3/4; quantum dv -(1/2)[3]_q/[2]_q
+    ("one-vanishing", 1, [(-1, 0, 1), (3, 0, 0)], [(2, 0, 0)], "D",
+     classical(Rat(-3, 4), 0), quantum(({3: -1, -3: 1}, {2: 2, -2: -2}), 0)),
+    ("two-vanishing", 1, [(-1, 1, 0)], [(5, 0, 0)], "N", classical(0, 0), quantum(0, 0)),
+    # (x + 1) / (y + 2) at 1: ev 2/3, dv (2/3)(1/4 + 1/6) = 5/18; quantum
+    # ev [2]/[3], dv ((Q^2 + Q^-2)[3] + [2](Q^3 + Q^-3)) / (4 [3]^2)
+    # = (Q^6 - Q^4 - Q^-4 + Q^-6) / (2 (Q^3 - Q^-3)^2)
+    ("quotient-rule", 1, [(1, 1, 0)], [(2, 0, 1)], "D",
+     classical(Rat(5, 18), Rat(2, 3)),
+     quantum(({6: 1, 4: -1, -4: -1, -6: 1}, {6: 2, 0: -4, -6: 2}), (qb(2), qb(3)))),
 ]
 
 
-@pytest.mark.parametrize("coeff, tag, want", [r[1:] for r in RULES],
-                         ids=[r[0] for r in RULES])
-def test_rules(coeff, tag, want):
+def rule_coefficient(mode, sign, num, den):
+    const = Rat if mode == CLASSICAL else int
+    return Coefficient(sign, tuple(LinearExpr(const(k), cx, cy) for k, cx, cy in num),
+                       tuple(LinearExpr(const(k), cx, cy) for k, cx, cy in den), mode)
+
+
+def check_rule(mode, rule):
+    _, sign, num, den, tag, want_classical, want_quantum = rule
+    coeff = rule_coefficient(mode, sign, num, den)
+    want = want_classical if mode == CLASSICAL else want_quantum
     assert outcome(factor_pieces, coeff, 1, tag) == want
     assert outcome(element_pieces, coeff, 1, tag) == want
+
+
+@pytest.mark.parametrize("rule", RULES, ids=[r[0] for r in RULES])
+def test_rules(rule):
+    check_rule(CLASSICAL, rule)
+
+
+@pytest.mark.parametrize("rule", RULES, ids=[r[0] for r in RULES])
+def test_quantum_rules(rule):
+    check_rule(QUANTUM, rule)
 
 
 # --- random products of the factor shapes of entry differences ------------
@@ -143,32 +213,65 @@ def test_rules(coeff, tag, want):
 SHAPES = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
 
 
+def draw_factors(draw, c, constants, max_size):
+    """Factors of the shapes (cx, cy) that entry differences take, each
+    with a constant drawn from constants or with the constant that makes
+    it vanish at x = y = c (identically zero for (0, 0))."""
+    out = []
+    for cx, cy in draw(st.lists(st.sampled_from(SHAPES), max_size=max_size)):
+        const = -(cx + cy) * c if draw(st.booleans()) else draw(constants)
+        out.append(LinearExpr(const, cx, cy))
+    return tuple(out)
+
+
 @st.composite
 def products(draw):
-    """(coefficient, point, tag): factors of the shapes (cx, cy) that entry
-    differences take, each with a rational constant or with the constant
-    that makes it vanish at x = y = c (identically zero for (0, 0))."""
+    """(coefficient, point, tag): classical factors with rational
+    constants."""
     c = Rat(draw(st.integers(-3, 3)), draw(st.integers(1, 2)))
-
-    def factors(max_size):
-        out = []
-        for cx, cy in draw(st.lists(st.sampled_from(SHAPES), max_size=max_size)):
-            if draw(st.booleans()):
-                const = -(cx + cy) * c
-            else:
-                const = Rat(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
-            out.append(LinearExpr(const, cx, cy))
-        return tuple(out)
-
-    coeff = Coefficient(draw(st.sampled_from((1, -1))), factors(4), factors(3))
+    constants = st.builds(Rat, st.integers(-4, 4), st.integers(1, 3))
+    coeff = Coefficient(draw(st.sampled_from((1, -1))), draw_factors(draw, c, constants, 4),
+                        draw_factors(draw, c, constants, 3), CLASSICAL)
     return coeff, c, draw(st.sampled_from("ND"))
+
+
+def lin(const, cx=0, cy=0):
+    return LinearExpr(Rat(const), cx, cy)
 
 
 @settings(max_examples=200, deadline=None)
 @given(products())
-@example((Coefficient(1, (lin(3, 1),), (lin(Rat(1, 2), 1), lin(0, 1, -1))), Rat(-1, 2), "N"))
-@example((Coefficient(-1, (lin(0, 1, -1),), (lin(0, 1, -1), lin(-2, 0, 1))), Rat(2), "D"))
-@example((Coefficient(1, (lin(1, 0, 1), lin(-1, 1, 0)), (lin(0, -1, 1),)), Rat(1), "D"))
+@example((Coefficient(1, (lin(3, 1),), (lin(Rat(1, 2), 1), lin(0, 1, -1)), CLASSICAL),
+          Rat(-1, 2), "N"))
+@example((Coefficient(-1, (lin(0, 1, -1),), (lin(0, 1, -1), lin(-2, 0, 1)), CLASSICAL),
+          Rat(2), "D"))
+@example((Coefficient(1, (lin(1, 0, 1), lin(-1, 1, 0)), (lin(0, -1, 1),), CLASSICAL),
+          Rat(1), "D"))
 def test_factor_path_matches_element_path_on_random_products(case):
     coeff, c, tag = case
     assert outcome(factor_pieces, coeff, c, tag) == outcome(element_pieces, coeff, c, tag)
+
+
+@st.composite
+def bracket_products(draw):
+    """(coefficient, point, tag, scale): quantum bracket factors with int
+    constants in units of 1/scale, at scales 1, 2 and 6."""
+    scale = draw(st.sampled_from((1, 2, 6)))
+    c = draw(st.integers(-3 * scale, 3 * scale))
+    constants = st.integers(-4 * scale, 4 * scale)
+    coeff = Coefficient(draw(st.sampled_from((1, -1))), draw_factors(draw, c, constants, 4),
+                        draw_factors(draw, c, constants, 3), QUANTUM)
+    return coeff, c, draw(st.sampled_from("ND")), scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(bracket_products())
+@example((Coefficient(1, (LinearExpr(3, 1, 0),), (LinearExpr(1, 1, 0), XY), QUANTUM),
+          -1, "N", 2))
+@example((Coefficient(-1, (XY,), (XY, LinearExpr(-12, 0, 1)), QUANTUM), 12, "D", 6))
+@example((Coefficient(1, (LinearExpr(1, 0, 1), LinearExpr(-1, 1, 0)), (LinearExpr(0, -1, 1),),
+                      QUANTUM), 1, "D", 1))
+def test_bracket_factor_path_matches_element_path_on_random_products(case):
+    coeff, c, tag, scale = case
+    assert (outcome(factor_pieces, coeff, c, tag, scale)
+            == outcome(element_pieces, coeff, c, tag, scale))

@@ -2,9 +2,9 @@
 one division path.
 
 Every generator, e_k, f_k, the weights and the central c_mk, reaches the
-singular-point functionals (the polynomial ones and the classical factor
-path, ``affine_functional``) or the univariate form through
-``ModuleSpec._evaluated`` alone.  This scan fails when ``action.py`` or
+singular-point functionals (on elements, and on the factors of an e/f
+Coefficient) or the univariate form through ``ModuleSpec._evaluated``
+alone.  This scan fails when ``action.py`` or
 ``gtcenter.py`` refers to one of those functions anywhere else, under its
 own name or an import alias, so the pipeline cannot fork again unnoticed.
 
@@ -23,8 +23,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gtsingular"
-BOUNDARY = frozenset({"affine_functional", "dv_operator", "evaluate_at_singular",
-                      "univariate"})
+BOUNDARY = frozenset({"dv_operator", "evaluate_at_singular", "univariate"})
 ALLOWED = ("ModuleSpec", "_evaluated")
 
 
