@@ -5,21 +5,22 @@ tableau and the number system.  Every generator, e_k, f_k, the weights and
 the central c_mk of gtcenter, acts by one recipe.  Its coefficient on the
 tableau at shift z is computed symbolically, with the singular entries
 kept as X = q^x, Y = q^y.  It then crosses the one evaluation boundary,
-ModuleSpec._evaluated:
+ModuleSpec._evaluated, as a (dv, ev) pair:
 
-* on a generic spec the value moves to the univariate form;
 * on a singular spec a normal input multiplies it by [x-y]_q first, and
-  the singular-point functional splits it into a (dv, ev) pair.
+  the singular-point functional splits it into dv and ev;
+* a generic spec, the same construction with no singular pair and so no
+  derivative half, takes the value at any point as dv and 0 as ev.
 
-An e/f coefficient is a Coefficient of entry differences.  On a singular
-spec it crosses as its factors: dv_operator and evaluate_at_singular read
-it in both systems with no polynomial in X, Y built, [x-y]_q appended as
-one more factor for a normal input.
+An e/f coefficient is a Coefficient of entry differences.  It crosses as
+its factors: dv_operator and evaluate_at_singular read it in both systems
+with no polynomial in X, Y built, [x-y]_q appended as one more factor for
+a normal input.
 
 The one placement step, place, puts each (target shift, piece) pair on the
-basis: a generic value on the tableau at the target; a singular dv on the
-canonical normal vector and ev on the canonical derivative vector.
-Weights are symmetric in x and y, so their pieces need no functional.
+basis: dv on the canonical normal vector of the target and ev on its
+canonical derivative vector.  Weights are symmetric in x and y, so their
+pieces need no functional.
 
 Derivative tableaux are antisymmetric under the transposition tau of the
 singular pair; vectors are stored in canonical form (normal: z_i <= z_j,
@@ -42,7 +43,6 @@ from .exactalg import (
     dv_operator,
     evaluate_at_singular,
     fe_sum,
-    univariate,
 )
 from .tableaux import (
     GENERIC,
@@ -256,10 +256,6 @@ class ModuleSpec:
             v = v + z[z_index(row, col)] * scale
         return LinearExpr(v, 0, 0)
 
-    def bracket(self, d: LinearExpr) -> FieldElement:
-        """Bracket of an unscaled entry difference, in this spec's units."""
-        return bracket(d._replace(const=d.const * self.qscale), self.mode, self.qscale)
-
     def tau(self, z):
         if self.singular is GENERIC:
             return z
@@ -342,26 +338,26 @@ class ModuleSpec:
         f (a raw_coeff Coefficient or a gamma_mk element) moved past the
         singular point.
 
-        tag 'G': f on a generic spec, in the univariate form;
         tag 'N': (dv, ev) of [x-y]_q * f, the pieces of a normal input;
         tag 'D': (dv, ev) of f, the pieces of a derivative input;
         tag 'E': f evaluated at the singular point.
 
-        A Coefficient under 'N' (x - y appended as a factor) or 'D' crosses
-        as it is, at scale qscale; under 'G' or 'E' as its bracket quotient.
+        A Coefficient crosses on its factors, at scale qscale, x - y
+        appended as a factor under 'N'.  On a generic spec no entry is
+        symbolic, so f evaluated at any point is its value: the pieces are
+        (value, 0), and tag 'E' gives the value.
         """
+        if self.singular is GENERIC:
+            v = evaluate_at_singular(f, 0, self.qscale)
+            return v if tag == "E" else (v, FieldElement.zero(self.mode))
         c = self.eval_scaled
-        if isinstance(f, Coefficient):
-            if tag == "N":
-                f, tag = f._replace(num=f.num + (_XY,)), "D"
-            elif tag != "D":
-                f = f.element(self.qscale)
-        if tag == "G":
-            return univariate(f)
         if tag == "E":
-            return evaluate_at_singular(f, c)
+            return evaluate_at_singular(f, c, self.qscale)
         if tag == "N":
-            f = self._xy * f
+            if isinstance(f, Coefficient):
+                f = f._replace(num=f.num + (_XY,))
+            else:
+                f = self._xy * f
         return dv_operator(f, c, self.qscale), evaluate_at_singular(f, c, self.qscale)
 
     def _pieces(self, tag, kind, k, r, z):
@@ -439,13 +435,10 @@ class ModuleSpec:
 # ---------------------------------------------------------------------------
 
 def place(spec: ModuleSpec, targets) -> ModuleElement:
-    """The one placement step: (target shift, piece) pairs as a module
-    element.  On a generic spec a piece is the value on the tableau at the
-    target.  On a singular spec a piece is a (dv, ev) pair: dv goes on the
-    canonical normal vector of the target and ev, with the sign of the
-    canonical representative, on its canonical derivative vector."""
-    if spec.is_generic():
-        return ModuleElement._raw(_collect((BasisVector(NORMAL, w), c) for w, c in targets))
+    """The one placement step: (target shift, (dv, ev) piece) pairs as a
+    module element.  dv goes on the canonical normal vector of the target
+    and ev, with the sign of the canonical representative, on its
+    canonical derivative vector; a generic spec's ev is always 0."""
     pairs = []
     for w, (dvp, evp) in targets:
         if dvp:
@@ -468,14 +461,12 @@ def _expand(spec: ModuleSpec, tag, g: Generator, z) -> ModuleElement:
     kind.  e_k and f_k move column r to each gated target with the pieces
     of its coefficient.  A weight W stays at z; it is symmetric in x and y,
     so dv([x-y] W) = ev(W) and dv(W) = 0: its piece is (W, 0) on a normal
-    input, (0, W) on a derivative input and W on a generic spec."""
+    input and (0, W) on a derivative input."""
     k = g.index
     if g.kind in ("qeps", "qh"):
         val = spec.weight_element(_weight(g, spec.n), z)
-        if tag != "G":
-            zero = FieldElement.zero(spec.mode)
-            val = (val, zero) if tag == "N" else (zero, val)
-        return place(spec, [(z, val)])
+        zero = FieldElement.zero(spec.mode)
+        return place(spec, [(z, (val, zero) if tag == "N" else (zero, val))])
     step = 1 if g.kind == "e" else -1
     start = spec._row_start[k]
     targets = []
@@ -489,13 +480,17 @@ def _expand(spec: ModuleSpec, tag, g: Generator, z) -> ModuleElement:
 def expand_normal(spec: ModuleSpec, g: Generator, z) -> ModuleElement:
     """Pipeline for a normal tableau from the given shift representative:
     expand g symbolically, multiply by [x-y]_q, split through the
-    singular-point functional, then place the pieces."""
+    singular-point functional, then place the pieces.  On a generic spec
+    the tableau is the basis vector itself and each piece is (value, 0)."""
     return _expand(spec, "N", g, z)
 
 
 def expand_derivative(spec: ModuleSpec, g: Generator, z) -> ModuleElement:
     """Pipeline for a derivative tableau from the given representative
-    (requires a tau-unfixed shift): push g T(v+z) through the functional."""
+    (requires a singular spec and a tau-unfixed shift): push g T(v+z)
+    through the functional."""
+    if spec.is_generic():
+        raise ValueError("generic modules have no derivative vectors")
     if z[spec.zi] == z[spec.zj]:
         raise ValueError("derivative expansion needs a tau-unfixed shift")
     return _expand(spec, "D", g, z)
@@ -522,10 +517,11 @@ def _check_generator(g: Generator, n):
 
 
 def act(g: Generator, bv: BasisVector, spec: ModuleSpec) -> ModuleElement:
-    """Action of one generator on one canonical basis vector.  The cache
-    holds checked generators only, so a hit needs no check.  qeps_k is
-    checked, then keyed as qh(eps_k), the same operator, so both forms
-    share one cache entry."""
+    """Action of one generator on one canonical basis vector, normal or
+    derivative, by the one pipeline of its kind.  The cache holds checked
+    generators only, so a hit needs no check.  qeps_k is checked, then
+    keyed as qh(eps_k), the same operator, so both forms share one cache
+    entry."""
     if g.kind == "qeps":
         _check_generator(g, spec.n)
         g = Generator("qh", 0, _weight(g, spec.n))
@@ -535,11 +531,7 @@ def act(g: Generator, bv: BasisVector, spec: ModuleSpec) -> ModuleElement:
     if hit is not None:
         return hit
     _check_generator(g, spec.n)
-    if spec.is_generic():
-        if bv.kind != NORMAL:
-            raise ValueError("generic modules have no derivative vectors")
-        out = _expand(spec, "G", g, bv.z)
-    elif bv.kind == NORMAL:
+    if bv.kind == NORMAL:
         out = expand_normal(spec, g, bv.z)
     else:
         out = expand_derivative(spec, g, bv.z)

@@ -43,8 +43,8 @@ Term dicts come in two key forms, one per stage of the module pipeline:
 One element holds one form, and each operation picks the primitives of
 that form once (_TRI or _UNI), never per term; an operation that meets
 both forms raises TypeError.  The zero element has no terms and belongs
-to both.  univariate() moves an element free of X and Y across the
-boundary, as a generic spec does with its coefficients.
+to both.  A value free of X and Y, such as every value of a generic
+spec, crosses by evaluate_at_singular at any point.
 
 Everything is immutable and exact.  Equality is decided by cross
 multiplication, so no multivariate gcd is ever required; instead the
@@ -541,11 +541,11 @@ class FieldElement:
     num and the factors of one element share one key form: trivariate
     (Q, X, Y) keys before the singular point is evaluated, bare Q
     exponents after it (see the module docstring).  The constructors
-    below build trivariate elements; evaluate_at_singular, dv_operator and
-    univariate() return univariate ones, and so does the constructor when
-    given dicts keyed by bare Q exponents.  Arithmetic and equality
-    between the two forms raise TypeError.  Every exponent in a key is an
-    int, Q exponents in the caller's units of 1/scale.
+    below build trivariate elements; evaluate_at_singular and dv_operator
+    return univariate ones, and so does the constructor when given dicts
+    keyed by bare Q exponents.  Arithmetic and equality between the two
+    forms raise TypeError.  Every exponent in a key is an int, Q exponents
+    in the caller's units of 1/scale.
     """
 
     __slots__ = ("cn", "cd", "num", "nfac", "fden", "system")
@@ -795,29 +795,6 @@ def _scalar(content, system):
     return e
 
 
-def univariate(f: FieldElement) -> FieldElement:
-    """f, which must be free of X and Y, in the univariate form: the same
-    value with every (q, 0, 0) key replaced by q.  A generic spec, whose
-    coefficients never involve X or Y, moves each cached value across once
-    with it."""
-    if not f.num or _ring(f.num) is _UNI:
-        return f
-
-    def drop(items):
-        out = {}
-        for (q, x, y), c in items:
-            if x or y:
-                raise ValueError("the element depends on X or Y")
-            out[q] = c
-        return out
-
-    def keys(factors):
-        return tuple(sorted(_fkey(drop(k)) for k in factors))
-
-    return FieldElement._raw(f.cn, f.cd, drop(f.num.items()), keys(f.nfac), keys(f.fden),
-                             f.system)
-
-
 def fe_sum(elems, system):
     """Sum a list of field elements in one pass.  Parts that carry the same
     factors are added first, as FieldElement.__add__'s fast path does;
@@ -1059,16 +1036,6 @@ class Coefficient(NamedTuple):
     num: tuple
     den: tuple
     system: str
-
-    def element(self, scale=1) -> FieldElement:
-        """The bracket quotient; one division per bracket keeps every
-        denominator factor a binomial."""
-        out = FieldElement.one(self.system)
-        for d in self.num:
-            out = out * bracket(d, self.system, scale)
-        for d in self.den:
-            out = out / bracket(d, self.system, scale)
-        return -out if self.sign < 0 else out
 
 
 def _factor_values(coeff: Coefficient, c):

@@ -98,17 +98,14 @@ def _gamma_piece(spec: ModuleSpec, tag, m: int, k: int, z, faulted):
 
 def gamma_evaluated(spec: ModuleSpec, m: int, k: int, z) -> FieldElement:
     """gamma_mk at shift z as a univariate value, evaluated at the
-    singular point on a singular spec."""
-    return _gamma_piece(spec, "G" if spec.is_generic() else "E", m, k, z, False)
+    singular point."""
+    return _gamma_piece(spec, "E", m, k, z, False)
 
 
 def act_central(m: int, k: int, bv: BasisVector, spec: ModuleSpec) -> ModuleElement:
     """c_mk on a canonical basis vector: multiplication by gamma_mk, through
     the same evaluation boundary and placement step as the generators."""
-    if spec.is_generic():
-        tag = "G"
-    else:
-        tag = "N" if bv.kind == NORMAL else "D"
+    tag = "N" if bv.kind == NORMAL else "D"
     piece = _gamma_piece(spec, tag, m, k, bv.z, spec.fault.gamma_prefactor)
     return place(spec, [(bv.z, piece)])
 

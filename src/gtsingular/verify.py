@@ -683,33 +683,3 @@ def irreducibility_evidence(spec: ModuleSpec, B: int) -> CheckReport:
     if failure is None and not (hypothesis and evidence == "yes"):
         failure = summary
     return _finish("irreducibility-evidence", summary, B, failure, t0)
-
-
-def run_suite(spec: ModuleSpec, suite: str, B: int, seed=20240901, samples=100):
-    if suite == "relations":
-        return [check_defining_relations(spec, B)]
-    if suite == "compatibility":
-        return [check_compatibility(spec, B)]
-    if suite == "appendix":
-        return [check_appendix(spec.mode, samples=samples, seed=seed)]
-    if suite == "gamma":
-        return [check_gamma(spec, B)]
-    if suite == "findim":
-        if spec.n <= 3:
-            lam = [4, 2, 0][: spec.n]
-        elif spec.n == 4:
-            lam = [5, 3, 1, 0]
-        else:
-            lam = [2, 1] + [0] * (spec.n - 2)
-        return [check_finite_dimensional(lam, spec.mode)]
-    if suite == "irreducible":
-        return [irreducibility_evidence(spec, B)]
-    if suite == "all":
-        out = [check_defining_relations(spec, B)]
-        if not spec.is_generic():
-            out.append(check_compatibility(spec, B))
-        out.append(check_appendix(spec.mode, samples=samples, seed=seed))
-        out.append(check_gamma(spec, B))
-        out.append(irreducibility_evidence(spec, B))
-        return out
-    raise ValueError(f"unknown suite {suite!r}")

@@ -6,7 +6,10 @@ they share no code with the library paths they check.  The exception is
 the singular-point functional oracle: it checks the factor-wise product
 rule of dv_operator against the expanded quotient rule, and it shares the
 term-dict derivatives ``_peuler`` and ``_ppartial`` and
-``evaluate_at_singular`` with the library.
+``evaluate_at_singular`` with the library.  The bracket quotient of an
+e/f Coefficient, built with the library's bracket and field arithmetic,
+is the reference the Coefficient path of those functionals is compared
+against.
 
 The Fraction-coefficient term-dict product and exact division are the
 library's arithmetic from before its coefficients became integers with one
@@ -21,12 +24,12 @@ the summed word, and the words are added with ModuleElement +.
 The exhaustive enumeration of admissible sets, the chain order of two
 positions, a tableau at a flat shift vector and its orbit membership read
 off the entries are tableaux helpers that only tests call; the last is
-the oracle of ModuleSpec.in_basis.  The helpers below
-the oracles (exact derivatives, two-point evaluation, relabeling Q, words
-of generators, weight exponents, what a cached coefficient or weight
-reads) are used by tests only.  Traced library functions are reached
-through their modules, so this module holds no reference that a tracer
-would have to rebind.
+the oracle of ModuleSpec.in_basis.  The helpers below the oracles (exact
+derivatives, two-point evaluation, relabeling Q, the bracket of an entry
+difference in a spec's units, words of generators, weight exponents, what
+a cached coefficient or weight reads) are used by tests only.  Traced
+library functions are reached through their modules, so this module holds
+no reference that a tracer would have to rebind.
 """
 
 from collections import deque
@@ -310,6 +313,18 @@ def oracle_weyl_dimension(lam):
 # singular-point functional oracle
 # ---------------------------------------------------------------------------
 
+def element(coeff, scale=1):
+    """The bracket quotient of an e/f Coefficient as a trivariate element,
+    one division per bracket so every denominator factor is a binomial:
+    the reference its factor path is compared against."""
+    out = FieldElement.one(coeff.system)
+    for d in coeff.num:
+        out = out * exactalg.bracket(d, coeff.system, scale)
+    for d in coeff.den:
+        out = out / exactalg.bracket(d, coeff.system, scale)
+    return -out if coeff.sign < 0 else out
+
+
 def oracle_dv(f, c, scale=1):
     """The singular-point functional by its definition: the quotient rule
     on the expanded form (one numerator over the squared denominator), then
@@ -508,6 +523,13 @@ def scale_q_exponents(f, factor):
         [stretch(dict(k)) for k in f.fden],
         f.system,
     )
+
+
+def spec_bracket(spec, d):
+    """The bracket of an unscaled entry difference d free of X and Y, in
+    the units of spec, as a univariate value."""
+    f = exactalg.bracket(d._replace(const=d.const * spec.qscale), spec.mode, spec.qscale)
+    return exactalg.evaluate_at_singular(f, 0)
 
 
 def act_word(word, elem, spec):

@@ -2,7 +2,10 @@
 
 The corpus is the four spec checks (relations, compatibility, gamma and
 irreducibility) on the n=3 fixture at B=1 and B=2 and on the gated n=4
-spec G4 at B=1, in both modes, unfaulted and under each Fault flag: 96
+spec G4 at B=1, and the three checks a generic spec takes (all but
+compatibility) on the generic n=2 spec at B=2 and a generic n=3 spec at
+B=1, in both modes, unfaulted and under each Fault flag; then
+check_finite_dimensional on three highest weights in both modes: 150
 reports.  Every report is rendered with its seconds set to zero, so the
 output of two trees is compared with diff:
 
@@ -17,11 +20,13 @@ from gtsingular.exactalg import CLASSICAL, QUANTUM
 from gtsingular.verify import (
     check_compatibility,
     check_defining_relations,
+    check_finite_dimensional,
     check_gamma,
     irreducibility_evidence,
 )
 
-from test_action import singular_spec_n3
+from test_action import generic_spec_n2, singular_spec_n3
+from test_gtcenter import generic_spec_n3
 from test_verify import g4_spec
 
 CHECKS = (check_defining_relations, check_compatibility, check_gamma,
@@ -29,14 +34,20 @@ CHECKS = (check_defining_relations, check_compatibility, check_gamma,
 FAULTS = (("none", Fault()), ("sign_flip", Fault(sign_flip=True)),
           ("drop_gate", Fault(drop_gate=True)),
           ("gamma_prefactor", Fault(gamma_prefactor=True)))
+WEIGHTS = ([3, 0], [2, 1, 0], [5, 3, 1, 0])
 
 
-def n3_spec(mode, fault):
-    base = singular_spec_n3(mode)
-    return ModuleSpec(base.base, base.relations, mode=mode, fault=fault)
+def faulted(make):
+    """make(mode), a fixture spec, rebuilt with a fault."""
+    def build(mode, fault):
+        base = make(mode)
+        return ModuleSpec(base.base, base.relations, mode=mode, fault=fault)
+    return build
 
 
-SPECS = (("n3", n3_spec, (1, 2)), ("G4", g4_spec, (1,)))
+SPECS = (("n3", faulted(singular_spec_n3), (1, 2)), ("G4", g4_spec, (1,)),
+         ("generic2", faulted(generic_spec_n2), (2,)),
+         ("generic3", faulted(lambda mode: generic_spec_n3()), (1,)))
 
 
 def corpus():
@@ -47,8 +58,13 @@ def corpus():
                 for fault_name, fault in FAULTS:
                     spec = make(mode, fault)
                     for check in CHECKS:
+                        if check is check_compatibility and spec.is_generic():
+                            continue
                         label = f"{name} {mode} B={B} fault={fault_name} {check.__name__}"
                         yield label, check(spec, B)
+    for mode in (QUANTUM, CLASSICAL):
+        for lam in WEIGHTS:
+            yield f"findim {lam} {mode}", check_finite_dimensional(lam, mode)
 
 
 def main():

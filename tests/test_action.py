@@ -9,7 +9,7 @@ from gtsingular.exactalg import (
     FieldElement,
     LinearExpr,
     bracket,
-    univariate,
+    evaluate_at_singular,
 )
 from gtsingular.tableaux import RelationSet, Tableau, interlacing_relations, highest_weight_tableau
 from gtsingular.action import (
@@ -28,7 +28,15 @@ from gtsingular.action import (
     gen_qh,
 )
 
-from oracles import act_word, evaluate_at, scale_q_exponents, weight_exponent, weight_shift
+from oracles import (
+    act_word,
+    element,
+    evaluate_at,
+    scale_q_exponents,
+    spec_bracket,
+    weight_exponent,
+    weight_shift,
+)
 
 
 def generic_spec_n2(mode=QUANTUM):
@@ -42,7 +50,7 @@ def singular_spec_n3(mode=QUANTUM):
 
 
 def one(spec):
-    return univariate(FieldElement.one(spec.mode))
+    return FieldElement.q_monomial(spec.mode, 1)
 
 
 class TestGenericAction:
@@ -51,10 +59,8 @@ class TestGenericAction:
         b = BasisVector(NORMAL, (0,))
         got = act(gen_e(1), b, spec)
         l21, l22, l11 = Rat(1, 3), Rat(-1, 2), Rat(1, 5)
-        expected = -univariate(
-            spec.bracket(LinearExpr(l11 - l21, 0, 0))
-            * spec.bracket(LinearExpr(l11 - l22, 0, 0))
-        )
+        expected = -(spec_bracket(spec, LinearExpr(l11 - l21, 0, 0))
+                     * spec_bracket(spec, LinearExpr(l11 - l22, 0, 0)))
         assert got == ModuleElement({BasisVector(NORMAL, (1,)): expected})
 
     def test_f1_n2_unit_coefficient(self):
@@ -68,9 +74,7 @@ class TestGenericAction:
         spec = generic_spec_n2()
         b = BasisVector(NORMAL, (0,))
         got = act(gen_qeps(1), b, spec)
-        expected = univariate(FieldElement.monomial(
-            QUANTUM, 1, expq=(Rat(1, 5) + 1) * spec.qscale
-        ))
+        expected = FieldElement.q_monomial(QUANTUM, 1, (Rat(1, 5) + 1) * spec.qscale)
         assert got == ModuleElement({b: expected})
 
     def test_commutator_ef_is_weight_bracket(self):
@@ -83,7 +87,7 @@ class TestGenericAction:
             )
             a1 = weight_exponent(spec, 1, z)
             a2 = weight_exponent(spec, 2, z)
-            rhs = v.scale(univariate(spec.bracket(a1 - a2)))
+            rhs = v.scale(spec_bracket(spec, a1 - a2))
             assert lhs == rhs
 
     def test_act_word_empty_and_linear(self):
@@ -91,7 +95,7 @@ class TestGenericAction:
         b = BasisVector(NORMAL, (0,))
         v = ModuleElement.basis(b, spec.mode)
         assert act_word([], v, spec) == v
-        c = univariate(FieldElement.monomial(QUANTUM, Rat(3, 2), expq=1))
+        c = FieldElement.q_monomial(QUANTUM, Rat(3, 2), 1)
         assert act_word([gen_e(1)], v.scale(c), spec) == act_word(
             [gen_e(1)], v, spec
         ).scale(c)
@@ -216,9 +220,7 @@ class TestSingularPipeline:
         b = spec.basis_vector(DERIVATIVE, (0, 2, 0))
         got = act(gen_qeps(2), b, spec)
         # exponent (x+2) + y - l11 + 2 at x = y = 0, with l11 = 1/7
-        expected = univariate(FieldElement.monomial(
-            QUANTUM, 1, expq=(Rat(4) - Rat(1, 7)) * spec.qscale
-        ))
+        expected = FieldElement.q_monomial(QUANTUM, 1, (Rat(4) - Rat(1, 7)) * spec.qscale)
         assert got == ModuleElement({b: expected})
 
     def test_sum_that_cancels_every_term_is_zero(self):
@@ -279,14 +281,15 @@ class TestGenericConsistency:
                 for r in range(1, k + 1):
                     sym = evaluate_at(
                         scale_q_exponents(
-                            sspec.raw_coeff(kind, k, r, z).element(sspec.qscale),
+                            element(sspec.raw_coeff(kind, k, r, z), sspec.qscale),
                             D // sspec.qscale,
                         ),
                         a * D,
                         b * D,
                     )
                     direct = scale_q_exponents(
-                        univariate(gspec.raw_coeff(kind, k, r, z).element(gspec.qscale)),
+                        evaluate_at_singular(
+                            element(gspec.raw_coeff(kind, k, r, z), gspec.qscale), 0),
                         D // gspec.qscale,
                     )
                     assert sym == direct, (kind, k, r, z)

@@ -4,19 +4,28 @@ path, in both systems.
 An e/f coefficient crosses the evaluation boundary as a Coefficient, and
 dv_operator and evaluate_at_singular take its (dv, ev) pieces from the
 values and derivatives of its factors at x = y = c: classically the linear
-factors themselves, in the quantum system their brackets [A]_q.  The
-oracle is the path every other value takes: the bracket quotient,
-Coefficient.element, through the same two functions.  Values must be ==,
-and an input that raises must raise the same exception type on both
-paths.
+factors themselves, in the quantum system their brackets [A]_q.  A generic
+spec takes the same path, at any point.  The oracle is the path every
+other value takes: the bracket quotient, oracles.element, through the same
+two functions.  Values must be ==, and an input that raises must raise the
+same exception type on both paths.
 """
+
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gtsingular import exactalg
+from gtsingular import action, exactalg, verify
 from gtsingular._rat import Rat
-from gtsingular.action import ModuleSpec
+from gtsingular.action import (
+    ModuleSpec,
+    act,
+    expand_derivative,
+    expand_normal,
+    gen_e,
+    gen_f,
+)
 from gtsingular.exactalg import (
     CLASSICAL,
     QUANTUM,
@@ -29,10 +38,16 @@ from gtsingular.exactalg import (
     dv_operator,
     evaluate_at_singular,
 )
-from gtsingular.verify import check_compatibility, check_defining_relations
+from gtsingular.tableaux import highest_weight_tableau, interlacing_relations
+from gtsingular.verify import (
+    check_compatibility,
+    check_defining_relations,
+    check_finite_dimensional,
+)
 
 from gated_specs import gated_corpus
-from test_action import singular_spec_n3
+from oracles import element
+from test_action import generic_spec_n2, singular_spec_n3
 from test_verify import g4_spec
 
 XY = LinearExpr(0, 1, -1)
@@ -49,7 +64,7 @@ def outcome(fn, *args):
 
 def element_pieces(coeff, c, tag, scale=1):
     """The oracle: (dv, ev) of the bracket quotient, times [x-y] under 'N'."""
-    f = coeff.element(scale)
+    f = element(coeff, scale)
     if tag == "N":
         f = bracket(XY, coeff.system, scale) * f
     return dv_operator(f, c, scale), evaluate_at_singular(f, c)
@@ -61,54 +76,119 @@ def factor_pieces(coeff, c, tag, scale=1):
     return dv_operator(coeff, c, scale), evaluate_at_singular(coeff, c, scale)
 
 
-# --- every e/f piece the checks reach on the corpora ----------------------
+# --- every e/f piece a census of the action reaches on the corpora -------
+
+FINDIM_WEIGHT = [5, 3, 1, 0]
+
+
+def findim_spec(mode):
+    n = len(FINDIM_WEIGHT)
+    return ModuleSpec(highest_weight_tableau(FINDIM_WEIGHT), interlacing_relations(n),
+                      mode=mode)
+
 
 def corpus(mode):
-    """(name, spec, B): the n=3 fixture at B=2, G4 at B=1 and the gated n=4
-    corpus at B=1, in one system; quantum names end in -quantum."""
+    """(name, make, B), make() building the spec: the n=3 fixture at B=2,
+    G4 at B=1, the gated n=4 corpus at B=1, and the generic specs: the
+    finite-dimensional n=4 module over its whole basis and the generic n=2
+    spec at B=2, in one system; quantum names end in -quantum.  Each test
+    builds its spec, so no spec outlives its test with its caches."""
     tail = "-quantum" if mode == QUANTUM else ""
-    yield f"n3{tail}", singular_spec_n3(mode), 2
-    yield f"G4{tail}", g4_spec(mode), 1
+    yield f"n3{tail}", partial(singular_spec_n3, mode), 2
+    yield f"G4{tail}", partial(g4_spec, mode), 1
     for i, (T, C, _) in enumerate(gated_corpus(4, 4, 0, (2, 3), 216, 1)):
-        yield f"gated{i}{tail}", ModuleSpec(T, C, mode=mode), 1
+        yield f"gated{i}{tail}", partial(ModuleSpec, T, C, mode=mode), 1
+    lam = FINDIM_WEIGHT
+    yield f"findim4{tail}", partial(findim_spec, mode), lam[0] - lam[-1] + len(lam)
+    yield f"generic2{tail}", partial(generic_spec_n2, mode), 2
 
 
-@pytest.mark.parametrize("name, spec, B", [pytest.param(*case, id=case[0])
+def census(spec, B):
+    """Reach the e/f pieces that the relation and compatibility checks
+    reach, without their residual sums: from every window vector, the
+    moves of the words the relations apply (e f, f e, e e and f f, each
+    letter any e_r resp. f_r, and the Serre words g_r g_r g_s, g_r g_s g_r
+    and g_s g_r g_r for |r - s| = 1), and on a singular spec
+    expand_normal and expand_derivative at both shifts of every tau-orbit
+    in the window."""
+    e = [gen_e(r) for r in range(1, spec.n)]
+    f = [gen_f(r) for r in range(1, spec.n)]
+    words = [(e, f), (f, e), (e, e), (f, f)]
+    for r in range(1, spec.n - 1):
+        for gen in (gen_e, gen_f):
+            for a, b in (([gen(r)], [gen(r + 1)]), ([gen(r + 1)], [gen(r)])):
+                words += [(a, a, b), (a, b, a), (b, a, a)]
+    window = spec.window(B)
+    for word in words:
+        frontier = window
+        for gens in word:
+            frontier = {tgt for bv in frontier for g in gens for tgt in act(g, bv, spec).terms}
+    if spec.is_generic():
+        return
+    for bv in window:
+        for z in (bv.z, spec.tau(bv.z)):
+            for g in e + f:
+                expand_normal(spec, g, z)
+                if z[spec.zi] != z[spec.zj]:
+                    expand_derivative(spec, g, z)
+
+
+def ef_keys(spec):
+    """The cache keys of the e/f pieces spec has evaluated."""
+    return {key for key in spec._piece_cache if key[0] in ("N", "D")}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_census_reaches_every_piece_the_checks_reach(mode):
+    checked, counted = singular_spec_n3(mode), singular_spec_n3(mode)
+    check_defining_relations(checked, 2)
+    check_compatibility(checked, 2)
+    census(counted, 2)
+    assert ef_keys(checked) and ef_keys(checked) <= ef_keys(counted)
+
+
+@pytest.mark.parametrize("name, make, B", [pytest.param(*case, id=case[0])
                                            for mode in MODES for case in corpus(mode)])
-def test_factor_path_matches_element_path_on_reached_pieces(monkeypatch, name, spec, B):
+def test_factor_path_matches_element_path_on_reached_pieces(monkeypatch, name, make, B):
+    spec = make()
     reached = []
     real = ModuleSpec._evaluated
 
     def record(self, tag, f):
+        got = real(self, tag, f)
         if isinstance(f, Coefficient):
-            reached.append((tag, f))
-        return real(self, tag, f)
+            reached.append((tag, f, got))
+        return got
 
     monkeypatch.setattr(ModuleSpec, "_evaluated", record)
-    check_defining_relations(spec, B)
-    check_compatibility(spec, B)
+    census(spec, B)
     monkeypatch.undo()
     assert reached
-    for tag, coeff in reached:
-        got = outcome(spec._evaluated, tag, coeff)
-        want = outcome(spec._evaluated, tag, coeff.element(spec.qscale))
+    for tag, coeff, got in reached:
+        want = outcome(spec._evaluated, tag, element(coeff, spec.qscale))
         assert got == want, (name, tag, coeff)
 
 
-def relation_check_builds_no_element(monkeypatch, mode):
-    def refuse(*args):
-        raise AssertionError("an e/f coefficient became an element")
+def test_checks_build_no_trivariate_quotient(monkeypatch):
+    """Quantum and classical check_finite_dimensional and the generic n=2
+    relation check divide no trivariate binomial and build no bracket:
+    every e/f coefficient crosses on its factors."""
+    calls = []
 
-    monkeypatch.setattr(Coefficient, "element", refuse)
-    assert check_defining_relations(singular_spec_n3(mode), 1)
+    def refuse(name):
+        def call(*args):
+            calls.append(name)
+            raise AssertionError(f"a call of {name}")
+        return call
 
-
-def test_classical_pieces_build_no_element(monkeypatch):
-    relation_check_builds_no_element(monkeypatch, CLASSICAL)
-
-
-def test_quantum_pieces_build_no_element(monkeypatch):
-    relation_check_builds_no_element(monkeypatch, QUANTUM)
+    monkeypatch.setattr(exactalg, "_TRI",
+                        exactalg._TRI._replace(div_binomial=refuse("div_binomial")))
+    for module in (exactalg, action, verify):
+        monkeypatch.setattr(module, "bracket", refuse("bracket"))
+    for mode in MODES:
+        assert check_finite_dimensional(FINDIM_WEIGHT, mode)
+        assert check_defining_relations(generic_spec_n2(mode), 1)
+    assert calls == []
 
 
 @pytest.mark.parametrize("mode", MODES)

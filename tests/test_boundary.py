@@ -3,10 +3,10 @@ one division path.
 
 Every generator, e_k, f_k, the weights and the central c_mk, reaches the
 singular-point functionals (on elements, and on the factors of an e/f
-Coefficient) or the univariate form through ``ModuleSpec._evaluated``
-alone.  This scan fails when ``action.py`` or
-``gtcenter.py`` refers to one of those functions anywhere else, under its
-own name or an import alias, so the pipeline cannot fork again unnoticed.
+Coefficient) through ``ModuleSpec._evaluated`` alone, on generic specs
+too.  This scan fails when ``action.py`` or ``gtcenter.py`` refers to one
+of those functions anywhere else, under its own name or an import alias,
+so the pipeline cannot fork again unnoticed.
 
 In ``exactalg.py`` one chain walk, ``_updiv_binomial``, is the only
 exact division.  It is reached from the ``_Ring`` tables, from ``_reduce``
@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gtsingular"
-BOUNDARY = frozenset({"dv_operator", "evaluate_at_singular", "univariate"})
+BOUNDARY = frozenset({"dv_operator", "evaluate_at_singular"})
 ALLOWED = ("ModuleSpec", "_evaluated")
 
 
@@ -62,18 +62,18 @@ def test_module_stage_evaluates_only_at_the_boundary(name):
 
 def test_scan_sees_references_outside_the_boundary():
     src = (
-        "from .exactalg import dv_operator, univariate as uni\n"
+        "from .exactalg import dv_operator, evaluate_at_singular as ev\n"
         "from . import exactalg\n"
         "class ModuleSpec:\n"
         "    def _evaluated(self, f):\n"
-        "        return dv_operator(f), uni(f)\n"
+        "        return dv_operator(f), ev(f)\n"
         "    def other(self, f):\n"
-        "        return uni(f)\n"
+        "        return ev(f)\n"
         "def g(f):\n"
         "    return exactalg.evaluate_at_singular(f, 0), dv_operator\n"
     )
     assert references_outside(src) == [
-        (7, "univariate"), (9, "dv_operator"), (9, "evaluate_at_singular"),
+        (7, "evaluate_at_singular"), (9, "dv_operator"), (9, "evaluate_at_singular"),
     ]
 
 
