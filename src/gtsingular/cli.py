@@ -39,7 +39,8 @@ def main(argv=None):
         if args.check == "findim":
             report = verify.check_finite_dimensional(args.lam, mode)
         else:
-            given = {k: getattr(args, k) for k in ("samples", "seed") if getattr(args, k) is not None}
+            given = {k: getattr(args, k) for k in ("samples", "seed")
+                     if getattr(args, k) is not None}
             report = verify.check_appendix(mode, **given)
     except ValueError as exc:
         parser.error(str(exc))

@@ -853,17 +853,27 @@ def fe_sum(elems, system):
 
 
 def _cancel_pairs(nfac, fden):
-    """Drop factors shared by the two multisets."""
-    if not nfac or not fden:
-        return tuple(sorted(nfac)), tuple(sorted(fden))
-    cn, cd = Counter(nfac), Counter(fden)
-    common = cn & cd
-    if not common:
-        return tuple(sorted(nfac)), tuple(sorted(fden))
-    return (
-        tuple(sorted((cn - common).elements())),
-        tuple(sorted((cd - common).elements())),
-    )
+    """Drop factors shared by the two multisets: one merge over both
+    sorted."""
+    a, b = sorted(nfac), sorted(fden)
+    if not a or not b:
+        return tuple(a), tuple(b)
+    keep_a, keep_b = [], []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        x, y = a[i], b[j]
+        if x == y:
+            i += 1
+            j += 1
+        elif x < y:
+            keep_a.append(x)
+            i += 1
+        else:
+            keep_b.append(y)
+            j += 1
+    keep_a += a[i:]
+    keep_b += b[j:]
+    return tuple(keep_a), tuple(keep_b)
 
 
 def _build_raw(cn, cd, num, nfac, fden, system, ring):

@@ -438,10 +438,11 @@ def pole_families(rng, system, c, scale=1):
     # symmetric, so its dv vanishes while the sum itself does not.
     a = sample_smooth(rng, system, scale=scale)
     h1 = _sample_invertible(rng, system, c, scale)
-    weak = [(a, h1), (tau_swap(a), -tau_swap(h1))]
+    a_tau = tau_swap(a)
+    weak = [(a, h1), (a_tau, -tau_swap(h1))]
     # strong family: the twisted sum vanishes identically.
     bden = _sample_invertible(rng, system, c, scale)
-    w = -(tau_swap(a) * h1) / tau_swap(bden)
+    w = -(a_tau * h1) / tau_swap(bden)
     strong = [(a, h1), (bden, w)]
     return [("weak", weak, False), ("strong", strong, True)]
 
@@ -452,7 +453,9 @@ def check_appendix(system=QUANTUM, samples=100, seed=20240901) -> CheckReport:
     Quantum exponents are in units of 1/2 (scale 2), so the half-integer
     points are integral: Q -> Q^(1/2) is an injective ring map, so each
     identity holds exactly when it does in units of 1, on the same draws.
-    Raises ValueError for an unknown system, or when samples < 1."""
+    Each functional value is computed once per sample and shared by every
+    identity that reads it.  Raises ValueError for an unknown system, or
+    when samples < 1."""
     if system not in (QUANTUM, CLASSICAL):
         raise ValueError(f"unknown mode {system!r}")
     if samples < 1:
@@ -470,42 +473,34 @@ def check_appendix(system=QUANTUM, samples=100, seed=20240901) -> CheckReport:
         c = scale * Rat(rng.randint(-4, 4), rng.choice([1, 1, 2]))
         f = sample_smooth(rng, system, scale=scale)
         g = sample_smooth(rng, system, scale=scale)
-        fs = f + tau_swap(f)
-        checks = []
-        checks.append(("dv(f^tau) = -dv(f)",
-                       dv_operator(tau_swap(f), c, scale) == -dv_operator(f, c, scale)))
-        checks.append(("dv(sym) = 0", dv_operator(fs, c, scale).is_zero()))
-        h = (f - tau_swap(f)) * inv_b
-        checks.append(
+        f_tau, gs = tau_swap(f), g + tau_swap(g)
+        dv_f, ev_f = dv_operator(f, c, scale), evaluate_at_singular(f, c)
+        dv_g, ev_g = dv_operator(g, c, scale), evaluate_at_singular(g, c)
+        dv_bf = dv_operator(b * f, c, scale)
+        checks = [
+            ("dv(f^tau) = -dv(f)", dv_operator(f_tau, c, scale) == -dv_f),
+            ("dv(sym) = 0", dv_operator(f + f_tau, c, scale).is_zero()),
             ("ev((f-f^tau)/[x-y]) = 2 dv(f)",
-             evaluate_at_singular(h, c) == dv_operator(f, c, scale).scale(2))
-        )
-        checks.append(
-            ("ev(f) = dv([x-y] f)",
-             evaluate_at_singular(f, c) == dv_operator(b * f, c, scale))
-        )
-        prod_lhs = dv_operator(f * g, c, scale)
-        prod_rhs = (dv_operator(f, c, scale) * evaluate_at_singular(g, c)
-                    + evaluate_at_singular(f, c) * dv_operator(g, c, scale))
-        checks.append(("product rule", prod_lhs == prod_rhs))
-        checks.append(
-            ("dv([x-y]f) = dv([x-y]f^tau)",
-             dv_operator(b * f, c, scale) == dv_operator(b * tau_swap(f), c, scale))
-        )
-        gs = g + tau_swap(g)
-        checks.append(
+             evaluate_at_singular((f - f_tau) * inv_b, c) == dv_f.scale(2)),
+            ("ev(f) = dv([x-y] f)", ev_f == dv_bf),
+            ("product rule", dv_operator(f * g, c, scale) == dv_f * ev_g + ev_f * dv_g),
+            ("dv([x-y]f) = dv([x-y]f^tau)", dv_bf == dv_operator(b * f_tau, c, scale)),
             ("dv(f) dv([x-y]g) = dv(fg) for symmetric g",
-             dv_operator(f, c, scale) * dv_operator(b * gs, c, scale)
-             == dv_operator(f * gs, c, scale))
-        )
+             dv_f * dv_operator(b * gs, c, scale) == dv_operator(f * gs, c, scale)),
+        ]
 
+        # both families open with the pair (a, h1): its dv values are shared
+        pair_dv = {}
         for name, fam, test_ev in pole_families(rng, system, c, scale):
-            lhs_i = FieldElement.zero(system)
-            lhs_ii = FieldElement.zero(system)
-            total = FieldElement.zero(system)
+            lhs_i = lhs_ii = total = FieldElement.zero(system)
             for fm, hm in fam:
-                lhs_i = lhs_i + dv_operator(fm, c, scale) * dv_operator(hm, c, scale)
-                lhs_ii = lhs_ii + dv_operator(fm, c, scale) * evaluate_at_singular(hm, c)
+                key = id(fm), id(hm)
+                if key not in pair_dv:
+                    pair_dv[key] = dv_operator(fm, c, scale), dv_operator(hm, c, scale)
+                dv_fm, dv_hm = pair_dv[key]
+                lhs_i = lhs_i + dv_fm * dv_hm
+                if test_ev:
+                    lhs_ii = lhs_ii + dv_fm * evaluate_at_singular(hm, c)
                 total = total + fm * hm
             total = total * inv_b
             checks.append(
@@ -621,11 +616,12 @@ def irreducibility_evidence(spec: ModuleSpec, B: int) -> CheckReport:
     """Exact irreducibility hypothesis (maximality plus non-integral gaps
     off the support) and, separately, window-reachability evidence: the
     window's interior (shift entries at most B - 1 in size, or the whole
-    window when none is) is strongly connected by nonzero e_r, f_r moves inside the window, which one search
-    on the moves and one on the reversed moves from an interior vertex
-    decide (M. Sharir, Comput. Math. Appl. 7, 1981).  A coefficient that
-    cannot be computed fails the check with the generator and the basis
-    vector where it arose, and leaves the evidence unknown."""
+    window when none is) is strongly connected by nonzero e_r, f_r moves
+    inside the window, which one search on the moves and one on the
+    reversed moves from an interior vertex decide (M. Sharir, Comput.
+    Math. Appl. 7, 1981).  A coefficient that cannot be computed fails the
+    check with the generator and the basis vector where it arose, and
+    leaves the evidence unknown."""
     t0 = time.perf_counter()
     M, _ = maximal_relation_set(spec.base)
     support = spec.relations.support

@@ -14,7 +14,8 @@ against.
 The Fraction-coefficient term-dict product and exact division are the
 library's arithmetic from before its coefficients became integers with one
 rational content per element; they check the integer-content primitives.
-The Fraction value of a classical scalar checks the int-pair contents.
+The Fraction value of a classical scalar checks the int-pair contents,
+and the Counter difference of two factor multisets checks their merge.
 
 The per-word relation residuals are the relation check as it was before
 each residual was summed in one pass: every letter of every word acts
@@ -32,7 +33,7 @@ library functions are reached through their modules, so this module holds
 no reference that a tracer would have to rebind.
 """
 
-from collections import deque
+from collections import Counter, deque
 from itertools import product
 
 from gtsingular import action, exactalg, tableaux
@@ -433,6 +434,22 @@ def fraction_pdiv_exact(a, f):
         if any(d.values()):
             return None
     return quo
+
+
+def counter_cancel_pairs(nfac, fden):
+    """Drop the factor keys shared by two multisets, by Counter difference:
+    the library's factor cancellation before it became one merge over the
+    two sorted multisets."""
+    if not nfac or not fden:
+        return tuple(sorted(nfac)), tuple(sorted(fden))
+    cn, cd = Counter(nfac), Counter(fden)
+    common = cn & cd
+    if not common:
+        return tuple(sorted(nfac)), tuple(sorted(fden))
+    return (
+        tuple(sorted((cn - common).elements())),
+        tuple(sorted((cd - common).elements())),
+    )
 
 
 # ---------------------------------------------------------------------------

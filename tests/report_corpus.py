@@ -5,19 +5,22 @@ irreducibility) on the n=3 fixture at B=1 and B=2 and on the gated n=4
 spec G4 at B=1, and the three checks a generic spec takes (all but
 compatibility) on the generic n=2 spec at B=2 and a generic n=3 spec at
 B=1, in both modes, unfaulted and under each Fault flag; then
-check_finite_dimensional on three highest weights in both modes: 150
-reports.  Every report is rendered with its seconds set to zero, so the
-output of two trees is compared with diff:
+check_finite_dimensional on three highest weights in both modes; then
+check_appendix on 2 samples for seeds 0-11 in both modes: 174 reports.
+Every report is rendered with its seconds set to zero, so the output of
+two trees is compared with diff:
 
     PYTHONPATH=src python tests/report_corpus.py > reports.txt
 
-Run it from the root of each tree.  It takes about 20 s on a 2-core
-x86-64 box with CPython 3.11, most of it in the quantum relation checks.
+Run it from the root of each tree.  It takes about 12 s on a 2-core
+x86-64 box with CPython 3.11, most of it in the quantum relation checks;
+the appendix reports take about 0.3 s of it.
 """
 
 from gtsingular.action import Fault, ModuleSpec
 from gtsingular.exactalg import CLASSICAL, QUANTUM
 from gtsingular.verify import (
+    check_appendix,
     check_compatibility,
     check_defining_relations,
     check_finite_dimensional,
@@ -35,6 +38,7 @@ FAULTS = (("none", Fault()), ("sign_flip", Fault(sign_flip=True)),
           ("drop_gate", Fault(drop_gate=True)),
           ("gamma_prefactor", Fault(gamma_prefactor=True)))
 WEIGHTS = ([3, 0], [2, 1, 0], [5, 3, 1, 0])
+APPENDIX_SEEDS = range(12)
 
 
 def faulted(make):
@@ -65,6 +69,9 @@ def corpus():
     for mode in (QUANTUM, CLASSICAL):
         for lam in WEIGHTS:
             yield f"findim {lam} {mode}", check_finite_dimensional(lam, mode)
+    for mode in (QUANTUM, CLASSICAL):
+        for seed in APPENDIX_SEEDS:
+            yield f"appendix {mode} seed={seed}", check_appendix(mode, 2, seed)
 
 
 def main():

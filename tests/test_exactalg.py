@@ -36,6 +36,7 @@ from gtsingular.exactalg import (
     _CHAIN_LIMIT,
     _UNI,
     _UONE,
+    _cancel_pairs,
     _reduce,
     _unormalize_factor,
     _updiv_binomial,
@@ -45,6 +46,7 @@ from gtsingular.exactalg import (
 from gtsingular.verify import pole_families, sample_smooth
 
 from oracles import (
+    counter_cancel_pairs,
     euler_derivative,
     evaluate_at,
     fraction_normalize,
@@ -559,6 +561,26 @@ def test_collect_against_naive_sum():
     k, j = keys[:2]
     assert _collect([(k, Rat(1)), (k, Rat(-1)), (j, Rat(0)), (k, Rat(2))]) == {k: 2}
     assert _collect([(k, Rat(-3))], {k: Rat(3), j: Rat(1)}) == {j: 1}
+
+
+@pytest.mark.parametrize("form", ["trivariate", "univariate"])
+def test_cancel_pairs_against_counter_difference(form):
+    """The merge drops the factor keys shared by two multisets as Counter
+    difference does, on unsorted inputs with repeated keys and empty sides."""
+    rng = random.Random(7)
+    if form == "trivariate":
+        pool = [_fkey({(0, 0, 0): 1, (q, x, y): s}) for q, x, y, s in
+                ((2, 0, 0, -1), (1, 1, 0, 1), (0, 1, 1, -1), (3, 0, 1, 1))]
+    else:
+        pool = [_fkey({0: 1, t: s}) for t, s in ((1, -1), (2, 1), (4, -1), (6, 1))]
+    for _ in range(400):
+        nfac = tuple(rng.choice(pool) for _ in range(rng.randint(0, 5)))
+        fden = tuple(rng.choice(pool) for _ in range(rng.randint(0, 5)))
+        assert _cancel_pairs(nfac, fden) == counter_cancel_pairs(nfac, fden)
+    a, b = sorted(pool[:2])
+    assert _cancel_pairs((a, b, a), (a, a, a)) == ((b,), (a,))
+    assert _cancel_pairs((), (b, a)) == ((), (a, b))
+    assert _cancel_pairs((b, a), ()) == ((a, b), ())
 
 
 @SYSTEMS
