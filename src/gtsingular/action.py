@@ -540,13 +540,14 @@ def act(g: Generator, bv: BasisVector, spec: ModuleSpec) -> ModuleElement:
     return out
 
 
-def combine(pairs, spec: ModuleSpec) -> ModuleElement:
-    """Sum (basis vector, coefficient) pairs with one fe_sum pass per basis
-    vector: a relation residual, or the terms of an action, assembled
-    without summing any part of it first."""
+def combine(triples, spec: ModuleSpec) -> ModuleElement:
+    """Sum (basis vector, a, b) triples, each the product a * b on its
+    vector (b = None stands for 1), with one fe_sum pass per basis vector:
+    a relation residual, or the terms of an action, assembled without
+    summing any part of it first or building a scalar product."""
     buckets = {}
-    for bv, c in pairs:
-        buckets.setdefault(bv, []).append(c)
+    for bv, a, b in triples:
+        buckets.setdefault(bv, []).append((a, b))
     out = {}
     for bv, parts in buckets.items():
         v = fe_sum(parts, spec.mode)
@@ -557,11 +558,11 @@ def combine(pairs, spec: ModuleSpec) -> ModuleElement:
 
 def act_element(g: Generator, elem: ModuleElement, spec: ModuleSpec, *more) -> ModuleElement:
     """g on a module element: every term of g on each basis vector of elem,
-    times that vector's coefficient, summed by combine.  Each further
-    (generator, element) pair in more adds its terms to the same sum, so a
-    sum of words is reduced once."""
+    paired with that vector's coefficient and summed by combine.  Each
+    further (generator, element) pair in more adds its terms to the same
+    sum, so a sum of words is reduced once."""
     return combine(
-        ((tgt, coeff * c)
+        ((tgt, coeff, c)
          for gen, e in ((g, elem),) + more
          for bv, c in e.terms.items()
          for tgt, coeff in act(gen, bv, spec).terms.items()),

@@ -729,8 +729,9 @@ class FieldElement:
 
     def __mul__(self, other):
         """Two factor-free elements of one system whose numerator is _UONE
-        itself multiply their contents (the scalar fast path of fe_sum); a
-        polynomial left operand pays one identity test for it."""
+        itself multiply their contents, as fe_sum does for such a pair
+        without building the product; a polynomial left operand pays one
+        identity test for it."""
         if (self.num is _UONE and type(other) is FieldElement and other.num is _UONE
                 and self.system == other.system
                 and not (self.nfac or self.fden or other.nfac or other.fden)):
@@ -796,30 +797,37 @@ def _scalar(content, system):
 
 
 def fe_sum(elems, system):
-    """Sum a list of field elements in one pass.  Parts that carry the same
-    factors are added first, as FieldElement.__add__'s fast path does;
-    then the group sums are put over one denominator: shared numerator
-    factors stay factored, the denominator union is taken once, and every
-    group sum is expanded only against what it is missing.  A group whose
-    sum vanishes takes no part in the union.  The parts share one key
-    form.
+    """Sum the products a * b of a list of (a, b) factor pairs in one pass;
+    b = None stands for 1.
 
-    Scalar fast path, also in __mul__: parts with no factors and the
-    numerator _UONE itself (every classical module-stage value) have their
-    int contents summed over the lcm, as _sum would.  The identity test
-    costs a polynomial first part one comparison."""
-    elems = [e for e in elems if e.num]
-    if not elems:
-        return FieldElement.zero(system)
+    Scalar pairs, whose factors have no nfac/fden and the numerator _UONE
+    itself (every classical module-stage value), are never multiplied:
+    their int content products are summed over the running lcm of their
+    denominators and reduced once, and a zero factor drops its pair.  At
+    the first pair of another shape every product a * b is built, and the
+    products are summed as follows.  Products that carry the same factors
+    are added first, as FieldElement.__add__'s fast path does; then the
+    group sums are put over one denominator: shared numerator factors stay
+    factored, the denominator union is taken once, and every group sum is
+    expanded only against what it is missing.  A group whose sum vanishes
+    takes no part in the union.  The parts share one key form."""
+    den, s = 1, 0
+    for a, b in elems:
+        if a.num is _UONE and not (a.nfac or a.fden) and (b is None or (
+                b.num is _UONE and not (b.nfac or b.fden) and b.system == a.system)):
+            n, d = (a.cn, a.cd) if b is None else (a.cn * b.cn, a.cd * b.cd)
+            if d == den:
+                s += n
+            else:
+                m = lcm(den, d)
+                s, den = s * (m // den) + n * (m // d), m
+        elif a.num and (b is None or b.num):
+            break
+    else:
+        return _scalar(_qreduce(s, den), system) if s else FieldElement.zero(system)
+    elems = [e for e in (a if b is None else a * b for a, b in elems) if e.num]
     if len(elems) == 1:
         return elems[0]
-    if elems[0].num is _UONE and all(e.num is _UONE and not (e.nfac or e.fden)
-                                      for e in elems):
-        den = lcm(*(e.cd for e in elems))
-        s = sum(e.cn * (den // e.cd) for e in elems)
-        if not s:
-            return FieldElement.zero(system)
-        return _scalar(_qreduce(s, den), system)
     forms = {type(next(iter(e.num))) is tuple for e in elems}
     if len(forms) > 1:
         raise TypeError(_MIXED)
@@ -854,10 +862,12 @@ def fe_sum(elems, system):
 
 def _cancel_pairs(nfac, fden):
     """Drop factors shared by the two multisets: one merge over both
-    sorted."""
+    sorted.  An empty side returns at once, with the other side sorted."""
+    if not nfac:
+        return (), tuple(sorted(fden))
+    if not fden:
+        return tuple(sorted(nfac)), ()
     a, b = sorted(nfac), sorted(fden)
-    if not a or not b:
-        return tuple(a), tuple(b)
     keep_a, keep_b = [], []
     i = j = 0
     while i < len(a) and j < len(b):

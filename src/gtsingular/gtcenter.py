@@ -111,7 +111,9 @@ def act_central(m: int, k: int, bv: BasisVector, spec: ModuleSpec) -> ModuleElem
 
 
 def act_central_element(m: int, k: int, elem: ModuleElement, spec: ModuleSpec) -> ModuleElement:
-    return combine(((tgt, coeff * c)
+    """c_mk on a module element: each term of c_mk on a basis vector of
+    elem, paired with that vector's coefficient and summed by combine."""
+    return combine(((tgt, coeff, c)
                     for bv, c in elem.terms.items()
                     for tgt, coeff in act_central(m, k, bv, spec).terms.items()), spec)
 

@@ -139,12 +139,14 @@ def _relation_instances(spec):
     part of [e_r, f_r] and the q of the Serre relations (q = 1
     classically).
 
-    A residual is a list of unsummed (basis vector, coefficient) pairs,
-    summed once by combine with one fe_sum per basis vector.  Each word's
-    inner letters act through act_element; its outermost letter, and the
-    word's scalar (a sign, a weight or 1/(q - q^-1)), only contribute
-    pairs, so no word is summed and reduced on its own before the residual
-    is.
+    A residual is a list of unsummed (basis vector, a, b) triples, the
+    product a * b on its vector (b = None stands for 1), summed once by
+    combine with one fe_sum per basis vector, so a classical scalar
+    product is never built as an element.  Each word's inner letters act
+    through act_element; its outermost letter's coefficient is a and the
+    coefficient it acts on, times the word's scalar (a sign, a weight or
+    1/(q - q^-1)), is b, so no word is summed and reduced on its own
+    before the residual is.
 
     A Serre instance (|r - s| = 1) is checked in its nested q-commutator
     form
@@ -154,10 +156,11 @@ def _relation_instances(spec):
     summed and reduced once and kept in a memo that lives as long as this
     relation table, so for one check call; it then serves b and every b'
     whose g_r-image contains x.  The outer letter g_r on u(b), and the
-    terms of u(g_r b) times g_r's coefficients, stay unsummed pairs like
+    terms of u(g_r b) times g_r's coefficients, stay unsummed triples like
     any outer letter: summing g_r u(b) on its own would add one more sum
     and reduction per instance and vector, where the residual's one
-    combine sums all of them together.
+    combine sums all of them together.  The triples of u(g_r b) pair each
+    coefficient of u(g_r b) with -q^-1 times g_r's coefficient.
     """
     n, qs, mode = spec.n, spec.qscale, spec.mode
     weights = _sample_weights(n)
@@ -169,7 +172,7 @@ def _relation_instances(spec):
 
     def word(b, *gens, c=None):
         """c (default 1) times the product of gens on the basis vector b,
-        rightmost first, as unsummed pairs."""
+        rightmost first, as unsummed triples."""
         outer, inner = gens[0], gens[1:]
         if inner:
             elem = act(inner[-1], b, spec)
@@ -178,7 +181,7 @@ def _relation_instances(spec):
             src = elem.terms if c is None else {bv: v * c for bv, v in elem.terms.items()}
         else:
             src = {b: c}
-        return [(tgt, coeff if cb is None else coeff * cb)
+        return [(tgt, coeff, cb)
                 for bv, cb in src.items()
                 for tgt, coeff in act(outer, bv, spec).terms.items()]
 
@@ -191,7 +194,7 @@ def _relation_instances(spec):
 
     h0, hmix = weights[0], weights[-1]
     if mode == QUANTUM:
-        add("q^0 = 1", lambda b, q0=gen_qh((0,) * n): word(b, q0) + [(b, minus)])
+        add("q^0 = 1", lambda b, q0=gen_qh((0,) * n): word(b, q0) + [(b, minus, None)])
         for h in (h0, weights[n - 1]):
             hsum = tuple(a + c for a, c in zip(h, hmix))
             add(f"q^h q^h' = q^(h+h'), h={h}, h'={hmix}",
@@ -246,15 +249,15 @@ def _relation_instances(spec):
     memo = {}
 
     def serre(b, gr, gs):
-        """g_r u(b) - q^-1 u(g_r b) as unsummed pairs."""
-        pairs = [(tgt, coeff * c)
-                 for bv, c in serre_inner(memo, spec, gr, gs, b).terms.items()
-                 for tgt, coeff in act(gr, bv, spec).terms.items()]
+        """g_r u(b) - q^-1 u(g_r b) as unsummed triples."""
+        triples = [(tgt, coeff, c)
+                   for bv, c in serre_inner(memo, spec, gr, gs, b).terms.items()
+                   for tgt, coeff in act(gr, bv, spec).terms.items()]
         for x, cx in act(gr, b, spec).terms.items():
             c = cx * outer_coeff
-            pairs += [(tgt, cu * c)
-                      for tgt, cu in serre_inner(memo, spec, gr, gs, x).terms.items()]
-        return pairs
+            triples += [(tgt, cu, c)
+                        for tgt, cu in serre_inner(memo, spec, gr, gs, x).terms.items()]
+        return triples
 
     for kind, gen in (("e", gen_e), ("f", gen_f)):
         for r in range(1, n):
@@ -272,9 +275,10 @@ def _relation_instances(spec):
 def serre_inner(memo, spec, gr, gs, x):
     """The inner q-commutator [g_r, g_s]_q x = g_r g_s x - q g_s g_r x
     (q = 1 classically) of the Serre relation, as a summed module element:
-    one act_element sum over both words, -q folded into the inner letter's
-    coefficients.  It is computed once per (g_r, g_s, x) and kept in
-    memo."""
+    one act_element sum over both words, -q folded into the coefficients
+    of the inner letter of g_s g_r x, so each part reaches combine as two
+    factors: an outer letter's coefficient and an inner one.  It is
+    computed once per (g_r, g_s, x) and kept in memo."""
     key = gr, gs, x
     u = memo.get(key)
     if u is None:

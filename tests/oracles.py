@@ -16,6 +16,8 @@ library's arithmetic from before its coefficients became integers with one
 rational content per element; they check the integer-content primitives.
 The Fraction value of a classical scalar checks the int-pair contents,
 and the Counter difference of two factor multisets checks their merge.
+The sum of built products is fe_sum as its callers used it before it
+took factor pairs: every product a * b is built with * first.
 
 The per-word relation residuals are the relation check as it was before
 each residual was summed in one pass: every letter of every word acts
@@ -450,6 +452,13 @@ def counter_cancel_pairs(nfac, fden):
         tuple(sorted((cn - common).elements())),
         tuple(sorted((cd - common).elements())),
     )
+
+
+def sum_of_products(pairs, system):
+    """The sum of the products a * b of (a, b) factor pairs, b = None
+    standing for 1: each product is built with * and enters fe_sum as a
+    pair of its own, so no scalar pair is summed on its factors."""
+    return exactalg.fe_sum([(a if b is None else a * b, None) for a, b in pairs], system)
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,7 @@ from oracles import (
     oracle_long_division,
     partial_derivative,
     scalar_value,
+    sum_of_products,
 )
 
 
@@ -78,6 +79,12 @@ def Y(e=1):
 
 ONE = FieldElement.one(QUANTUM)
 ZERO = FieldElement.zero(QUANTUM)
+
+
+def alone(elems):
+    """Each element as an fe_sum factor pair (e, None), which fe_sum sums
+    as e itself."""
+    return [(e, None) for e in elems]
 
 XY = LinearExpr(Rat(0), 1, -1)  # the difference x - y
 
@@ -541,8 +548,8 @@ def test_fe_sum_agrees_with_repeated_addition(system):
             expected = FieldElement.zero(system)
             for p in parts:
                 expected = expected + p
-            assert fe_sum(parts, system) == expected
-        assert fe_sum(shared + [-p for p in shared], system).is_zero()
+            assert fe_sum(alone(parts), system) == expected
+        assert fe_sum(alone(shared + [-p for p in shared]), system).is_zero()
 
 
 def test_collect_against_naive_sum():
@@ -768,7 +775,7 @@ def test_classical_scalar_contents_match_fraction_oracle(values, cancel):
     elems = [FieldElement.q_monomial(CLASSICAL, v) for v in values]
     a, b, va, vb = elems[0], elems[-1], values[0], values[-1]
     cases = [(a * b, va * vb), (-a, -va), (a.scale(vb), va * vb),
-             (fe_sum(elems, CLASSICAL), sum(values, Rat(0)))]
+             (fe_sum(alone(elems), CLASSICAL), sum(values, Rat(0)))]
     if vb:
         cases.append((a / b, va / vb))
     for got, want in cases:
@@ -810,10 +817,11 @@ def test_scalar_fast_path_matches_general_path(system, values, cancel):
         assert parts_of(a * b) == parts_of(x * y)
         assert parts_of(b * a) == parts_of(y * x)
     for picks in (fast, fast + [over], fast[:1] + slow[1:]):
-        got = fe_sum(picks, system)
-        want = fe_sum([general_path(e) if e and e.num is _UONE else e for e in picks], system)
+        got = fe_sum(alone(picks), system)
+        want = fe_sum(alone(general_path(e) if e and e.num is _UONE else e for e in picks),
+                      system)
         assert is_canonical_element(got) and parts_of(got) == parts_of(want)
-    assert scalar_value(fe_sum(fast, system)) == sum(values, Rat(0))
+    assert scalar_value(fe_sum(alone(fast), system)) == sum(values, Rat(0))
 
 
 def test_scalar_fast_path_keeps_the_operand_errors():
@@ -826,6 +834,56 @@ def test_scalar_fast_path_keeps_the_operand_errors():
     for other in (3, Rat(1, 2), None):
         with pytest.raises(TypeError):
             c * other
+    with pytest.raises(ValueError, match="mixed number systems"):
+        fe_sum([(q, c)], QUANTUM)
+
+
+def factor(system, shape, v, e):
+    """A factor of the given shape and value v: the scalar v on the shared
+    _UONE (the zero element for v = 0), v on an equal but distinct {0: 1},
+    v over the binomial Q^2 - 1, or v * Q^e (e = 0 classically)."""
+    a = FieldElement.q_monomial(system, v)
+    if not a or shape == "scalar":
+        return a
+    if shape == "distinct":
+        return general_path(a)
+    if shape == "over":
+        return a / FieldElement({2: 1, 0: -1}, None, system)
+    return FieldElement.q_monomial(system, v, e if system == QUANTUM else 0)
+
+
+factor_draws = st.tuples(st.sampled_from(["scalar", "distinct", "over", "power"]),
+                         scalar_rats, st.integers(min_value=-3, max_value=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([QUANTUM, CLASSICAL]),
+       st.lists(st.tuples(factor_draws, st.none() | factor_draws), max_size=6),
+       st.booleans())
+@example(CLASSICAL, [(("scalar", Rat(1, 2), 0), None),
+                     (("scalar", Rat(2, 3), 0), ("scalar", Rat(-3, 4), 0))], True)
+@example(CLASSICAL, [(("scalar", Rat(0), 0), ("scalar", Rat(5), 0)),
+                     (("scalar", Rat(3), 0), ("scalar", Rat(0), 0))], False)
+@example(CLASSICAL, [(("scalar", Rat(1, 2), 0), ("scalar", Rat(5, 3), 0)),
+                     (("distinct", Rat(-1, 4), 0), None),
+                     (("scalar", Rat(7), 0), ("over", Rat(2, 5), 0))], False)
+@example(QUANTUM, [(("scalar", Rat(1, 2), 0), ("scalar", Rat(3), 0)),
+                   (("power", Rat(1), 2), ("over", Rat(-1, 3), 0))], False)
+def test_fe_sum_of_factor_pairs_matches_sum_of_built_products(system, draws, cancel):
+    """fe_sum on (a, b) factor pairs builds, part for part, what it builds
+    from the products a * b themselves, and its value is the left fold of
+    the products: b = None, zero factors, sums that cancel to zero, scalar
+    pairs before the first non-scalar one (which sends every pair to the
+    built products) and classical factors that are not _UONE included."""
+    pairs = [(factor(system, *a), b and factor(system, *b)) for a, b in draws]
+    if cancel:
+        pairs += [(-a, b) for a, b in pairs]
+    got = fe_sum(pairs, system)
+    assert is_canonical_element(got)
+    assert parts_of(got) == parts_of(sum_of_products(pairs, system))
+    products = [a if b is None else a * b for a, b in pairs]
+    assert got == reduce(operator.add, products, FieldElement.zero(system))
+    assert not cancel or got.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -910,7 +968,7 @@ def test_fe_sum_with_repeated_denominators_matches_left_fold(dens, picks, cancel
     if cancel:
         first = (parts[0].nfac, parts[0].fden)
         parts += [-p for p in parts if (p.nfac, p.fden) == first]
-    got = fe_sum(parts, QUANTUM)
+    got = fe_sum(alone(parts), QUANTUM)
     assert got == reduce(operator.add, parts)
     assert is_canonical_element(got) and is_univariate(got.num or {0: 1})
 
@@ -965,7 +1023,8 @@ def test_univariate_arithmetic_matches_embedding(an, ad, bn, bd):
 
     same(ua, ta)
     for u, t in ((ua + ub, ta + tb), (ua - ub, ta - tb), (ua * ub, ta * tb),
-                 (ua / ub, ta / tb), (fe_sum([ua, ub, -ua], QUANTUM), fe_sum([ta, tb, -ta], QUANTUM))):
+                 (ua / ub, ta / tb),
+                 (fe_sum(alone([ua, ub, -ua]), QUANTUM), fe_sum(alone([ta, tb, -ta]), QUANTUM))):
         same(u, t)
     assert (ua == ub) == (ta == tb)
     # equal elements hash alike, however they were built
@@ -1062,7 +1121,7 @@ def test_mixing_the_two_forms_raises():
             with pytest.raises(TypeError, match="mixes"):
                 op(a, b)
     with pytest.raises(TypeError, match="mixes"):
-        fe_sum([u, t], QUANTUM)
+        fe_sum(alone([u, t]), QUANTUM)
     with pytest.raises(TypeError, match="mixes"):
         FieldElement({1: 1}, {(0, 0, 0): 1, (1, 0, 0): 1}, QUANTUM)
     for functional in (evaluate_at_singular, dv_operator):
@@ -1164,7 +1223,7 @@ def test_int_keyed_operands_give_int_keys(a, b, da, db, c):
     keys in num, nfac and fden, and both functionals return univariate
     elements with int keys."""
     a, b = a / da, b * db
-    values = [a + b, a - b, a * b, fe_sum([a, b, a * b], QUANTUM)]
+    values = [a + b, a - b, a * b, fe_sum(alone([a, b, a * b]), QUANTUM)]
     if b:
         values.append(a / b)
     for f in values:

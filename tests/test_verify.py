@@ -23,7 +23,7 @@ from gtsingular.tableaux import (
     interlacing_relations,
     maximal_relation_set,
 )
-from gtsingular import gtcenter, verify
+from gtsingular import action, gtcenter, verify
 from gtsingular.action import (
     DERIVATIVE,
     NORMAL,
@@ -84,6 +84,30 @@ def test_relations_singular_n3_small():
 def test_relations_classical_singular_small():
     rep = check_defining_relations(singular_spec_n3(CLASSICAL), 1)
     assert rep, rep.render()
+
+
+def test_classical_relation_check_builds_few_products(monkeypatch):
+    """A residual's parts reach fe_sum as factor pairs, and a classical
+    scalar pair is summed without building its product.  On the n=3
+    fixture at B=1 the relation check makes fewer products than a quarter
+    of the parts fe_sum receives; built one by one, the products
+    outnumbered the parts."""
+    counts = {"mul": 0, "parts": 0}
+    mul, fe_sum = FieldElement.__mul__, action.fe_sum
+
+    def counted_mul(self, other):
+        counts["mul"] += 1
+        return mul(self, other)
+
+    def counted_sum(elems, system):
+        counts["parts"] += len(elems)
+        return fe_sum(elems, system)
+
+    monkeypatch.setattr(FieldElement, "__mul__", counted_mul)
+    monkeypatch.setattr(action, "fe_sum", counted_sum)
+    rep = check_defining_relations(singular_spec_n3(CLASSICAL), 1)
+    assert rep, rep.render()
+    assert counts["parts"] and 4 * counts["mul"] < counts["parts"], counts
 
 
 @pytest.mark.parametrize("mode", [QUANTUM, CLASSICAL])
