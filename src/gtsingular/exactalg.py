@@ -20,7 +20,8 @@ is positive.  By Gauss's lemma a product of primitive polynomials is
 again primitive with a positive leading coefficient, so products need no
 gcd pass, and an exact quotient of integer polynomials by a primitive one
 has integer coefficients, so exact division never leaves the integers.
-Only sums need a gcd pass.
+Only sums need a gcd pass, and every sum of elements, a + b included, is
+taken by one function, fe_sum.
 
 The content is a fraction of two coprime ints, the denominator positive,
 so content arithmetic is int arithmetic too: a product cancels each
@@ -67,8 +68,6 @@ from ._rat import Rat, as_int, rat
 
 QUANTUM = "quantum"
 CLASSICAL = "classical"
-
-POLE_CANCEL_DEPTH = 4
 
 # a binomial division gives up on a chain longer than this
 _CHAIN_LIMIT = 10000
@@ -585,7 +584,10 @@ class FieldElement:
 
     @classmethod
     def zero(cls, system):
-        return cls._raw(0, 1, {}, (), (), system)
+        """The zero of system, one element shared per system (_ZEROS): no
+        element or term dict is mutated once built."""
+        z = _ZEROS.get(system)
+        return cls._raw(0, 1, {}, (), (), system) if z is None else z
 
     @classmethod
     def one(cls, system):
@@ -698,27 +700,9 @@ class FieldElement:
         return _TRI if tri else _UNI
 
     def __add__(self, other):
-        ring = self._check(other)
-        if ring is None:
-            return self if self.num else other
-        if self.fden == other.fden and self.nfac == other.nfac:
-            cn, cd, num = _sum([(self.cn, self.cd, self.num),
-                                (other.cn, other.cd, other.num)])
-            if not num:
-                return FieldElement.zero(self.system)
-            return _build_raw(cn, cd, num, self.nfac, self.fden, self.system, ring)
-        na, nb = Counter(self.nfac), Counter(other.nfac)
-        common_n = na & nb
-        da, db = Counter(self.fden), Counter(other.fden)
-        common_d = da & db
-        left = _times(self.num, ((na - common_n) + (db - common_d)).elements(), ring.mul)
-        right = _times(other.num, ((nb - common_n) + (da - common_d)).elements(), ring.mul)
-        cn, cd, num = _sum([(self.cn, self.cd, left), (other.cn, other.cd, right)])
-        if not num:
-            return FieldElement.zero(self.system)
-        fden = tuple(sorted((da | db).elements()))
-        return _build_raw(cn, cd, num, tuple(sorted(common_n.elements())), fden,
-                          self.system, ring)
+        """fe_sum of the two, once _check has raised any operand error."""
+        self._check(other)
+        return fe_sum([(self, None), (other, None)], self.system)
 
     def __sub__(self, other):
         return self.__add__(-other)
@@ -784,6 +768,9 @@ class FieldElement:
         return format_element(self)
 
 
+_ZEROS = {s: FieldElement._raw(0, 1, {}, (), (), s) for s in (QUANTUM, CLASSICAL)}
+
+
 def _scalar(content, system):
     """The factor-free element content * _UONE of the scalar fast path,
     built here rather than by _raw, whose classmethod call and argument
@@ -798,7 +785,8 @@ def _scalar(content, system):
 
 def fe_sum(elems, system):
     """Sum the products a * b of a list of (a, b) factor pairs in one pass;
-    b = None stands for 1.
+    b = None stands for 1.  This is the one sum of field elements: a + b
+    is fe_sum([(a, None), (b, None)], system).
 
     Scalar pairs, whose factors have no nfac/fden and the numerator _UONE
     itself (every classical module-stage value), are never multiplied:
@@ -806,15 +794,18 @@ def fe_sum(elems, system):
     denominators and reduced once, and a zero factor drops its pair.  At
     the first pair of another shape every product a * b is built, and the
     products are summed as follows.  Products that carry the same factors
-    are added first, as FieldElement.__add__'s fast path does; then the
-    group sums are put over one denominator: shared numerator factors stay
-    factored, the denominator union is taken once, and every group sum is
-    expanded only against what it is missing.  A group whose sum vanishes
-    takes no part in the union.  The parts share one key form."""
+    are added first; then the group sums are put over one denominator:
+    shared numerator factors stay factored, the denominator union is taken
+    once, and every group sum is expanded only against what it is missing.
+    A group whose sum vanishes takes no part in the union.  The parts
+    share one key form (TypeError otherwise), and every factor, zero
+    factors included, belongs to system (ValueError otherwise, as for +)."""
     den, s = 1, 0
     for a, b in elems:
+        if a.system != system or b is not None and b.system != system:
+            raise ValueError("mixed number systems")
         if a.num is _UONE and not (a.nfac or a.fden) and (b is None or (
-                b.num is _UONE and not (b.nfac or b.fden) and b.system == a.system)):
+                b.num is _UONE and not (b.nfac or b.fden))):
             n, d = (a.cn, a.cd) if b is None else (a.cn * b.cn, a.cd * b.cd)
             if d == den:
                 s += n
@@ -825,7 +816,13 @@ def fe_sum(elems, system):
             break
     else:
         return _scalar(_qreduce(s, den), system) if s else FieldElement.zero(system)
-    elems = [e for e in (a if b is None else a * b for a, b in elems) if e.num]
+    pairs, elems = elems, []
+    for a, b in pairs:
+        if a.system != system:  # a * b checks b against a
+            raise ValueError("mixed number systems")
+        e = a if b is None else a * b
+        if e.num:
+            elems.append(e)
     if len(elems) == 1:
         return elems[0]
     forms = {type(next(iter(e.num))) is tuple for e in elems}
@@ -1216,9 +1213,11 @@ def _split_xy_factor(d, c, system):
 
     Returns (order, value, rest) with d = (X - Y)^order * rest.  value is
     rest evaluated at the point, as an _eval_terms triple, or None when
-    rest still vanishes there for a reason other than X - Y."""
+    rest still vanishes there for a reason other than X - Y.  Each exact
+    division by X - Y lowers the X-span of the nonzero factor by one, so
+    the loop ends at any order."""
     order = 0
-    for _ in range(POLE_CANCEL_DEPTH + 1):
+    while True:
         v = _eval_terms(d, c, c, system)
         if v[2]:
             return order, v, d
@@ -1227,7 +1226,6 @@ def _split_xy_factor(d, c, system):
             return order, None, d
         order += 1
         d = q
-    raise PoleAtEvaluation(f"factor vanishing deeper than {POLE_CANCEL_DEPTH}")
 
 
 def _cancel_xy(f, c):
@@ -1279,7 +1277,7 @@ def evaluate_at_singular(f, c, scale=1) -> FieldElement:
 
     A quantum c is an int in the units of f's Q exponents; a classical c
     is any rational.  X - Y content is cancelled exactly between the two
-    sides before the substitution, to bounded depth per factor.  A
+    sides before the substitution, to any order per factor.  A
     Coefficient f is read on its factors (_factor_values), building no
     polynomial in X, Y; scale is its brackets' D (see bracket), unused for
     a FieldElement.  The value is univariate."""
@@ -1344,18 +1342,16 @@ def dv_operator(f, c, scale=1) -> FieldElement:
         if not out:
             return FieldElement.zero(system)
         return _build_values(*_qmul(f.cn, f.cd, on, od), out, num_vals, den_vals, system)
-    # logarithmic derivative over all factors
-    total = FieldElement.zero(system)
-    for d, (vn, vd, v) in num_parts:
-        dn, dd, dv = _diffval(d, c, system, scale)
-        if dv:
-            total = total + _build(*_qdiv(dn, dd, vn, vd), dv, [], [v], system)
-    for d, (vn, vd, v) in den_parts:
-        dn, dd, dv = _diffval(d, c, system, scale)
-        if dv:
-            total = total - _build(*_qdiv(dn, dd, vn, vd), dv, [], [v], system)
+    # logarithmic derivative over all factors, the denominator's negated
+    parts = []
+    for sign, group in ((1, num_parts), (-1, den_parts)):
+        for d, (vn, vd, v) in group:
+            dn, dd, dv = _diffval(d, c, system, scale)
+            if dv:
+                parts.append((_build(*_qdiv(sign * dn, dd, vn, vd), dv, [], [v], system), None))
+    total = fe_sum(parts, system)
     if total.is_zero():
-        return FieldElement.zero(system)
+        return total
     return _build_values(f.cn, f.cd, _UONE, num_vals, den_vals, system) * total
 
 

@@ -27,6 +27,7 @@ from .exactalg import (
     QUANTUM,
     FieldElement,
     LinearExpr,
+    fe_sum,
     linear_element,
     q_pochhammer_factorial,
     q_power,
@@ -48,27 +49,27 @@ def _gamma_symbolic(spec: ModuleSpec, m: int, k: int, z, faulted=False) -> Field
     mode = spec.mode
     entries = [spec.entry_linear(m, c, z) for c in range(1, m + 1)]
     if mode == QUANTUM:
-        total = FieldElement.zero(mode)
+        parts = []
         idx = range(m)
         for plus in combinations(idx, k):
             plus_set = set(plus)
             e = LinearExpr(0, 0, 0)
             for t in idx:
                 e = e + entries[t] if t in plus_set else e - entries[t]
-            total = total + q_power(e, mode)
+            parts.append((q_power(e, mode), None))
         pre = q_pochhammer_factorial(k, mode, spec.qscale) * q_pochhammer_factorial(
             m - k, mode, spec.qscale
         )
         shift = (k * (k + 1) + (m * (m - 3)) // 2) * spec.qscale
-        out = pre * FieldElement.monomial(mode, 1, expq=shift) * total
+        out = pre * FieldElement.monomial(mode, 1, expq=shift) * fe_sum(parts, mode)
     else:
-        total = FieldElement.zero(mode)
+        parts = []
         for subset in combinations(range(m), k):
             prod = FieldElement.one(mode)
             for t in subset:
                 prod = prod * linear_element(entries[t], mode)
-            total = total + prod
-        out = total
+            parts.append((prod, None))
+        out = fe_sum(parts, mode)
     if faulted:
         if mode == QUANTUM:
             out = out * FieldElement.monomial(mode, 1, expq=spec.qscale)

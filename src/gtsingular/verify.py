@@ -24,6 +24,7 @@ from .exactalg import (
     bracket,
     dv_operator,
     evaluate_at_singular,
+    fe_sum,
     tau_swap,
 )
 from .tableaux import (
@@ -396,27 +397,24 @@ def check_compatibility(spec: ModuleSpec, B: int) -> CheckReport:
 # functional identities on random smooth elements
 # ---------------------------------------------------------------------------
 
-def sample_smooth(rng, system=QUANTUM, nterms=4, scale=1):
+# the number of monomials sample_smooth draws for a numerator
+_SMOOTH_TERMS = 4
+
+
+def sample_smooth(rng, system=QUANTUM, scale=1):
     """Random element smooth on X = Y: Laurent numerator over a product of
     bracket factors with nonzero constant offset.  In units of 1/scale (see
     bracket) the draw is the same, each Q exponent times scale."""
     if system == CLASSICAL and scale != 1:
         raise ValueError(f"the classical system takes scale 1, got {scale}")
-    num = FieldElement.zero(system)
-    for _ in range(nterms):
-        if system == QUANTUM:
-            term = FieldElement.monomial(
-                system,
-                Rat(rng.randint(-4, 4)),
-                scale * rng.randint(-3, 3),
-                rng.randint(-2, 2),
-                rng.randint(-2, 2),
-            )
-        else:
-            term = FieldElement.monomial(
-                system, Rat(rng.randint(-4, 4)), 0, rng.randint(0, 2), rng.randint(0, 2)
-            )
-        num = num + term
+    low = -2 if system == QUANTUM else 0
+    terms = []
+    for _ in range(_SMOOTH_TERMS):
+        c = Rat(rng.randint(-4, 4))
+        q = scale * rng.randint(-3, 3) if system == QUANTUM else 0
+        terms.append((FieldElement.monomial(system, c, q, rng.randint(low, 2),
+                                            rng.randint(low, 2)), None))
+    num = fe_sum(terms, system)
     if num.is_zero():
         num = FieldElement.one(system)
     den = FieldElement.one(system)
@@ -487,7 +485,8 @@ def check_appendix(system=QUANTUM, samples=100, seed=20240901) -> CheckReport:
             ("ev((f-f^tau)/[x-y]) = 2 dv(f)",
              evaluate_at_singular((f - f_tau) * inv_b, c) == dv_f.scale(2)),
             ("ev(f) = dv([x-y] f)", ev_f == dv_bf),
-            ("product rule", dv_operator(f * g, c, scale) == dv_f * ev_g + ev_f * dv_g),
+            ("product rule",
+             dv_operator(f * g, c, scale) == fe_sum([(dv_f, ev_g), (ev_f, dv_g)], system)),
             ("dv([x-y]f) = dv([x-y]f^tau)", dv_bf == dv_operator(b * f_tau, c, scale)),
             ("dv(f) dv([x-y]g) = dv(fg) for symmetric g",
              dv_f * dv_operator(b * gs, c, scale) == dv_operator(f * gs, c, scale)),
@@ -496,22 +495,20 @@ def check_appendix(system=QUANTUM, samples=100, seed=20240901) -> CheckReport:
         # both families open with the pair (a, h1): its dv values are shared
         pair_dv = {}
         for name, fam, test_ev in pole_families(rng, system, c, scale):
-            lhs_i = lhs_ii = total = FieldElement.zero(system)
+            dvs = []
             for fm, hm in fam:
                 key = id(fm), id(hm)
                 if key not in pair_dv:
                     pair_dv[key] = dv_operator(fm, c, scale), dv_operator(hm, c, scale)
-                dv_fm, dv_hm = pair_dv[key]
-                lhs_i = lhs_i + dv_fm * dv_hm
-                if test_ev:
-                    lhs_ii = lhs_ii + dv_fm * evaluate_at_singular(hm, c)
-                total = total + fm * hm
-            total = total * inv_b
+                dvs.append(pair_dv[key])
+            total = fe_sum(fam, system) * inv_b
             checks.append(
                 (f"pole family ({name}) dv identity",
-                 lhs_i.scale(2) == dv_operator(total, c, scale))
+                 fe_sum(dvs, system).scale(2) == dv_operator(total, c, scale))
             )
             if test_ev:
+                lhs_ii = fe_sum([(dv_fm, evaluate_at_singular(hm, c))
+                                 for (dv_fm, _), (_, hm) in zip(dvs, fam)], system)
                 checks.append(
                     (f"pole family ({name}) ev identity",
                      lhs_ii.scale(2) == evaluate_at_singular(total, c))

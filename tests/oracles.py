@@ -17,7 +17,11 @@ rational content per element; they check the integer-content primitives.
 The Fraction value of a classical scalar checks the int-pair contents,
 and the Counter difference of two factor multisets checks their merge.
 The sum of built products is fe_sum as its callers used it before it
-took factor pairs: every product a * b is built with * first.
+took factor pairs: every product a * b is built with * first.  The
+pairwise sum is FieldElement.__add__ as it was before every sum became
+fe_sum's; it shares the term-dict sum _sum and _build_raw with the
+library, so it checks how the two operands' factors are grouped and
+united, and with them the factorization that decides rendered text.
 
 The per-word relation residuals are the relation check as it was before
 each residual was summed in one pass: every letter of every word acts
@@ -48,12 +52,15 @@ from gtsingular.exactalg import (
     LinearExpr,
     PoleAtEvaluation,
     _build,
+    _build_raw,
     _collect,
     _eval_terms,
     _peuler,
     _pmul,
     _ppartial,
     _psub,
+    _sum,
+    _times,
 )
 from gtsingular.tableaux import (
     Position,
@@ -459,6 +466,32 @@ def sum_of_products(pairs, system):
     standing for 1: each product is built with * and enters fe_sum as a
     pair of its own, so no scalar pair is summed on its factors."""
     return exactalg.fe_sum([(a if b is None else a * b, None) for a, b in pairs], system)
+
+
+def pairwise_sum(a, b):
+    """a + b by the pairwise algorithm: operands with the same factors add
+    their numerators; otherwise the shared numerator factors stay factored,
+    the denominator is the union of the two multisets, and each numerator
+    is multiplied out only against what it is missing."""
+    ring = a._check(b)
+    if ring is None:
+        return a if a.num else b
+    if a.fden == b.fden and a.nfac == b.nfac:
+        cn, cd, num = _sum([(a.cn, a.cd, a.num), (b.cn, b.cd, b.num)])
+        if not num:
+            return FieldElement.zero(a.system)
+        return _build_raw(cn, cd, num, a.nfac, a.fden, a.system, ring)
+    na, nb = Counter(a.nfac), Counter(b.nfac)
+    common_n = na & nb
+    da, db = Counter(a.fden), Counter(b.fden)
+    common_d = da & db
+    left = _times(a.num, ((na - common_n) + (db - common_d)).elements(), ring.mul)
+    right = _times(b.num, ((nb - common_n) + (da - common_d)).elements(), ring.mul)
+    cn, cd, num = _sum([(a.cn, a.cd, left), (b.cn, b.cd, right)])
+    if not num:
+        return FieldElement.zero(a.system)
+    fden = tuple(sorted((da | db).elements()))
+    return _build_raw(cn, cd, num, tuple(sorted(common_n.elements())), fden, a.system, ring)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ through ``ring.div_binomial`` and from ``_pdiv_binomial``, which packs
 trivariate chains into its univariate form (``_pdiv_x_minus_y`` divides
 through ``_pdiv_binomial``), and the chain cap ``_CHAIN_LIMIT`` is the
 only size limit, so a second division path or a new silent give-up fails
-the scan.
+the scan.  Likewise ``fe_sum`` is the one sum of field elements, ``a + b``
+included: it alone reads the term-dict sum ``_sum``, so a second sum
+fails the scan.
 """
 
 import ast
@@ -81,10 +83,10 @@ KERNELS = frozenset({"_updiv_binomial", "div_binomial"})
 KERNEL_USERS = frozenset({"_Ring", "_TRI", "_UNI", "_reduce", "_pdiv_binomial"})
 
 
-def kernel_references_outside(source, allowed=KERNEL_USERS):
-    """(line, owner) of every read of the chain division kernel, by name
-    or as an attribute, whose top-level owner (the function, class or
-    assigned name it sits in) is not allowed."""
+def kernel_references_outside(source, allowed=KERNEL_USERS, names=KERNELS):
+    """(line, owner) of every read of one of names (by default the chain
+    division kernel), by name or as an attribute, whose top-level owner
+    (the function, class or assigned name it sits in) is not allowed."""
     found = []
     for top in ast.parse(source).body:
         if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
@@ -97,8 +99,8 @@ def kernel_references_outside(source, allowed=KERNEL_USERS):
             continue
         for node in ast.walk(top):
             if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-                    and node.id in KERNELS) or (
-                    isinstance(node, ast.Attribute) and node.attr in KERNELS):
+                    and node.id in names) or (
+                    isinstance(node, ast.Attribute) and node.attr in names):
                 found.append((node.lineno, owner))
     return sorted(found)
 
@@ -144,3 +146,29 @@ def test_scan_sees_a_second_division_path_and_a_new_limit():
         (7, "_pdiv_exact"), (10, "FieldElement"), (11, "div"),
     ]
     assert limit_constants(src) == ["_CHAIN_LIMIT", "_REDUCE_NUM_LIMIT"]
+
+
+SUMS = frozenset({"_sum"})
+SUM_USERS = frozenset({"fe_sum"})
+
+
+def test_exactalg_has_one_sum():
+    source = (SRC / "exactalg.py").read_text()
+    assert kernel_references_outside(source, SUM_USERS, SUMS) == []
+
+
+def test_scan_sees_a_second_sum():
+    src = (
+        "def _sum(parts):\n"
+        "    return parts\n"
+        "def fe_sum(elems, system):\n"
+        "    return _sum(elems)\n"
+        "class FieldElement:\n"
+        "    def __add__(self, other):\n"
+        "        return _sum([self, other])\n"
+        "def total(parts, ring):\n"
+        "    return ring._sum(parts), fe_sum(parts, None)\n"
+    )
+    assert kernel_references_outside(src, SUM_USERS, SUMS) == [
+        (7, "FieldElement"), (9, "total"),
+    ]

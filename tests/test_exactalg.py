@@ -2,7 +2,7 @@ import operator
 import random
 from functools import reduce
 from itertools import chain
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -34,6 +34,7 @@ from gtsingular.exactalg import (
     _sum,
     _times,
     _CHAIN_LIMIT,
+    _build,
     _UNI,
     _UONE,
     _cancel_pairs,
@@ -55,6 +56,7 @@ from oracles import (
     naive_collect,
     oracle_dv,
     oracle_long_division,
+    pairwise_sum,
     partial_derivative,
     scalar_value,
     sum_of_products,
@@ -472,6 +474,19 @@ class TestDvPoleInputs:
                 assert dv_operator(g, c, scale) == oracle_dv(g, c, scale) == want
 
     @SYSTEMS
+    def test_x_minus_y_content_cancels_to_any_order(self, system):
+        """(X - Y)^5 (X + Y) / (X - Y)^5 is X + Y: the one six-term
+        denominator factor is (X - Y)^5, cancelled to order 5 against the
+        numerator before the point is substituted."""
+        xy5 = {(0, 5 - j, j): comb(5, j) * (-1) ** j for j in range(6)}
+        f = FieldElement(_pmul(xy5, {(0, 1, 0): 1, (0, 0, 1): 1}), xy5, system)
+        assert [len(k) for k in f.fden] == [6]
+        ev = FieldElement.q_monomial(system, 2, 2) if system == QUANTUM else (
+            FieldElement.q_monomial(system, 4))
+        assert evaluate_at_singular(f, 2) == ev
+        assert dv_operator(f, 2).is_zero()
+
+    @SYSTEMS
     def test_uncancellable_pole_raises(self, system):
         b = bracket(XY, system)
         one = FieldElement.one(system)
@@ -836,6 +851,91 @@ def test_scalar_fast_path_keeps_the_operand_errors():
             c * other
     with pytest.raises(ValueError, match="mixed number systems"):
         fe_sum([(q, c)], QUANTUM)
+
+
+def test_fe_sum_rejects_mixed_systems():
+    """fe_sum raises the ValueError of + when a factor belongs to another
+    system than the one it sums in: on the scalar path, on the path that
+    builds the products, for a zero factor and for the second factor of a
+    pair."""
+    q, c = FieldElement.q_monomial(QUANTUM, 1, 3), FieldElement.q_monomial(CLASSICAL, 2)
+    with pytest.raises(ValueError, match="mixed number systems"):
+        q + c
+    zero_c = FieldElement.zero(CLASSICAL)
+    two_q = FieldElement.q_monomial(QUANTUM, 2)
+    for pairs in ([(q, None), (c, None)], [(c, None), (q, None)], [(two_q, None), (c, None)],
+                  [(c, None)], [(c, c)], [(two_q, None), (zero_c, None)],
+                  [(q, None), (zero_c, None)], [(two_q, c)], [(q, two_q), (two_q, c)]):
+        with pytest.raises(ValueError, match="mixed number systems"):
+            fe_sum(pairs, QUANTUM)
+
+
+@pytest.mark.parametrize("system", [QUANTUM, CLASSICAL])
+def test_zero_is_shared(system):
+    """One zero element per system: a sum that cancels, a zero product
+    and the zero constructor all return it."""
+    zero = FieldElement.zero(system)
+    assert FieldElement.zero(system) is zero and zero.system == system
+    a = FieldElement.scalar(Rat(3, 2), system)
+    b = bracket(XY, system) if system == QUANTUM else linear_element(XY, system)
+    assert a + (-a) is zero and b - b is zero
+    assert fe_sum([(a, b), (-a, b)], system) is zero
+    assert fe_sum([], system) is zero and a * zero is zero
+
+
+# canonical factors of each key form; a classical univariate value is a
+# scalar and has none
+SUM_FACTORS = {
+    (QUANTUM, False): [{(0, 1, 0): 1, (0, 0, 1): -1}, {(2, 1, 0): 1, (0, 0, 1): -1},
+                       {(2, 0, 0): 1, (0, 0, 0): -1}, {(0, 1, 0): 1, (0, 0, 1): 1, (1, 0, 0): 1}],
+    (CLASSICAL, False): [{(0, 1, 0): 1, (0, 0, 1): -1}, {(0, 1, 0): 1, (0, 0, 0): 2},
+                         {(0, 1, 0): 1, (0, 0, 1): -1, (0, 0, 0): 3}],
+    (QUANTUM, True): [{2: 1, 0: -1}, {3: 1, 0: -1}, {1: 1, 0: 1}, {2: 1, 1: 1, 0: 1}],
+}
+
+
+@st.composite
+def sum_operands(draw, system, univariate):
+    """An element of one key form: zero, a q_monomial (the scalar fast
+    path when its exponent is 0) or a content times a numerator with
+    numerator and denominator factors drawn from SUM_FACTORS."""
+    v = draw(nonzero_rats)
+    shape = draw(st.sampled_from(["zero", "monomial", "factored", "factored"]))
+    if shape == "zero":
+        return FieldElement.zero(system)
+    if univariate and (shape == "monomial" or system == CLASSICAL):
+        e = draw(st.integers(min_value=-3, max_value=3)) if system == QUANTUM else 0
+        return FieldElement.q_monomial(system, v, e)
+    if univariate:
+        keys = st.integers(min_value=-3, max_value=3)
+    else:
+        exps = st.integers(min_value=-2 if system == QUANTUM else 0, max_value=2)
+        keys = st.tuples(st.integers(min_value=-2, max_value=2) if system == QUANTUM
+                         else st.just(0), exps, exps)
+    num = draw(st.dictionaries(keys, st.integers(min_value=-3, max_value=3).filter(bool),
+                               min_size=1, max_size=3))
+    pool = st.sampled_from(SUM_FACTORS[system, univariate])
+    nfac, fden = draw(st.lists(pool, max_size=2)), draw(st.lists(pool, max_size=2))
+    return _build(1, 1, num, nfac, fden, system).scale(v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from([QUANTUM, CLASSICAL]), st.booleans(), st.booleans())
+def test_add_matches_pairwise_oracle(data, system, univariate, cancel):
+    """a + b, now fe_sum's group sum, builds what the pairwise algorithm
+    it replaced builds: equal values, the same rendered text and the same
+    parts, in both systems and key forms, zero operands included.  With
+    cancel, b is -a with a's numerator factors multiplied out, so the sum
+    cancels across two factorizations."""
+    a = data.draw(sum_operands(system, univariate))
+    if cancel:
+        b = -FieldElement._raw(a.cn, a.cd, a.expanded_num(), (), a.fden, system)
+    else:
+        b = data.draw(sum_operands(system, univariate))
+    got, want = a + b, pairwise_sum(a, b)
+    assert got == want and str(got) == str(want)
+    assert parts_of(got) == parts_of(want) and is_canonical_element(got)
+    assert not cancel or got.is_zero()
 
 
 def factor(system, shape, v, e):
