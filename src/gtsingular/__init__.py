@@ -13,8 +13,9 @@ Subpackages:
 The top level exports the coefficient field and the singular-point
 functional (``dv_operator``, ``evaluate_at_singular``).  The module
 pipeline needs no general derivative and no two-point evaluation, so the
-package has neither; the test oracles in ``tests/oracles.py`` keep their
-own.
+package has neither: the functional reads an element at the one point
+x = y = c and takes only the antisymmetric derivative there.  The test
+oracles in ``tests/oracles.py`` keep their own evaluation and derivatives.
 """
 
 from .exactalg import (

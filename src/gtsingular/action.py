@@ -194,7 +194,9 @@ class ModuleSpec:
         if not rep:
             raise ValueError(f"relation set is not admissible: {rep.violations}")
         if any(v for row in tableau.shift for v in row):
-            tableau = Tableau(tableau.n, tableau.base)
+            # a shifted tableau spans the orbit of its entries
+            tableau = Tableau(tableau.n, [[tableau.entry(r, c) for c in range(1, r + 1)]
+                                          for r in range(1, tableau.n + 1)])
         if not satisfies(tableau, relations):
             raise ValueError("base tableau does not satisfy the relation set")
         sp = detect_singular_pair(tableau, relations)
@@ -385,37 +387,27 @@ class ModuleSpec:
 
     # -- weights ---------------------------------------------------------------
 
-    def _weight_scaled(self, k, z) -> LinearExpr:
-        """a_k = sum(row k) - sum(row k-1) + k in the spec's exponent units."""
-        acc = LinearExpr(k * self.qscale, 0, 0)
-        for c in range(1, k + 1):
-            acc = acc + self.entry_linear(k, c, z)
-        for c in range(1, k):
-            acc = acc - self.entry_linear(k - 1, c, z)
-        return acc
-
     def weight_element(self, h, z) -> FieldElement:
         """q^(sum h_k a_k) in the quantum system, the scalar sum h_k a_k in
-        the classical system: the Cartan element h acting on the tableau at
-        shift z, univariate.  On a singular spec it is evaluated at the
-        singular point (weights have equal x and y coefficients, so they
-        are tau-symmetric).  Memoized by h and the integer
-        sum_k h_k (sum z_row k - sum z_row k-1), exactly: the exponent is a
-        constant of h plus qscale times it, and its X, Y part is fixed."""
+        the classical system, a_k = sum(row k) - sum(row k-1) + k: the
+        Cartan element h acting on the tableau at shift z, univariate.  On
+        a singular spec it is evaluated at the singular point, which the
+        normalized base holds in both singular cells (weights have equal x
+        and y coefficients, so they are tau-symmetric).  The exponent is
+        its value over the base, a constant of h, plus qscale times the
+        integer sum_k h_k (sum z_row k - sum z_row k-1), which is the memo
+        key."""
         ks = [k for k, coeff in enumerate(h, start=1) if coeff]
         rs = self._row_slice
-        key = ("weight", h, sum(h[k - 1] * (sum(rs(k, z)) - sum(rs(k - 1, z))) for k in ks))
+        shift = sum(h[k - 1] * (sum(rs(k, z)) - sum(rs(k - 1, z))) for k in ks)
+        key = ("weight", h, shift)
         hit = self._piece_cache.get(key)
         if hit is not None:
             return hit
-        const = 0
-        cxy = 0
-        for k in ks:
-            a = self._weight_scaled(k, z)
-            const = const + h[k - 1] * a.const
-            cxy += h[k - 1] * a.cx
-        if cxy:
-            const = const + 2 * cxy * self.eval_scaled
+        sb, qs = self._sbase, self.qscale
+        const = qs * shift + sum(
+            h[k - 1] * (sum(sb[k - 1]) - (sum(sb[k - 2]) if k > 1 else 0) + k * qs)
+            for k in ks)
         if self.mode == QUANTUM:
             val = FieldElement.q_monomial(QUANTUM, 1, const)
         else:

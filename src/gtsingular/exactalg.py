@@ -47,6 +47,14 @@ both forms raises TypeError.  The zero element has no terms and belongs
 to both.  A value free of X and Y, such as every value of a generic
 spec, crosses by evaluate_at_singular at any point.
 
+The singular-point functional, evaluate_at_singular (the value) and
+dv_operator (the derivative), has one body per input form:
+_element_functional for a FieldElement and _factor_functional for a
+Coefficient.  Both read their input at the one point x = y = c, and the
+only derivative taken is the antisymmetric one at that point
+(_diff_terms): the module has no two-point evaluation and no general
+derivative.
+
 Everything is immutable and exact.  Equality is decided by cross
 multiplication, so no multivariate gcd is ever required; instead the
 denominator is kept as a multiset of small normalized factors (bracket
@@ -387,71 +395,6 @@ def _updiv_binomial(a, lead, lc, trail, tc):
         if any(d.values()):
             return None
     return quo
-
-
-def _peval_quantum(a, cx, cy):
-    """X -> Q^cx, Y -> Q^cy in a trivariate dict, as a univariate (content
-    numerator, content denominator, primitive part) triple."""
-    d = _collect((q + x * cx + y * cy, c) for (q, x, y), c in a.items())
-    if not d:
-        return 0, 1, d
-    g, d = _primitive(d)
-    return g, 1, d
-
-
-def _peval_classical(a, cx, cy):
-    """Sum c * cx^x * cy^y in the integers: with cx = px/rx and cy = py/ry
-    every term is brought over rx^max(x) * ry^max(y), and one division
-    remains.  A negative exponent of a variable evaluated at zero is a
-    pole."""
-    if not a:
-        return 0, 1, {}
-    px, rx = int(cx.numerator), int(cx.denominator)
-    py, ry = int(cy.numerator), int(cy.denominator)
-    mx = min(k[1] for k in a)
-    my = min(k[2] for k in a)
-    if (not px and mx < 0) or (not py and my < 0):
-        raise PoleAtEvaluation("a negative power of a variable evaluated at zero")
-    tx = max(k[1] for k in a)
-    ty = max(k[2] for k in a)
-    s = sum(
-        c * px ** (x - mx) * rx ** (tx - x) * py ** (y - my) * ry ** (ty - y)
-        for (_, x, y), c in a.items()
-    )
-    # value = s * px^mx * rx^-tx * py^my * ry^-ty
-    num, den = s, 1
-    for base, e in ((px, mx), (rx, -tx), (py, my), (ry, -ty)):
-        if e >= 0:
-            num *= base ** e
-        else:
-            den *= base ** -e
-    if not num:
-        return 0, 1, {}
-    return (*_qreduce(num, den), _UONE)
-
-
-def _peuler(a, var):
-    """Euler derivative X d/dX (var='x') or Y d/dY (var='y')."""
-    i = 1 if var == "x" else 2
-    out = {}
-    for k, c in a.items():
-        e = k[i]
-        if e:
-            out[k] = c * e
-    return out
-
-
-def _ppartial(a, var):
-    """Plain d/dx or d/dy on classical terms."""
-    out = {}
-    for (q, x, y), c in a.items():
-        if var == "x":
-            if x:
-                out[(q, x - 1, y)] = c * x
-        else:
-            if y:
-                out[(q, x, y - 1)] = c * y
-    return out
 
 
 # shared by every element equal to a scalar: no term dict is mutated once built
@@ -1168,9 +1111,12 @@ def q_pochhammer_factorial(m: int, system=QUANTUM, scale=1) -> FieldElement:
 
 
 def _diff_terms(a, system):
+    """The antisymmetric derivative of a trivariate int term dict in one
+    pass: X d/dX - Y d/dY (quantum) or d/dx - d/dy (classical)."""
     if system == QUANTUM:
-        return _psub(_peuler(a, "x"), _peuler(a, "y"))
-    return _psub(_ppartial(a, "x"), _ppartial(a, "y"))
+        return {k: c * (k[1] - k[2]) for k, c in a.items() if k[1] != k[2]}
+    return _collect(chain.from_iterable(
+        (((q, x - 1, y), c * x), ((q, x, y - 1), -c * y)) for (q, x, y), c in a.items()))
 
 
 def tau_swap(f: FieldElement) -> FieldElement:
@@ -1185,14 +1131,39 @@ def tau_swap(f: FieldElement) -> FieldElement:
     )
 
 
-def _eval_terms(terms, c1, c2, system):
-    """Substitute X -> Q^c1, Y -> Q^c2 (classical: x -> c1, y -> c2) in a
-    nonempty trivariate int term dict, as a univariate (content numerator,
-    content denominator, primitive part) triple; (0, 1, {}) when the value
-    is zero."""
+def _eval_terms(terms, c, system):
+    """Substitute X, Y -> Q^c (classical: x, y -> c) in a trivariate int
+    term dict, as a univariate (content numerator, content denominator,
+    primitive part) triple; (0, 1, {}) when the value is zero.
+
+    A quantum term goes to the key q + (x + y)c.  A classical term is
+    c^(x + y): with c = p/r every term is brought over r^max(x + y), and
+    one division remains.  A negative power of x or of y at c = 0 is a
+    pole, even where the total degree is not negative."""
     if system == QUANTUM:
-        return _peval_quantum(terms, c1, c2)
-    return _peval_classical(terms, c1, c2)
+        d = _collect((q + (x + y) * c, v) for (q, x, y), v in terms.items())
+        if not d:
+            return 0, 1, d
+        g, d = _primitive(d)
+        return g, 1, d
+    if not terms:
+        return 0, 1, {}
+    p, r = int(c.numerator), int(c.denominator)
+    if not p and any(x < 0 or y < 0 for _, x, y in terms):
+        raise PoleAtEvaluation("a negative power of a variable evaluated at zero")
+    lo = min(x + y for _, x, y in terms)
+    hi = max(x + y for _, x, y in terms)
+    s = sum(v * p ** (x + y - lo) * r ** (hi - x - y) for (_, x, y), v in terms.items())
+    # value = s * p^lo * r^-hi
+    num, den = s, 1
+    for base, e in ((p, lo), (r, -hi)):
+        if e >= 0:
+            num *= base ** e
+        else:
+            den *= base ** -e
+    if not num:
+        return 0, 1, {}
+    return (*_qreduce(num, den), _UONE)
 
 
 def _diffval(d, c, system, scale):
@@ -1200,7 +1171,7 @@ def _diffval(d, c, system, scale):
     dict, assuming it does not vanish identically: prefactor times the
     evaluated antisymmetric derivative, as a univariate (content
     numerator, content denominator, primitive part) triple."""
-    cn, cd, dv = _eval_terms(_diff_terms(d, system), c, c, system)
+    cn, cd, dv = _eval_terms(_diff_terms(d, system), c, system)
     if not dv:
         return cn, cd, dv
     if system == QUANTUM:
@@ -1218,7 +1189,7 @@ def _split_xy_factor(d, c, system):
     the loop ends at any order."""
     order = 0
     while True:
-        v = _eval_terms(d, c, c, system)
+        v = _eval_terms(d, c, system)
         if v[2]:
             return order, v, d
         q = _pdiv_x_minus_y(d)
@@ -1272,53 +1243,18 @@ def _build_values(cn, cd, num, num_vals, den_vals, system):
                   system)
 
 
-def evaluate_at_singular(f, c, scale=1) -> FieldElement:
-    """Substitute X -> Q^c and Y -> Q^c (classical: x, y -> c).
+def _element_functional(f, c, scale, derivative):
+    """evaluate_at_singular (derivative false) or dv_operator (true) of a
+    FieldElement.  The X - Y content of every denominator factor is first
+    cancelled against the numerator factor by factor (_cancel_xy), which
+    leaves a product of parts with no denominator vanishing at the point,
+    and every numerator part is evaluated there.
 
-    A quantum c is an int in the units of f's Q exponents; a classical c
-    is any rational.  X - Y content is cancelled exactly between the two
-    sides before the substitution, to any order per factor.  A
-    Coefficient f is read on its factors (_factor_values), building no
-    polynomial in X, Y; scale is its brackets' D (see bracket), unused for
-    a FieldElement.  The value is univariate."""
-    if isinstance(f, Coefficient):
-        return _factor_functional(f, c, scale, False)
-    system = f.system
-    c = _qexp(c) if system == QUANTUM else rat(c)
-    if not f.num:
-        return FieldElement.zero(system)
-    nums, dens = _cancel_xy(f, c)
-    vals = [_eval_terms(d, c, c, system) for d in nums]
-    if not all(v for _, _, v in vals):
-        return FieldElement.zero(system)
-    (vn, vd, num), rest = vals[0], vals[1:]
-    return _build_values(*_qmul(f.cn, f.cd, vn, vd), num, rest, [v for _, v in dens],
-                         system)
-
-
-def dv_operator(f, c, scale=1) -> FieldElement:
-    """The singular-point functional:
-
-    quantum   ((Q - Q^-1)/4) (X d/dX - Y d/dY) f, then X, Y -> Q^c;
-    classical (1/2)(d/dx - d/dy) f, then x, y -> c.
-
-    The Euler form is the x-derivative of f(q^x, q^y): d/dx = ln q * X d/dX,
-    which cancels the 1/ln q of the defining formula.  With exponents in
-    units of 1/D (scale=D) the prefactor becomes (Q^D - Q^-D)/4 and c is the
-    evaluation exponent in those units, an int; a classical c is any
-    rational.
-
-    The X - Y content of every denominator factor is first cancelled
-    against the numerator factor by factor (as in evaluate_at_singular),
-    which leaves a product of parts with no denominator vanishing at the
-    point.  The product rule then applies: at most one numerator part may
-    vanish there, in which case only its derivative survives; with two or
-    more vanishing parts the functional is zero.  A Coefficient f takes the
-    same rule on its factors (see evaluate_at_singular).  The value is
-    univariate.
-    """
-    if isinstance(f, Coefficient):
-        return _factor_functional(f, c, scale, True)
+    The value is the product of the part values, zero if a part vanishes.
+    The derivative is the product rule on the parts: at most one numerator
+    part may vanish, in which case only its derivative survives; with two
+    or more vanishing parts it is zero; otherwise it is the value times
+    the logarithmic derivative, the denominator's negated."""
     system = f.system
     c = _qexp(c) if system == QUANTUM else rat(c)
     if not f.num:
@@ -1328,14 +1264,17 @@ def dv_operator(f, c, scale=1) -> FieldElement:
     vanishing = None
     num_parts = []
     for d in nums:
-        v = _eval_terms(d, c, c, system)
+        v = _eval_terms(d, c, system)
         if v[2]:
             num_parts.append((d, v))
-        elif vanishing is None:
+        elif derivative and vanishing is None:
             vanishing = d
         else:
             return FieldElement.zero(system)
     num_vals = [v for _, v in num_parts]
+    if not derivative:
+        (vn, vd, num), rest = num_vals[0], num_vals[1:]
+        return _build_values(*_qmul(f.cn, f.cd, vn, vd), num, rest, den_vals, system)
     if vanishing is not None:
         # only the vanishing factor's derivative survives the product rule
         on, od, out = _diffval(vanishing, c, system, scale)
@@ -1353,6 +1292,41 @@ def dv_operator(f, c, scale=1) -> FieldElement:
     if total.is_zero():
         return total
     return _build_values(f.cn, f.cd, _UONE, num_vals, den_vals, system) * total
+
+
+def evaluate_at_singular(f, c, scale=1) -> FieldElement:
+    """Substitute X -> Q^c and Y -> Q^c (classical: x, y -> c).
+
+    A quantum c is an int in the units of f's Q exponents; a classical c
+    is any rational.  X - Y content is cancelled exactly between the two
+    sides before the substitution, to any order per factor.  A
+    FieldElement is read by _element_functional; a Coefficient f is read
+    on its factors (_factor_functional), building no polynomial in X, Y,
+    and scale is its brackets' D (see bracket), unused for a FieldElement.
+    The value is univariate."""
+    functional = _factor_functional if isinstance(f, Coefficient) else _element_functional
+    return functional(f, c, scale, False)
+
+
+def dv_operator(f, c, scale=1) -> FieldElement:
+    """The singular-point functional:
+
+    quantum   ((Q - Q^-1)/4) (X d/dX - Y d/dY) f, then X, Y -> Q^c;
+    classical (1/2)(d/dx - d/dy) f, then x, y -> c.
+
+    The Euler form is the x-derivative of f(q^x, q^y): d/dx = ln q * X d/dX,
+    which cancels the 1/ln q of the defining formula.  With exponents in
+    units of 1/D (scale=D) the prefactor becomes (Q^D - Q^-D)/4 and c is the
+    evaluation exponent in those units, an int; a classical c is any
+    rational.
+
+    The same two bodies as evaluate_at_singular's read f: the product rule
+    on the parts left by X - Y cancellation (_element_functional), or on
+    the factors of a Coefficient (_factor_functional).  The value is
+    univariate.
+    """
+    functional = _factor_functional if isinstance(f, Coefficient) else _element_functional
+    return functional(f, c, scale, True)
 
 
 # ---------------------------------------------------------------------------

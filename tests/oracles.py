@@ -4,12 +4,16 @@ These deliberately reimplement definitions in the most literal way
 (explicit chain search, naive component merging, nested pattern loops) so
 they share no code with the library paths they check.  The exception is
 the singular-point functional oracle: it checks the factor-wise product
-rule of dv_operator against the expanded quotient rule, and it shares the
-term-dict derivatives ``_peuler`` and ``_ppartial`` and
-``evaluate_at_singular`` with the library.  The bracket quotient of an
-e/f Coefficient, built with the library's bracket and field arithmetic,
-is the reference the Coefficient path of those functionals is compared
-against.
+rule of dv_operator against the expanded quotient rule, and it shares
+``evaluate_at_singular``, whose X - Y cancellation the expanded form
+needs, with the library; the derivatives it expands are its own
+(``term_euler``, ``term_partial``).  The bracket quotient of an e/f
+Coefficient, built with the library's bracket and field arithmetic, is
+the reference the Coefficient path of those functionals is compared
+against.  The two-point evaluation ``evaluate_at`` values every term on
+its own, in Rat arithmetic classically, and shares only the field
+arithmetic that multiplies the values; at x = y = c it is the oracle of
+the library's one-point ``_eval_terms``.
 
 The Fraction-coefficient term-dict product and exact division are the
 library's arithmetic from before its coefficients became integers with one
@@ -54,10 +58,7 @@ from gtsingular.exactalg import (
     _build,
     _build_raw,
     _collect,
-    _eval_terms,
-    _peuler,
     _pmul,
-    _ppartial,
     _psub,
     _sum,
     _times,
@@ -508,18 +509,34 @@ def scalar_value(f):
     return Rat(f.cn, f.cd)
 
 
+def term_euler(a, var):
+    """X d/dX (var='x') or Y d/dY (var='y') of a trivariate term dict."""
+    i = 1 if var == "x" else 2
+    return {k: c * k[i] for k, c in a.items() if k[i]}
+
+
+def term_partial(a, var):
+    """d/dx (var='x') or d/dy (var='y') of a classical trivariate term dict."""
+    out = {}
+    for (q, x, y), c in a.items():
+        e = x if var == "x" else y
+        if e:
+            out[(q, x - 1, y) if var == "x" else (q, x, y - 1)] = c * e
+    return out
+
+
 def euler_derivative(f, var):
     """X d/dX (var='x') or Y d/dY (var='y'), by the exact quotient rule."""
     if f.system != QUANTUM:
         raise ValueError("euler_derivative requires the quantum system")
-    return _quotient_rule(f, lambda a: _peuler(a, var))
+    return _quotient_rule(f, lambda a: term_euler(a, var))
 
 
 def partial_derivative(f, var):
     """d/dx or d/dy in the classical system, by the exact quotient rule."""
     if f.system != CLASSICAL:
         raise ValueError("partial_derivative requires the classical system")
-    return _quotient_rule(f, lambda a: _ppartial(a, var))
+    return _quotient_rule(f, lambda a: term_partial(a, var))
 
 
 def _quotient_rule(f, deriv):
@@ -539,28 +556,42 @@ def _quotient_rule(f, deriv):
     return _build(f.cn, f.cd, num, [], [], f.system, pre_den=f.fden + f.fden)
 
 
+def terms_at(d, cx, cy, system):
+    """The trivariate term dict d at X -> Q^cx, Y -> Q^cy (classical:
+    x -> cx, y -> cy), term by term, as a univariate dict: int
+    coefficients in the quantum system, Rat ones classically, where every
+    term lands on the exponent 0.  Raises PoleAtEvaluation for a negative
+    power of a variable valued 0."""
+    out = {}
+    for (q, x, y), c in d.items():
+        if system == QUANTUM:
+            k, v = q + x * cx + y * cy, c
+        else:
+            if (x < 0 and not cx) or (y < 0 and not cy):
+                raise PoleAtEvaluation("a negative power of a variable valued 0")
+            k, v = 0, c * cx ** x * cy ** y
+        out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v}
+
+
 def evaluate_at(f, cx, cy):
     """Two-point substitution X -> Q^cx, Y -> Q^cy (classical x, y values),
-    a univariate element.  Quantum points are ints in the caller's units."""
+    a univariate element: the product of the values of f's parts over the
+    product of its denominator factors' values.  Quantum points are ints
+    in the caller's units."""
     if f.system == QUANTUM:
         cx, cy = as_int(cx), as_int(cy)
     else:
         cx, cy = rat(cx), rat(cy)
-    cont = Rat(f.cn, f.cd)
-    nums = []
+    out = FieldElement.q_monomial(f.system, Rat(f.cn, f.cd))
     for d in [f.num] + [dict(k) for k in f.nfac]:
-        vn, vd, v = _eval_terms(d, cx, cy, f.system)
-        cont *= Rat(vn, vd)
-        nums.append(v)
-    dens = []
+        out = out * FieldElement(terms_at(d, cx, cy, f.system), None, f.system)
     for k in f.fden:
-        vn, vd, v = _eval_terms(dict(k), cx, cy, f.system)
+        v = terms_at(dict(k), cx, cy, f.system)
         if not v:
             raise PoleAtEvaluation("denominator vanishes at the evaluation point")
-        cont /= Rat(vn, vd)
-        dens.append(v)
-    return _build(int(cont.numerator), int(cont.denominator), nums[0], nums[1:], dens,
-                  f.system)
+        out = out / FieldElement(v, None, f.system)
+    return out
 
 
 def scale_q_exponents(f, factor):
@@ -636,7 +667,11 @@ def oracle_window_connectivity(spec, B):
 def weight_exponent(spec, k, z):
     """a_k = sum(row k) - sum(row k-1) + k at shift z, as an exact unscaled
     linear expression in the entries."""
-    a = spec._weight_scaled(k, z)
+    a = LinearExpr(k * spec.qscale, 0, 0)
+    for c in range(1, k + 1):
+        a = a + spec.entry_linear(k, c, z)
+    for c in range(1, k):
+        a = a - spec.entry_linear(k - 1, c, z)
     if spec.qscale == 1:
         return a
     return LinearExpr(rat(a.const, spec.qscale), a.cx, a.cy)

@@ -16,7 +16,10 @@ through ``_pdiv_binomial``), and the chain cap ``_CHAIN_LIMIT`` is the
 only size limit, so a second division path or a new silent give-up fails
 the scan.  Likewise ``fe_sum`` is the one sum of field elements, ``a + b``
 included: it alone reads the term-dict sum ``_sum``, so a second sum
-fails the scan.
+fails the scan.  The singular-point functional of a ``FieldElement`` has
+one body, ``_element_functional``: it alone reads the X - Y cancellation
+``_cancel_xy`` and the functional of one part ``_diffval``, so a second
+element body for the value or the derivative fails the scan.
 """
 
 import ast
@@ -171,4 +174,31 @@ def test_scan_sees_a_second_sum():
     )
     assert kernel_references_outside(src, SUM_USERS, SUMS) == [
         (7, "FieldElement"), (9, "total"),
+    ]
+
+
+FUNCTIONAL_PARTS = frozenset({"_cancel_xy", "_diffval"})
+FUNCTIONAL_BODY = frozenset({"_element_functional"})
+
+
+def test_exactalg_has_one_element_functional():
+    source = (SRC / "exactalg.py").read_text()
+    assert kernel_references_outside(source, FUNCTIONAL_BODY, FUNCTIONAL_PARTS) == []
+
+
+def test_scan_sees_a_second_element_functional():
+    src = (
+        "def _cancel_xy(f, c):\n"
+        "    return f\n"
+        "def _element_functional(f, c, scale, derivative):\n"
+        "    return _diffval(_cancel_xy(f, c), c)\n"
+        "def evaluate_at_singular(f, c, scale=1):\n"
+        "    return _cancel_xy(f, c)\n"
+        "def dv_operator(f, c, scale=1):\n"
+        "    nums, dens = _cancel_xy(f, c)\n"
+        "    return _diffval(nums[0], c), exactalg._diffval\n"
+    )
+    assert kernel_references_outside(src, FUNCTIONAL_BODY, FUNCTIONAL_PARTS) == [
+        (6, "evaluate_at_singular"), (8, "dv_operator"), (9, "dv_operator"),
+        (9, "dv_operator"),
     ]

@@ -38,6 +38,8 @@ from gtsingular.exactalg import (
     _UNI,
     _UONE,
     _cancel_pairs,
+    _diffval,
+    _eval_terms,
     _reduce,
     _unormalize_factor,
     _updiv_binomial,
@@ -60,6 +62,7 @@ from oracles import (
     partial_derivative,
     scalar_value,
     sum_of_products,
+    terms_at,
 )
 
 
@@ -1333,3 +1336,42 @@ def test_int_keyed_operands_give_int_keys(a, b, da, db, c):
         except PoleAtEvaluation:
             continue
         assert has_int_keys(ev, univariate=True) and has_int_keys(dv, univariate=True)
+
+
+laurent_int_dicts = st.dictionaries(term_keys, nonzero_ints, min_size=1, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(laurent_int_dicts, st.sampled_from([QUANTUM, CLASSICAL]),
+       st.integers(min_value=-3, max_value=3), st.integers(min_value=1, max_value=3))
+@example({(0, 1, -1): 1}, CLASSICAL, 0, 1)
+@example({(0, -1, 1): 2, (6, 1, 0): -1}, CLASSICAL, 0, 1)
+@example({(0, 1, -1): 1, (0, -1, 1): -1}, QUANTUM, 0, 1)
+def test_eval_terms_is_the_two_point_oracle_on_the_diagonal(d, system, p, r):
+    """The one-point evaluation of a Laurent term dict is the oracle's
+    term-by-term evaluation at (c, c): the same canonical triple's value,
+    and a pole exactly when a classical x or y has a negative power at
+    c = 0, whatever the total degree (x/y included)."""
+    c = p if system == QUANTUM else Rat(p, r)
+    pole = system == CLASSICAL and not c and any(x < 0 or y < 0 for _, x, y in d)
+    if pole:
+        with pytest.raises(PoleAtEvaluation):
+            terms_at(d, c, c, system)
+        with pytest.raises(PoleAtEvaluation):
+            _eval_terms(d, c, system)
+        return
+    cn, cd, prim = _eval_terms(d, c, system)
+    assert is_canonical_content(cn, cd)
+    assert (cn, cd) == (0, 1) if not prim else is_canonical_poly(prim)
+    assert {k: Rat(cn, cd) * v for k, v in prim.items()} == terms_at(d, c, c, system)
+
+
+@SYSTEMS
+def test_empty_derivative_is_the_zero_triple(system):
+    """An empty term dict values to the zero triple, and so does the
+    antisymmetric derivative of one free of X and Y (an empty derivative
+    dict) or symmetric in them (empty in the quantum Euler form)."""
+    c = 2 if system == QUANTUM else Rat(2, 3)
+    assert _eval_terms({}, c, system) == (0, 1, {})
+    for d in ({(6, 0, 0): 5}, {(0, 1, 1): 1, (3, 2, 2): -4}):
+        assert _diffval(d, c, system, 1) == (0, 1, {})
