@@ -45,7 +45,6 @@ from .exactalg import (
     fe_sum,
 )
 from .tableaux import (
-    GENERIC,
     RelationSet,
     Tableau,
     detect_singular_pair,
@@ -182,7 +181,11 @@ def _zadd(z, idx, step):
 
 class ModuleSpec:
     """Immutable description of one tableau module, with the caches that
-    make exhaustive verification sweeps affordable."""
+    make exhaustive verification sweeps affordable.
+
+    The tableau of the module at an integer shift z is the pair (spec, z):
+    the entries of base moved by z below the top row.  singular is the
+    singular pair of base, or None on a generic spec."""
 
     def __init__(self, tableau: Tableau, relations: RelationSet, mode=QUANTUM,
                  fault: Fault = None):
@@ -193,14 +196,10 @@ class ModuleSpec:
         rep = is_admissible(relations)
         if not rep:
             raise ValueError(f"relation set is not admissible: {rep.violations}")
-        if any(v for row in tableau.shift for v in row):
-            # a shifted tableau spans the orbit of its entries
-            tableau = Tableau(tableau.n, [[tableau.entry(r, c) for c in range(1, r + 1)]
-                                          for r in range(1, tableau.n + 1)])
         if not satisfies(tableau, relations):
             raise ValueError("base tableau does not satisfy the relation set")
         sp = detect_singular_pair(tableau, relations)
-        if sp is not GENERIC:
+        if sp is not None:
             tableau = normalized_singular_base(tableau, sp)
         self.n = tableau.n
         self.base = tableau
@@ -222,7 +221,7 @@ class ModuleSpec:
         else:
             self.qscale = 1
             self._sbase = tableau.base
-        if sp is not GENERIC:
+        if sp is not None:
             self.zi = z_index(sp.row, sp.i)
             self.zj = z_index(sp.row, sp.j)
             self.eval_point = tableau.base[sp.row - 1][sp.i - 1]
@@ -234,21 +233,20 @@ class ModuleSpec:
             self.eval_scaled = None
         self._bounds = shift_bounds(relations, tableau)
         self._row_start = [r * (r - 1) // 2 for r in range(self.n + 1)]
-        self._gate_cache = {}
         self._piece_cache = {}
         self._act_cache = {}
 
     # -- symbolic entries ----------------------------------------------------
 
     def is_generic(self):
-        return self.singular is GENERIC
+        return self.singular is None
 
     def entry_linear(self, row, col, z) -> LinearExpr:
         """Entry of the working tableau at shift z, with quantum constants
         pre-scaled by qscale: the singular pair stays symbolic (x resp. y
         plus its shift), everything else is concrete."""
         scale = self.qscale
-        if self.singular is not GENERIC and row == self.singular.row:
+        if self.singular is not None and row == self.singular.row:
             if col == self.singular.i:
                 return LinearExpr(z[self.zi] * scale, 1, 0)
             if col == self.singular.j:
@@ -259,7 +257,7 @@ class ModuleSpec:
         return LinearExpr(v, 0, 0)
 
     def tau(self, z):
-        if self.singular is GENERIC:
+        if self.singular is None:
             return z
         out = list(z)
         out[self.zi], out[self.zj] = out[self.zj], out[self.zi]
@@ -268,15 +266,11 @@ class ModuleSpec:
     # -- basis bookkeeping ----------------------------------------------------
 
     def in_basis(self, z) -> bool:
-        cached = self._gate_cache.get(z)
-        if cached is None:
-            ext = z + (0,)
-            cached = all(ext[l] - ext[r] >= need for l, r, need in self._bounds)
-            self._gate_cache[z] = cached
-        return cached
+        ext = z + (0,)
+        return all(ext[l] - ext[r] >= need for l, r, need in self._bounds)
 
     def canonical_normal(self, z) -> BasisVector:
-        if self.singular is not GENERIC and z[self.zi] > z[self.zj]:
+        if self.singular is not None and z[self.zi] > z[self.zj]:
             z = self.tau(z)
         return BasisVector(NORMAL, tuple(z))
 
@@ -297,7 +291,7 @@ class ModuleSpec:
             raise ValueError(f"shift {z} lies outside the orbit basis")
         if kind == NORMAL:
             return self.canonical_normal(z)
-        if self.singular is GENERIC:
+        if self.singular is None:
             raise ValueError("generic modules have no derivative vectors")
         bv, sign = self.canonical_derivative(z)
         if bv is None:
@@ -308,7 +302,7 @@ class ModuleSpec:
         """Canonical basis vectors whose shifts lie in the max-norm box."""
         out = []
         for z in enumerate_window(self.relations, self.base, B):
-            if self.singular is GENERIC or z[self.zi] <= z[self.zj]:
+            if self.singular is None or z[self.zi] <= z[self.zj]:
                 out.append(BasisVector(NORMAL, z))
             else:
                 out.append(BasisVector(DERIVATIVE, z))
@@ -349,7 +343,7 @@ class ModuleSpec:
         symbolic, so f evaluated at any point is its value: the pieces are
         (value, 0), and tag 'E' gives the value.
         """
-        if self.singular is GENERIC:
+        if self.singular is None:
             v = evaluate_at_singular(f, 0, self.qscale)
             return v if tag == "E" else (v, FieldElement.zero(self.mode))
         c = self.eval_scaled

@@ -202,17 +202,8 @@ def _sum(parts):
 
     Every content is rescaled to the common one, the gcd of the
     numerators over the lcm of the denominators, so each part enters the
-    sum with an integer multiplier.  Parts that share one monomial, as
-    every classical module-stage value {0: 1} does, just add contents
-    over the lcm (a primitive part with a positive leading coefficient is
-    {k: 1})."""
-    d0 = parts[0][2]
+    sum with an integer multiplier."""
     den = lcm(*(d for _, d, _ in parts))
-    if len(d0) == 1 and all(p == d0 for _, _, p in parts):
-        s = sum(n * (den // d) for n, d, _ in parts)
-        if not s:
-            return 0, 1, {}
-        return (*_qreduce(s, den), d0)
     g = gcd(*(n for n, _, _ in parts))
     scaled = [((n // g) * (den // d), p) for n, d, p in parts]
     (m0, d0), rest = scaled[0], scaled[1:]

@@ -5,6 +5,13 @@ A relation set is a subset of the universe R of adjacent-row inequalities
 (n,i) >= (n,j).  Relation sets split into indecomposable components
 (relations sharing a position are connected); admissibility is decided
 component by component.
+
+A Tableau is its entries.  The tableaux of one orbit are a base tableau
+moved by integer shifts z of its entries below the top row;
+enumerate_window lists the shifts in a box whose tableaux lie in the
+orbit basis of a relation set.
+A tableau is generic when detect_singular_pair finds no singular pair
+(it returns None) and singular when it finds one.
 """
 
 from itertools import product
@@ -39,21 +46,6 @@ class SingularPair(NamedTuple):
     row: int
     i: int
     j: int
-
-
-class GenericTag:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "generic"
-
-
-GENERIC = GenericTag()
 
 
 def positions(n):
@@ -92,10 +84,10 @@ def _valid_relation(rel, n):
 
 
 class RelationSet:
-    """A subset of the relation universe with cached component and closure
-    data (closures are hot in enumeration, so they are computed once)."""
+    """A subset of the relation universe with its components and chain
+    closures, built once with the set."""
 
-    __slots__ = ("n", "relations", "_edges", "_comp", "_reach", "_sreach", "_vset")
+    __slots__ = ("n", "relations", "_comp", "_reach", "_sreach", "_vset")
 
     def __init__(self, n, relations=(), validate=True):
         self.n = n
@@ -105,11 +97,7 @@ class RelationSet:
                 if not _valid_relation(rel, n):
                     raise ValueError(f"relation {rel!r} is not in the universe for n={n}")
         self.relations = rels
-        self._edges = None
-        self._comp = None
-        self._reach = None
-        self._sreach = None
-        self._vset = None
+        self._build()
 
     def __eq__(self, other):
         return (
@@ -128,13 +116,11 @@ class RelationSet:
         rels = ", ".join(repr(r) for r in sorted(self.relations))
         return f"RelationSet(n={self.n}, {{{rels}}})"
 
-    # -- cached structure ---------------------------------------------------
+    # -- components and closures ----------------------------------------------
 
     def _build(self):
-        if self._edges is not None:
-            return
         n = self.n
-        self._edges = [
+        edges = [
             (z_index(r.lhs.row, r.lhs.col), z_index(r.rhs.row, r.rhs.col), r.strict)
             for r in self.relations
         ]
@@ -149,7 +135,7 @@ class RelationSet:
             return a
 
         vmask = 0
-        for li, ri, _ in self._edges:
+        for li, ri, _ in edges:
             vmask |= (1 << li) | (1 << ri)
             ra, rb = find(li), find(ri)
             if ra != rb:
@@ -166,7 +152,7 @@ class RelationSet:
         # containing at least one strict step
         adj = [0] * npos
         sadj = [0] * npos
-        for li, ri, strict in self._edges:
+        for li, ri, strict in edges:
             adj[li] |= 1 << ri
             if strict:
                 sadj[li] |= 1 << ri
@@ -205,19 +191,16 @@ class RelationSet:
     @property
     def support(self):
         """All positions touched by some relation."""
-        self._build()
         return frozenset(
             p for p in positions(self.n) if (self._vset >> z_index(p.row, p.col)) & 1
         )
 
     def component_of(self, pos):
         """Component id of a position, or None if outside the support."""
-        self._build()
         c = self._comp[z_index(pos.row, pos.col)]
         return None if c < 0 else c
 
     def same_component(self, p, q):
-        self._build()
         a = self._comp[z_index(p.row, p.col)]
         return a >= 0 and a == self._comp[z_index(q.row, q.col)]
 
@@ -240,7 +223,6 @@ def is_admissible(C: RelationSet) -> AdmissibilityReport:
     (iv)  every same-row support pair below the top row is bridged through
           a neighbouring row.
     """
-    C._build()
     n = C.n
     violations = []
     comp = C._comp
@@ -325,8 +307,6 @@ def _bridged(rels, k, i, j):
 
 def implies(C: RelationSet, D: RelationSet) -> bool:
     """C implies D: every chain order forced by D is forced by C."""
-    C._build()
-    D._build()
     n = C.n
     for p in positions(n):
         pi = z_index(p.row, p.col)
@@ -344,41 +324,26 @@ def implies(C: RelationSet, D: RelationSet) -> bool:
 # ---------------------------------------------------------------------------
 
 class Tableau:
-    """Triangular array of exact rationals plus an integer shift vector.
+    """Triangular array of exact rationals: base[r-1][c-1] is the entry in
+    row r, column c.  A tableau of the orbit at an integer shift z is the
+    pair (base tableau, z) of a ModuleSpec, not a Tableau of its own."""
 
-    The top row is never shifted; entry(r,c) = base(r,c) + shift(r,c).
-    """
+    __slots__ = ("n", "base")
 
-    __slots__ = ("n", "base", "shift")
-
-    def __init__(self, n, base, shift=None):
+    def __init__(self, n, base):
         if len(base) != n or any(len(base[r]) != r + 1 for r in range(n)):
             raise ValueError("base must have rows of lengths 1..n")
         self.n = n
         self.base = tuple(tuple(rat(v) for v in row) for row in base)
-        if shift is None:
-            self.shift = tuple(tuple(0 for _ in range(r + 1)) for r in range(n - 1))
-        else:
-            if len(shift) != n - 1 or any(len(shift[r]) != r + 1 for r in range(n - 1)):
-                raise ValueError("shift must have rows of lengths 1..n-1")
-            self.shift = tuple(tuple(as_int(v) for v in row) for row in shift)
 
     def entry(self, row, col):
-        v = self.base[row - 1][col - 1]
-        if row < self.n:
-            v = v + self.shift[row - 1][col - 1]
-        return v
+        return self.base[row - 1][col - 1]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Tableau)
-            and self.n == other.n
-            and self.base == other.base
-            and self.shift == other.shift
-        )
+        return isinstance(other, Tableau) and self.n == other.n and self.base == other.base
 
     def __hash__(self):
-        return hash((self.n, self.base, self.shift))
+        return hash((self.n, self.base))
 
     def __repr__(self):
         rows = []
@@ -430,8 +395,8 @@ def maximal_relation_set(T: Tableau):
 
 
 def detect_singular_pair(T: Tableau, C: RelationSet):
-    """The unique same-row integral pair outside the relation support, the
-    GENERIC tag if there is none, or MultiplySingular beyond one."""
+    """The unique same-row integral pair outside the relation support, None
+    for a generic tableau (no such pair), or MultiplySingular beyond one."""
     if not satisfies(T, C):
         raise ValueError("tableau does not satisfy the relation set")
     exceptional = []
@@ -440,7 +405,7 @@ def detect_singular_pair(T: Tableau, C: RelationSet):
         if C.component_of(pa) is None and C.component_of(pb) is None:
             exceptional.append((k, a, b))
     if not exceptional:
-        return GENERIC
+        return None
     if len(exceptional) > 1:
         raise MultiplySingular(f"integral pairs {exceptional} outside the support")
     k, a, b = exceptional[0]
@@ -450,8 +415,8 @@ def detect_singular_pair(T: Tableau, C: RelationSet):
 
 
 def normalized_singular_base(T: Tableau, sp: SingularPair) -> Tableau:
-    """Shift the base so the two singular entries agree exactly (the integer
-    gap is absorbed into the orbit), leaving a zero shift vector."""
+    """The base with the two singular entries made equal (the integer gap is
+    absorbed into the orbit)."""
     d = T.base[sp.row - 1][sp.i - 1] - T.base[sp.row - 1][sp.j - 1]
     if not is_integral(d):
         raise ValueError("singular pair does not have an integral gap")

@@ -28,7 +28,6 @@ from .exactalg import (
     tau_swap,
 )
 from .tableaux import (
-    enumerate_window,
     highest_weight_tableau,
     interlacing_relations,
     maximal_relation_set,
@@ -354,7 +353,7 @@ def check_compatibility(spec: ModuleSpec, B: int) -> CheckReport:
         raise ValueError("compatibility checks need a singular spec")
     gens = [gen_e(r) for r in range(1, spec.n)] + [gen_f(r) for r in range(1, spec.n)]
     gens += [gen_qeps(k) for k in range(1, spec.n + 1)]
-    shifts = enumerate_window(spec.relations, spec.base, B)
+    shifts = [bv.z for bv in spec.window(B)]
     summary = f"{len(gens)} generators on {len(shifts)} shifts ({spec.mode})"
 
     steps = [(g, f"normal pipeline of {g!r}", f"derivative pipeline of {g!r}")

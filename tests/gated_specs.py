@@ -14,7 +14,6 @@ from functools import lru_cache
 
 from gtsingular._rat import Rat
 from gtsingular.tableaux import (
-    GENERIC,
     MultiplySingular,
     Tableau,
     detect_singular_pair,
@@ -41,7 +40,7 @@ def draw_gated(rng, n):
         sp = detect_singular_pair(T, C)
     except MultiplySingular:
         return None
-    return None if sp is GENERIC else (T, C, sp)
+    return None if sp is None else (T, C, sp)
 
 
 @lru_cache(maxsize=None)

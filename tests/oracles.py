@@ -33,9 +33,10 @@ through act_element, each word is summed on its own and its scalar scales
 the summed word, and the words are added with ModuleElement +.
 
 The exhaustive enumeration of admissible sets, the chain order of two
-positions, a tableau at a flat shift vector and its orbit membership read
-off the entries are tableaux helpers that only tests call; the last is
-the oracle of ModuleSpec.in_basis.  The helpers below the oracles (exact
+positions, the entries of a tableau moved by a flat shift vector
+(``shifted``) and orbit membership read off the entries are tableaux
+helpers that only tests call; the last is the oracle of
+ModuleSpec.in_basis.  The helpers below the oracles (exact
 derivatives, two-point evaluation, relabeling Q, the bracket of an entry
 difference in a spec's units, words of generators, weight exponents, what
 a cached coefficient or weight reads) are used by tests only.  Traced
@@ -218,7 +219,6 @@ def succ_relation(C: RelationSet, p: Position, r: Position) -> str:
     """Chain order between two support positions: 'strict' if some chain
     from p to r uses a strict step, 'weak' if chains exist but none do,
     'none' otherwise."""
-    C._build()
     pi = z_index(p.row, p.col)
     ri = z_index(r.row, r.col)
     if (C._sreach[pi] >> ri) & 1:
@@ -233,17 +233,13 @@ def succ_relation(C: RelationSet, p: Position, r: Position) -> str:
 # ---------------------------------------------------------------------------
 
 def shifted(T, z):
-    """The tableau T with its shift replaced by the flat vector z
-    (row-major over the free positions)."""
+    """The tableau of the entries of T moved by the flat vector z
+    (row-major over the positions below the top row)."""
     rows, k = [], 0
     for r in range(1, T.n):
-        rows.append(tuple(z[k:k + r]))
+        rows.append([v + d for v, d in zip(T.base[r - 1], z[k:k + r])])
         k += r
-    return tableaux.Tableau(T.n, T.base, rows)
-
-
-def flat_shift(T):
-    return tuple(v for row in T.shift for v in row)
+    return tableaux.Tableau(T.n, rows + [T.base[T.n - 1]])
 
 
 def in_basis(T, C):

@@ -130,28 +130,6 @@ class TestGating:
                 for tgt, _ in act(g, bv, spec):
                     assert tgt in basis
 
-    @pytest.mark.parametrize("mode", [QUANTUM, CLASSICAL])
-    def test_shifted_tableau_spans_the_orbit_of_its_entries(self, mode):
-        """A spec built on a shifted tableau is the spec of its entries: the
-        shift is folded into the base, not dropped."""
-        cases = [
-            (Tableau(2, [[5], [1, 0]], [[-4]]), Tableau(2, [[1], [1, 0]]),
-             interlacing_relations(2), 3),
-            (Tableau(3, [[Rat(-13, 7)], [3, 0], [Rat(5, 2), Rat(1, 3), Rat(9, 11)]],
-                     [[2], [-3, 0]]),
-             Tableau(3, [[Rat(1, 7)], [0, 0], [Rat(5, 2), Rat(1, 3), Rat(9, 11)]]),
-             RelationSet(3, []), 1),
-        ]
-        for shifted, entries, rels, B in cases:
-            spec = ModuleSpec(shifted, rels, mode)
-            want = ModuleSpec(entries, rels, mode)
-            assert spec.base == want.base and spec.singular == want.singular
-            assert spec.window(B) == want.window(B)
-            gens = [g(k) for g in (gen_e, gen_f) for k in range(1, spec.n)]
-            for bv in want.window(B):
-                for g in gens + [gen_qeps(1)]:
-                    assert act(g, bv, spec) == act(g, bv, want), (g, bv)
-
 
 class TestGeneratorValidation:
     @pytest.mark.parametrize("mode", [QUANTUM, CLASSICAL])

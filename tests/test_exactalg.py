@@ -1025,7 +1025,7 @@ def test_upmul_matches_pmul_on_embedding(a, b):
 @given(st.lists(uni_rational_dicts, min_size=1, max_size=4), st.booleans(), st.booleans())
 def test_sum_of_univariate_parts_matches_embedding(ds, cancel, monomial):
     if monomial:
-        # parts sharing one monomial take _sum's content-only path
+        # parts sharing one monomial, whose sum is a content sum
         k = next(iter(ds[0]))
         ds = [{k: next(iter(d.values()))} for d in ds]
     if cancel:

@@ -1,5 +1,5 @@
-"""Every function the benchmark's tracer wraps still exists, and the spec
-workloads still call each one they must.
+"""Every function the benchmark's tracer wraps still exists, and the
+workloads' checks still call each one they must.
 
 ``perfbench/tracing.py`` names its targets as ``module:qualname`` strings,
 so renaming or deleting a traced function, or a change that stops calling
@@ -71,4 +71,21 @@ def test_spec_workload_checks_call_every_layer_they_must():
     function that the workload must exercise.  The specs are built under
     the tracer, since building one is a traced layer too."""
     for workload, run in (("structure-c3", _structure_checks), ("relations-q3", _relation_check)):
+        assert _traced(run).missing_calls(workload) == [], workload
+
+
+def _appendix_check():
+    assert verify.check_appendix(QUANTUM, 1, 0)
+
+
+def _findim_check():
+    assert verify.check_finite_dimensional([1, 0, 0, 0])
+
+
+def test_appendix_and_findim_checks_call_every_layer_they_must():
+    """check_appendix on one quantum sample (appendix-q) and
+    check_finite_dimensional at the smallest n=4 highest weight
+    (findim-q4), each under its own tracer, call every traced function
+    that the workload must exercise."""
+    for workload, run in (("appendix-q", _appendix_check), ("findim-q4", _findim_check)):
         assert _traced(run).missing_calls(workload) == [], workload

@@ -27,6 +27,7 @@ from gtsingular import action, gtcenter, verify
 from gtsingular.action import (
     DERIVATIVE,
     NORMAL,
+    BasisVector,
     Fault,
     ModuleElement,
     ModuleSpec,
@@ -402,6 +403,54 @@ def test_gamma_pole_is_a_failed_report(monkeypatch, tag, expected):
     assert not rep.passed
     assert rep.counterexample == expected
     assert rep.summary == "9 central generators on 27 vectors (quantum)"
+
+
+def test_relations_pole_is_a_non_realizable_failure(monkeypatch):
+    # an e/f coefficient with a pole at the singular point is wrapped as
+    # NonRealizable, which the check reports with its step and vector
+    _raise_at(monkeypatch, "N", PoleAtEvaluation)
+    rep = check_defining_relations(singular_spec_n3(), 1)
+    assert not rep.passed
+    assert rep.counterexample == (
+        "closure on T[-1,-1,-1]: non-realizable coefficient: coefficient e_1,1 "
+        "at shift (-1, -1, -1) is not realizable: injected")
+
+
+def _block(*members, moved=None):
+    """A block_report row of the given members, moved by no c_mk - gamma_mk
+    unless moved gives the indices per member, with every square zero."""
+    none = ((),) * len(members)
+    return gtcenter.BlockRow((), members, len(members), (), moved or none, none)
+
+
+def _normal(*z):
+    return BasisVector(NORMAL, z)
+
+
+def _derivative(*z):
+    return BasisVector(DERIVATIVE, z)
+
+
+@pytest.mark.parametrize("rows, expected", [
+    ([_block(_normal(0, 0, 0), _normal(0, 0, 1), _normal(1, 0, 0))],
+     "block of dimension 3"),
+    ([_block(_normal(0, 0, 0), _normal(0, 0, 1))],
+     "dimension-2 block without a tableau/derivative pair"),
+    ([_block(_normal(0, 0, 0)), _block(_normal(0, 0, 1))],
+     "no dimension-2 block for tau-unfixed shifts"),
+    ([_block(_normal(0, 0, 1), _derivative(0, 1, 0), moved=((), ((1, 1),)))],
+     "(c-gamma) c_11 does not vanish on DT[0,1,0]"),
+], ids=["dimension-3", "two-normals", "only-dimension-1", "outside-singular-row"])
+def test_gamma_block_verdicts(monkeypatch, rows, expected):
+    """The paper's block claims on the singular n=3 spec (singular row 2):
+    blocks have dimension at most 2, a dimension-2 block pairs a tableau
+    with its derivative tableau, a window with tau-unfixed shifts has one,
+    and c_mk - gamma_mk moves a derivative vector only on the singular
+    row.  Each row list breaks one claim and nothing checked before it."""
+    monkeypatch.setattr(verify, "block_report", lambda spec, B, at=None: rows)
+    rep = check_gamma(singular_spec_n3(), 1)
+    assert not rep.passed
+    assert rep.counterexample == expected
 
 
 def test_compatibility_n3():
