@@ -1,6 +1,6 @@
 """Exact Gelfand-Tsetlin machinery for quantum and classical gl(n).
 
-Subpackages:
+Modules:
 
 * exactalg  -- the exact coefficient field: rational functions in Q, X, Y
                before the singular point is evaluated, in Q alone after

@@ -224,12 +224,10 @@ class ModuleSpec:
         if sp is not None:
             self.zi = z_index(sp.row, sp.i)
             self.zj = z_index(sp.row, sp.j)
-            self.eval_point = tableau.base[sp.row - 1][sp.i - 1]
             self.eval_scaled = self._sbase[sp.row - 1][sp.i - 1]
             self._xy = bracket(_XY, mode, self.qscale)
         else:
             self.zi = self.zj = None
-            self.eval_point = None
             self.eval_scaled = None
         self._bounds = shift_bounds(relations, tableau)
         self._row_start = [r * (r - 1) // 2 for r in range(self.n + 1)]

@@ -832,10 +832,10 @@ def _build(cn, cd, num, raw_num_factors, raw_den_factors, system, pre_den=()):
     """(cn / cd) * num * product(raw_num_factors) / product(raw_den_factors).
 
     cn / cd is a content; num and the raw factors are int term dicts of
-    any content and sign, keyed like num (a factor may also be a factor
-    key, taken as canonical); the contents and monomial shifts of num and
-    of every raw factor are folded into the content and num.  pre_den
-    holds factor keys already in the denominator."""
+    any content and sign, keyed like num (a numerator factor may also be
+    a factor key, taken as canonical); the contents and monomial shifts
+    of num and of every raw factor are folded into the content and num.
+    pre_den holds factor keys already in the denominator."""
     if not num:
         return FieldElement.zero(system)
     ring = _ring(num)
@@ -859,9 +859,6 @@ def _build(cn, cd, num, raw_num_factors, raw_den_factors, system, pre_den=()):
             nfac.append(_fkey(canon))
     fden = list(pre_den)
     for d in raw_den_factors:
-        if isinstance(d, tuple):
-            fden.append(d)
-            continue
         if not d:
             raise DivisionByZero("zero denominator factor")
         canon, g, s = ring.normalize(d)

@@ -4,7 +4,8 @@ A relation set is a subset of the universe R of adjacent-row inequalities
 (i,j) >= (i-1,j') and (i-1,j') > (i,j), plus weak top-row relations
 (n,i) >= (n,j).  Relation sets split into indecomposable components
 (relations sharing a position are connected); admissibility is decided
-component by component.
+component by component.  A RelationSet stores R's own relations and
+builds its components and chain closures in one closure pass.
 
 A Tableau is its entries.  The tableaux of one orbit are a base tableau
 moved by integer shifts z of its entries below the top row;
@@ -14,6 +15,7 @@ A tableau is generic when detect_singular_pair finds no singular pair
 (it returns None) and singular when it finds one.
 """
 
+from functools import cache
 from itertools import product
 from typing import NamedTuple
 
@@ -74,29 +76,34 @@ def relation_universe(n):
     return rels
 
 
-def _valid_relation(rel, n):
-    (lr, lc), (rr, rc), strict = rel
-    if not (1 <= lc <= lr <= n and 1 <= rc <= rr <= n):
-        return False
-    if strict:
-        return rr == lr + 1
-    return lr == rr + 1 or (lr == rr == n and lc != rc)
+@cache
+def _universe_table(n):
+    """relation_universe(n) as a table from each relation to itself."""
+    return {rel: rel for rel in relation_universe(n)}
 
 
 class RelationSet:
-    """A subset of the relation universe with its components and chain
-    closures, built once with the set."""
+    """A subset of the relation universe R of height n, with its components
+    and chain closures, built once with the set.
 
-    __slots__ = ("n", "relations", "_comp", "_reach", "_sreach", "_vset")
+    Each relation is looked up in R: a tuple equal to a relation of R is
+    accepted and R's own Relation stored, anything else is a ValueError.
+    The closures are bitsets over z_index positions.  _reach[p] (what
+    chains from p reach) and _comp[p] (p's component, 0 off the support)
+    come from Warshall's pass (J. ACM 9, 1962), _sreach[p] (what chains
+    with a strict step reach) from one pass over the strict relations."""
 
-    def __init__(self, n, relations=(), validate=True):
+    __slots__ = ("n", "relations", "_comp", "_reach", "_sreach")
+
+    def __init__(self, n, relations=()):
+        universe = _universe_table(n)
+        rels = set()
+        for rel in relations:
+            if rel not in universe:
+                raise ValueError(f"relation {rel!r} is not in the universe for n={n}")
+            rels.add(universe[rel])
         self.n = n
-        rels = frozenset(relations)
-        if validate:
-            for rel in rels:
-                if not _valid_relation(rel, n):
-                    raise ValueError(f"relation {rel!r} is not in the universe for n={n}")
-        self.relations = rels
+        self.relations = frozenset(rels)
         self._build()
 
     def __eq__(self, other):
@@ -119,90 +126,44 @@ class RelationSet:
     # -- components and closures ----------------------------------------------
 
     def _build(self):
-        n = self.n
-        edges = [
-            (z_index(r.lhs.row, r.lhs.col), z_index(r.rhs.row, r.rhs.col), r.strict)
-            for r in self.relations
-        ]
-        npos = n * (n + 1) // 2
-        # connected components of the support (union-find on positions)
-        parent = list(range(npos))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        vmask = 0
-        for li, ri, _ in edges:
-            vmask |= (1 << li) | (1 << ri)
-            ra, rb = find(li), find(ri)
-            if ra != rb:
-                parent[ra] = rb
-        comp = [-1] * npos
-        label = {}
-        for p in range(npos):
-            if (vmask >> p) & 1:
-                root = find(p)
-                comp[p] = label.setdefault(root, len(label))
-        self._comp = comp
-        self._vset = vmask
-        # transitive closures: reach = >=1-step chains, sreach = chains
-        # containing at least one strict step
-        adj = [0] * npos
-        sadj = [0] * npos
-        for li, ri, strict in edges:
-            adj[li] |= 1 << ri
-            if strict:
-                sadj[li] |= 1 << ri
-        reach = list(adj)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(npos):
-                m = reach[i]
-                acc = m
-                mm = m
-                while mm:
-                    b = mm & -mm
-                    acc |= reach[b.bit_length() - 1]
-                    mm ^= b
-                if acc != m:
-                    reach[i] = acc
-                    changed = True
+        npos = self.n * (self.n + 1) // 2
+        reach, comp, strict = [0] * npos, [0] * npos, []
+        for (lr, lc), (rr, rc), is_strict in self.relations:
+            a, b = z_index(lr, lc), z_index(rr, rc)
+            reach[a] |= 1 << b
+            comp[a] |= 1 << a | 1 << b
+            comp[b] |= 1 << a | 1 << b
+            if is_strict:
+                strict.append((a, b))
+        _close(reach)
+        _close(comp)
         sreach = [0] * npos
-        for a in range(npos):
-            if not sadj[a]:
-                continue
-            targets = 0
-            mm = sadj[a]
-            while mm:
-                b = mm & -mm
-                j = b.bit_length() - 1
-                targets |= (1 << j) | reach[j]
-                mm ^= b
-            for i in range(npos):
-                if i == a or (reach[i] >> a) & 1:
-                    sreach[i] |= targets
-        self._reach = reach
-        self._sreach = sreach
+        for a, b in strict:
+            hit, bit = 1 << b | reach[b], 1 << a
+            for p in range(npos):
+                if reach[p] & bit or p == a:
+                    sreach[p] |= hit
+        self._reach, self._sreach, self._comp = reach, sreach, comp
 
     @property
     def support(self):
         """All positions touched by some relation."""
-        return frozenset(
-            p for p in positions(self.n) if (self._vset >> z_index(p.row, p.col)) & 1
-        )
+        return frozenset(p for p in positions(self.n) if self._comp[z_index(*p)])
 
     def component_of(self, pos):
         """Component id of a position, or None if outside the support."""
-        c = self._comp[z_index(pos.row, pos.col)]
-        return None if c < 0 else c
+        return self._comp[z_index(*pos)] or None
 
     def same_component(self, p, q):
-        a = self._comp[z_index(p.row, p.col)]
-        return a >= 0 and a == self._comp[z_index(q.row, q.col)]
+        return bool(self._comp[z_index(*p)] >> z_index(*q) & 1)
+
+
+def _close(adj):
+    """Close a bitset adjacency list under transitivity, in place
+    (Warshall's algorithm)."""
+    for k in range(len(adj)):
+        bit, row = 1 << k, adj[k]
+        adj[:] = [r | row if r & bit else r for r in adj]
 
 
 class AdmissibilityReport(NamedTuple):
@@ -237,11 +198,11 @@ def is_admissible(C: RelationSet) -> AdmissibilityReport:
     for k, rowpos in rows.items():
         for p in rowpos:
             pi = z_index(p.row, p.col)
-            if comp[pi] < 0:
+            if not comp[pi]:
                 continue
             for q in rowpos:
                 qi = z_index(q.row, q.col)
-                if comp[qi] < 0:
+                if not comp[qi]:
                     continue
                 if (sreach[pi] >> qi) & 1 and not p.col < q.col:
                     violations.append(
@@ -307,16 +268,7 @@ def _bridged(rels, k, i, j):
 
 def implies(C: RelationSet, D: RelationSet) -> bool:
     """C implies D: every chain order forced by D is forced by C."""
-    n = C.n
-    for p in positions(n):
-        pi = z_index(p.row, p.col)
-        for q in positions(n):
-            qi = z_index(q.row, q.col)
-            if (D._sreach[pi] >> qi) & 1 and not (C._sreach[pi] >> qi) & 1:
-                return False
-            if (D._reach[pi] >> qi) & 1 and not (C._reach[pi] >> qi) & 1:
-                return False
-    return True
+    return not any(d & ~c for c, d in zip(C._reach + C._sreach, D._reach + D._sreach))
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +342,7 @@ def _integral_row_pairs(T):
 def maximal_relation_set(T: Tableau):
     """All universe relations satisfied by T, with its admissibility report."""
     rels = [rel for rel in relation_universe(T.n) if _relation_holds(T, rel)]
-    C = RelationSet(T.n, rels, validate=False)
+    C = RelationSet(T.n, rels)
     return C, is_admissible(C)
 
 
@@ -452,8 +404,8 @@ def enumerate_window(C: RelationSet, T: Tableau, B: int):
     """All shift vectors z with max-norm at most B whose tableau lies in the
     orbit basis, in lexicographic order.
 
-    The relations of C must come from relation_universe(n), as RelationSet
-    checks unless built with validate=False.  So every triple of
+    The relations of C come from relation_universe(n), as RelationSet
+    checks.  So every triple of
     shift_bounds relates an entry to one of the row above it, and the lower
     row's entry has the smaller index: it bounds z[pos] from below or above
     by z[src] plus a constant.  So the rows are filled from n-1 down to 1.

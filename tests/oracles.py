@@ -209,7 +209,7 @@ def enumerate_admissible(n: int):
     out = []
     for mask in range(1 << m):
         rels = [universe[t] for t in range(m) if (mask >> t) & 1]
-        C = RelationSet(n, rels, validate=False)
+        C = RelationSet(n, rels)
         if tableaux.is_admissible(C):
             out.append(C)
     return out

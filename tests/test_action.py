@@ -174,7 +174,29 @@ class TestGeneratorValidation:
         assert spec.basis_vector(NORMAL, (0.0, 0, 0)) == spec.basis_vector(NORMAL, (0, 0, 0))
 
 
+class TestSpecValidation:
+    def test_height_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="different heights"):
+            ModuleSpec(highest_weight_tableau([2, 1, 0]), RelationSet(2, []))
+
+    def test_non_admissible_relation_set_rejected(self):
+        T = Tableau(2, [[0], [-1, 1]])  # satisfies C, whose chain runs right to left
+        C = RelationSet(2, [((2, 2), (1, 1), False), ((1, 1), (2, 1), True)])
+        with pytest.raises(ValueError, match="not admissible"):
+            ModuleSpec(T, C)
+
+    def test_base_outside_the_relation_set_rejected(self):
+        with pytest.raises(ValueError, match="base tableau does not satisfy"):
+            ModuleSpec(Tableau(2, [[3], [1, 0]]), interlacing_relations(2))
+
+
 class TestSingularPipeline:
+    def test_derivative_expansion_needs_a_singular_spec_and_unfixed_shift(self):
+        with pytest.raises(ValueError, match="no derivative vectors"):
+            expand_derivative(generic_spec_n2(), gen_e(1), (0,))
+        with pytest.raises(ValueError, match="tau-unfixed"):
+            expand_derivative(singular_spec_n3(), gen_e(1), (0, 1, 1))
+
     def test_tau_fixed_derivative_is_zero(self):
         spec = singular_spec_n3()
         with pytest.raises(ValueError):
@@ -239,7 +261,7 @@ class TestSingularPipeline:
         # value
         spec = singular_spec_n3(mode)
         hs = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, -1), (0, 2, -1), (0, 0, 0)]
-        c = spec.eval_point
+        c = spec.base.entry(spec.singular.row, spec.singular.i)
         window = spec.window(1)
         for bv in window:
             for h in hs:

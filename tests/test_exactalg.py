@@ -135,6 +135,10 @@ class TestFieldArithmetic:
         with pytest.raises(DivisionByZero):
             ONE / ZERO
 
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(DivisionByZero, match="zero denominator"):
+            FieldElement({0: 1}, {}, QUANTUM)
+
     def test_mixed_systems_rejected(self):
         with pytest.raises(ValueError):
             ONE + FieldElement.one(CLASSICAL)

@@ -78,6 +78,12 @@ class TestGamma:
                         vals, k, spec.qscale
                     ), (m, k)
 
+    def test_indices_out_of_range_rejected(self):
+        spec = generic_spec_n3()
+        for m, k in ((4, 1), (2, 3), (1, -1)):
+            with pytest.raises(ValueError, match="out of range"):
+                gamma(spec, m, k)
+
     def test_row_swap_invariance(self):
         # swapping two row-m base entries leaves gamma unchanged
         T1 = Tableau(2, [[Rat(1, 5)], [Rat(1, 3), Rat(-1, 2)]])

@@ -28,8 +28,10 @@ from gtsingular.tableaux import (
 from gated_specs import gated_corpus
 from oracles import (
     SizeLimit,
+    chain_reachable,
     enumerate_admissible,
     in_basis,
+    naive_components,
     oracle_admissible,
     oracle_patterns,
     oracle_weyl_dimension,
@@ -52,6 +54,24 @@ def test_relation_validation():
     with pytest.raises(ValueError):
         RelationSet(3, [R(P(2, 1), P(2, 2), False)])  # same-row weak below top
     RelationSet(3, [R(P(3, 1), P(3, 2), False)])  # top-row weak is fine
+    with pytest.raises(ValueError):
+        RelationSet(2, [R(P(2, 3), P(1, 1), False)])  # column outside the triangle
+
+
+def test_equal_tuple_is_the_universe_relation():
+    C = RelationSet(2, [((2, 1), (1, 1), False)])
+    assert is_admissible(C)
+    assert C == RelationSet(2, [R(P(2, 1), P(1, 1), False)])
+    (rel,) = C.relations
+    assert type(rel) is Relation and type(rel.lhs) is Position
+    with pytest.raises(ValueError, match="not in the universe"):
+        RelationSet(2, [((3, 1), (2, 1), False)])
+
+
+def test_tableau_rows_must_have_lengths_1_to_n():
+    for base in ([[0]], [[0], [1]], [[0, 1], [1, 2]]):
+        with pytest.raises(ValueError, match="rows of lengths"):
+            Tableau(2, base)
 
 
 class TestSucc:
@@ -66,6 +86,62 @@ class TestSucc:
     def test_weak_chain(self):
         C = RelationSet(3, [R(P(3, 1), P(3, 2), False), R(P(3, 2), P(3, 3), False)])
         assert succ_relation(C, P(3, 1), P(3, 3)) == "weak"
+
+
+def chain_orders(n, rels):
+    """Every (p, q, strict) that a chain of rels from p to q forces."""
+    cells = [P(r, c) for r in range(1, n + 1) for c in range(1, r + 1)]
+    return {(p, q, s) for p in cells for s in (False, True)
+            for q in chain_reachable(rels, p, want_strict=s)}
+
+
+class TestClosureOracle:
+    """The closures, components and implies of a RelationSet against chain
+    search and naive component merging, on seeded subsets of the universe."""
+
+    @pytest.mark.parametrize("n, cases", [(2, 40), (3, 60), (4, 40)])
+    def test_closures_and_components(self, n, cases):
+        rng = random.Random(500 + n)
+        universe = relation_universe(n)
+        cells = [P(r, c) for r in range(1, n + 1) for c in range(1, r + 1)]
+        for _ in range(cases):
+            keep = rng.choice((0.05, 0.15, 0.3, 0.6))
+            rels = [rel for rel in universe if rng.random() < keep]
+            C = RelationSet(n, rels)
+            for p in cells:
+                weak = chain_reachable(rels, p, want_strict=False)
+                strict = chain_reachable(rels, p, want_strict=True)
+                for q in cells:
+                    want = "strict" if q in strict else "weak" if q in weak else "none"
+                    assert succ_relation(C, p, q) == want, (rels, p, q)
+            groups = {frozenset({rel.lhs for rel in g} | {rel.rhs for rel in g})
+                      for g in naive_components(rels)}
+            classes = {}
+            for p in cells:
+                if C.component_of(p) is not None:
+                    classes.setdefault(C.component_of(p), set()).add(p)
+            assert {frozenset(c) for c in classes.values()} == groups, rels
+            assert C.support == frozenset().union(*groups)
+
+    @pytest.mark.parametrize("n, cases", [(2, 40), (3, 60), (4, 40)])
+    def test_implies_is_chain_inclusion(self, n, cases):
+        rng = random.Random(600 + n)
+        universe = relation_universe(n)
+        seen = set()
+        for _ in range(cases):
+            rels = [rel for rel in universe if rng.random() < rng.choice((0.1, 0.3))]
+            sub = [rel for rel in rels if rng.random() < 0.5]
+            sup = rels + [rel for rel in universe if rng.random() < 0.1]
+            other = [rel for rel in universe if rng.random() < 0.2]
+            C = RelationSet(n, rels)
+            for kind, drels in (("sub", sub), ("sup", sup), ("other", other)):
+                D = RelationSet(n, drels)
+                want = chain_orders(n, drels) <= chain_orders(n, rels)
+                assert implies(C, D) == want, (kind, rels, drels)
+                if kind == "sub":
+                    assert want
+                seen.add((kind, want))
+        assert {("sup", True), ("sup", False), ("other", True), ("other", False)} <= seen
 
 
 class TestAdmissible:
@@ -115,7 +191,7 @@ class TestAdmissible:
         universe = relation_universe(2)
         for mask in range(1 << len(universe)):
             rels = [universe[t] for t in range(len(universe)) if (mask >> t) & 1]
-            lib = bool(is_admissible(RelationSet(2, rels, validate=False)))
+            lib = bool(is_admissible(RelationSet(2, rels)))
             assert lib == oracle_admissible(2, rels), f"mask {mask}"
 
     def test_agrees_with_oracle_n3_sample(self):
@@ -124,7 +200,7 @@ class TestAdmissible:
         for _ in range(1500):
             mask = rng.randrange(1 << 22)
             rels = [universe[t] for t in range(22) if (mask >> t) & 1]
-            lib = bool(is_admissible(RelationSet(3, rels, validate=False)))
+            lib = bool(is_admissible(RelationSet(3, rels)))
             assert lib == oracle_admissible(3, rels), f"mask {mask}"
 
 
@@ -222,6 +298,11 @@ class TestSingularDetection:
         T = Tableau(2, [[Rat(1, 5)], [1, 0]])
         with pytest.raises(MultiplySingular):
             detect_singular_pair(T, RelationSet(2, []))
+
+    def test_tableau_outside_the_relation_set_rejected(self):
+        T = Tableau(2, [[1], [0, 5]])  # l21 - l11 = -1
+        with pytest.raises(ValueError, match="does not satisfy"):
+            detect_singular_pair(T, RelationSet(2, [R(P(2, 1), P(1, 1), False)]))
 
     def test_integral_gap_normalization(self):
         T = Tableau(3, [[Rat(1, 7)], [3, 0], [Rat(5, 2), Rat(1, 3), Rat(9, 11)]])

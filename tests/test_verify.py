@@ -458,6 +458,11 @@ def test_compatibility_n3():
     assert rep, rep.render()
 
 
+def test_compatibility_needs_a_singular_spec():
+    with pytest.raises(ValueError, match="singular spec"):
+        check_compatibility(generic_spec_n2(), 1)
+
+
 def test_appendix_quick():
     rep = check_appendix(QUANTUM, samples=10, seed=5)
     assert rep, rep.render()
