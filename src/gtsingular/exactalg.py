@@ -561,6 +561,16 @@ class FieldElement:
             return self.num
         return _times(self.num, self.nfac, _ring(self.num).mul)
 
+    def as_q_monomial(self):
+        """(cn, cd, e) when the element is the univariate monomial
+        (cn / cd) * Q^e, as ints; None for zero, a trivariate element or
+        any other value.  A classical scalar reads as (cn, cd, 0)."""
+        num = self.num
+        if len(num) != 1 or self.nfac or self.fden:
+            return None
+        e = next(iter(num))
+        return None if type(e) is tuple else (self.cn, self.cd, e)
+
     @property
     def den(self):
         """The denominator expanded to a single term dict."""

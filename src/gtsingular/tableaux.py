@@ -96,6 +96,8 @@ class RelationSet:
     __slots__ = ("n", "relations", "_comp", "_reach", "_sreach")
 
     def __init__(self, n, relations=()):
+        if n < 1:
+            raise ValueError(f"height must be at least 1, got {n}")
         universe = _universe_table(n)
         rels = set()
         for rel in relations:
@@ -283,6 +285,8 @@ class Tableau:
     __slots__ = ("n", "base")
 
     def __init__(self, n, base):
+        if n < 1:
+            raise ValueError(f"height must be at least 1, got {n}")
         if len(base) != n or any(len(base[r]) != r + 1 for r in range(n)):
             raise ValueError("base must have rows of lengths 1..n")
         self.n = n
@@ -467,6 +471,8 @@ def highest_weight_tableau(lam) -> Tableau:
     that turn interlacing into the relation set of interlacing_relations."""
     lam = [as_int(v) for v in lam]
     n = len(lam)
+    if not n:
+        raise ValueError("highest weight must be nonempty")
     if any(lam[i] < lam[i + 1] for i in range(n - 1)):
         raise ValueError("highest weight must be weakly decreasing")
     base = [[lam[i] - i for i in range(r)] for r in range(1, n + 1)]

@@ -3,8 +3,12 @@
 Each check sweeps a finite window of starting basis vectors but never
 truncates the action itself, so every reported residual is exact: a pass
 means the residual element is identically zero, a failure carries the
-first counterexample.  The relation and finite-dimensional checks also
-check closure: no generator moves a window vector out of the basis.  No
+first counterexample.  A Cartan relation instance (one built from weight
+generators alone, or from weights and one e_r or f_r) passes on its
+grading, an integer identity of weight exponents that implies a zero
+residual; only where that identity fails is the residual built.  The
+relation and finite-dimensional checks also check closure: no generator
+moves a window vector out of the basis.  No
 spec check crashes on a coefficient it cannot compute: _guarded turns the
 error into a failure naming the step and the basis vector.
 """
@@ -37,6 +41,7 @@ from .action import (
     DERIVATIVE,
     NORMAL,
     BasisVector,
+    ModuleElement,
     ModuleSpec,
     NonRealizable,
     act,
@@ -135,9 +140,9 @@ def _relation_instances(spec):
     built once for both systems.  The systems differ in four places only,
     all set in the branch below: the Cartan identities (q^0 = 1 and
     q^h q^h' = q^(h+h') against [h, h'] = 0), how h meets a generator g
-    (the conjugation q^h g q^-h against the commutator [h, g]), the Cartan
-    part of [e_r, f_r] and the q of the Serre relations (q = 1
-    classically).
+    (the conjugation q^h g q^-h against the commutator [h, g], with the
+    grading that decides it), the Cartan part of [e_r, f_r] and the q of
+    the Serre relations (q = 1 classically).
 
     A residual is a list of unsummed (basis vector, a, b) triples, the
     product a * b on its vector (b = None stands for 1), summed once by
@@ -147,6 +152,26 @@ def _relation_instances(spec):
     coefficient it acts on, times the word's scalar (a sign, a weight or
     1/(q - q^-1)), is b, so no word is summed and reduced on its own
     before the residual is.
+
+    A Cartan instance is first decided on its grading.  A weight generator
+    q^h (h classically) acts on a basis vector v as a scalar, W_h(v) v, and
+    diagonal reads W_h(v) from act as the ints of a monomial
+    (cn / cd) Q^e, or as 0 when act gives 0.  With g b = sum_t c_t t over
+    the targets t of act(g, b) and k = +-<h, alpha_r> (+ for e_r, - for
+    f_r), the residuals are
+        q^h g q^-h b - Q^(qs k) g b = sum_t c_t (W_h(t) W_-h(b) - Q^(qs k)) t,
+        [h, g] b - k g b            = sum_t c_t (w_h(t) - w_h(b) - k) t,
+        q^0 b - b                   = (W_0(b) - 1) b,
+        q^h' q^h b - q^(h+h') b     = (W_h'(b) W_h(b) - W_(h+h')(b)) b,
+        [h, h'] b                   = (w_h(b) w_h'(b) - w_h'(b) w_h(b)) b = 0,
+    since q^-h b = W_-h(b) b and q^h t = W_h(t) t.  So when every read
+    succeeds and each bracket vanishes, checked on ints (content pairs
+    cross-multiplied, exponents added), the residual is zero and the
+    instance returns the zero element without building it.  Each c_t is a
+    nonzero coefficient of act(g, b), so a bracket is nonzero exactly where
+    the residual is.  A failed read or bracket computes the residual in
+    full as above, so no verdict rests on the grading alone, and a failure
+    names the same instance, vector and residual.
 
     A Serre instance (|r - s| = 1) is checked in its nested q-commutator
     form
@@ -167,8 +192,12 @@ def _relation_instances(spec):
     minus = FieldElement.q_monomial(mode, -1)
     instances = []
 
-    def add(label, parts):
-        instances.append((label, lambda b: combine(parts(b), spec)))
+    def add(label, parts, graded=None):
+        def residual(b):
+            if graded is not None and graded(b):
+                return ModuleElement()
+            return combine(parts(b), spec)
+        instances.append((label, residual))
 
     def word(b, *gens, c=None):
         """c (default 1) times the product of gens on the basis vector b,
@@ -192,18 +221,54 @@ def _relation_instances(spec):
         """The weight generators q^h and q^-h, built once for the table."""
         return gen_qh(h), gen_qh(tuple(-t for t in h))
 
+    def diagonal(gh, v):
+        """(cn, cd, e) when the weight generator gh acts on v as
+        (cn / cd) Q^e times v, (0, 1, 0) when it acts as 0, else None."""
+        terms = act(gh, v, spec).terms
+        if not terms:
+            return 0, 1, 0
+        c = terms.get(v)
+        return c.as_q_monomial() if c is not None and len(terms) == 1 else None
+
+    def graded_meet(b, gt, gb, g, k):
+        """shifted(the weight of gt at t, the weight of gb at b, k) on
+        every target t of g b."""
+        wb = diagonal(gb, b)
+        if wb is None:
+            return False
+        for t in act(g, b, spec).terms:
+            wt = diagonal(gt, t)
+            if wt is None or not shifted(wt, wb, k):
+                return False
+        return True
+
     h0, hmix = weights[0], weights[-1]
     if mode == QUANTUM:
-        add("q^0 = 1", lambda b, q0=gen_qh((0,) * n): word(b, q0) + [(b, minus, None)])
+        q0 = gen_qh((0,) * n)
+        add("q^0 = 1", lambda b, q0=q0: word(b, q0) + [(b, minus, None)],
+            lambda b, q0=q0: diagonal(q0, b) == (1, 1, 0))
+
+        def graded_sum(b, gh, gm, gs):
+            """W_h(b) W_h'(b) = W_(h+h')(b)."""
+            wh, wm, ws = diagonal(gh, b), diagonal(gm, b), diagonal(gs, b)
+            return (None not in (wh, wm, ws) and wh[2] + wm[2] == ws[2]
+                    and wh[0] * wm[0] * ws[1] == ws[0] * wh[1] * wm[1])
+
         for h in (h0, weights[n - 1]):
-            hsum = tuple(a + c for a, c in zip(h, hmix))
+            gens = gen_qh(h), gen_qh(hmix), gen_qh(tuple(a + c for a, c in zip(h, hmix)))
             add(f"q^h q^h' = q^(h+h'), h={h}, h'={hmix}",
-                lambda b, gh=gen_qh(h), gm=gen_qh(hmix), gs=gen_qh(hsum):
-                word(b, gm, gh) + word(b, gs, c=minus))
+                lambda b, gh=gens: word(b, gh[1], gh[0]) + word(b, gh[2], c=minus),
+                lambda b, gh=gens: graded_sum(b, *gh))
         meet_label = "q^h {g} q^-h = q^<h,a_{r}> {g}, h={h}"
 
         def meet(b, h, g):
             return word(b, h[0], g, h[1])
+
+        on_b = 1  # the weight read on b is q^-h's
+
+        def shifted(wt, wb, k):
+            """W_h(t) W_-h(b) = Q^(qs k)."""
+            return wt[2] + wb[2] == qs * k and wt[0] * wb[0] == wt[1] * wb[1]
 
         def weight_scalar(c):
             return FieldElement.q_monomial(QUANTUM, 1, c * qs)
@@ -217,12 +282,20 @@ def _relation_instances(spec):
         # -q^-1: the outer q-commutator's scalar
         outer_coeff = FieldElement.q_monomial(QUANTUM, -1, -qs)
     else:
-        add(f"[h, h'] = 0, h={h0}, h'={hmix}",
-            lambda b, g0=gen_qh(h0), gm=gen_qh(hmix): commutator(b, g0, gm))
+        gens = gen_qh(h0), gen_qh(hmix)
+        add(f"[h, h'] = 0, h={h0}, h'={hmix}", lambda b, gh=gens: commutator(b, *gh),
+            lambda b, gh=gens: None not in (diagonal(gh[0], b), diagonal(gh[1], b)))
         meet_label = "[h, {g}] = <h,a_{r}> {g}, h={h}"
 
         def meet(b, h, g):
             return commutator(b, h[0], g)
+
+        on_b = 0  # the weight read on b is h's
+
+        def shifted(wt, wb, k):
+            """w_h(t) - w_h(b) = k, both scalars."""
+            (tn, td, te), (bn, bd, be) = wt, wb
+            return not (te or be) and tn * bd - bn * td == k * td * bd
 
         def weight_scalar(c):
             return FieldElement.q_monomial(CLASSICAL, c)
@@ -233,11 +306,14 @@ def _relation_instances(spec):
         outer_coeff = minus
 
     for h in weights:
+        gh = qh(h)
         for r in range(1, n):
             for kind, gen, sgn in (("e", gen_e, 1), ("f", gen_f, -1)):
-                g, c = gen(r), -weight_scalar(sgn * spec.pairing_alpha(h, r))
+                g, k = gen(r), sgn * spec.pairing_alpha(h, r)
                 add(meet_label.format(g=f"{kind}_{r}", r=r, h=h),
-                    lambda b, gh=qh(h), g=g, c=c: meet(b, gh, g) + word(b, g, c=c))
+                    lambda b, gh=gh, g=g, c=-weight_scalar(k):
+                        meet(b, gh, g) + word(b, g, c=c),
+                    lambda b, gh=gh, g=g, k=k: graded_meet(b, gh[0], gh[on_b], g, k))
 
     for r in range(1, n):
         alpha = qh(tuple(1 if t == r else (-1 if t == r + 1 else 0) for t in range(1, n + 1)))

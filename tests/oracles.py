@@ -30,7 +30,10 @@ united, and with them the factorization that decides rendered text.
 The per-word relation residuals are the relation check as it was before
 each residual was summed in one pass: every letter of every word acts
 through act_element, each word is summed on its own and its scalar scales
-the summed word, and the words are added with ModuleElement +.
+the summed word, and the words are added with ModuleElement +.  The
+full-residual Cartan instances are the relation check's Cartan instances
+as they were before they were decided on their grading: every residual is
+built and summed, and none is read off the weight exponents.
 
 The exhaustive enumeration of admissible sets, the chain order of two
 positions, the entries of a tableau moved by a flat shift vector
@@ -786,4 +789,69 @@ def per_word_relation_instances(spec):
                 elif s - r > 1:
                     add(f"[{kind}_{r}, {kind}_{s}] = 0",
                         lambda b, gr=gr, gs=gs: commutator(b, gr, gs))
+    return instances
+
+
+def residual_cartan_instances(spec):
+    """The Cartan instances of verify._relation_instances, in the same
+    order and under the same labels, each residual built in full: the
+    words' unsummed triples summed by one combine, as the relation check
+    built every Cartan residual before it decided them on their grading."""
+    n, qs, mode = spec.n, spec.qscale, spec.mode
+    qh = action.gen_qh
+    eps = [tuple(int(t == k) for t in range(n)) for k in range(n)]
+    hmix = tuple(1 if t == 0 else (-1 if t == n - 1 else 0) for t in range(n))
+    minus = FieldElement.q_monomial(mode, -1)
+    instances = []
+
+    def add(label, parts):
+        instances.append((label, lambda b: action.combine(parts(b), spec)))
+
+    def word(b, *gens, c=None):
+        outer, inner = gens[0], gens[1:]
+        if inner:
+            elem = action.act(inner[-1], b, spec)
+            for g in reversed(inner[:-1]):
+                elem = action.act_element(g, elem, spec)
+            src = elem.terms if c is None else {bv: v * c for bv, v in elem.terms.items()}
+        else:
+            src = {b: c}
+        return [(tgt, coeff, cb)
+                for bv, cb in src.items()
+                for tgt, coeff in action.act(outer, bv, spec).terms.items()]
+
+    def neg(h):
+        return tuple(-t for t in h)
+
+    if mode == QUANTUM:
+        add("q^0 = 1", lambda b: word(b, qh((0,) * n)) + [(b, minus, None)])
+        for h in (eps[0], eps[n - 1]):
+            hsum = tuple(a + c for a, c in zip(h, hmix))
+            add(f"q^h q^h' = q^(h+h'), h={h}, h'={hmix}",
+                lambda b, h=h, hsum=hsum: word(b, qh(hmix), qh(h))
+                + word(b, qh(hsum), c=minus))
+        label = "q^h {g} q^-h = q^<h,a_{r}> {g}, h={h}"
+
+        def meet(b, h, g):
+            return word(b, qh(h), g, qh(neg(h)))
+
+        def weight_scalar(k):
+            return FieldElement.q_monomial(mode, 1, k * qs)
+    else:
+        add(f"[h, h'] = 0, h={eps[0]}, h'={hmix}",
+            lambda b: word(b, qh(eps[0]), qh(hmix)) + word(b, qh(hmix), qh(eps[0]), c=minus))
+        label = "[h, {g}] = <h,a_{r}> {g}, h={h}"
+
+        def meet(b, h, g):
+            return word(b, qh(h), g) + word(b, g, qh(h), c=minus)
+
+        def weight_scalar(k):
+            return FieldElement.q_monomial(mode, k)
+
+    for h in eps + [hmix]:
+        for r in range(1, n):
+            for kind, gen, sgn in (("e", action.gen_e, 1), ("f", action.gen_f, -1)):
+                g, c = gen(r), -weight_scalar(sgn * (h[r - 1] - h[r]))
+                add(label.format(g=f"{kind}_{r}", r=r, h=h),
+                    lambda b, h=h, g=g, c=c: meet(b, h, g) + word(b, g, c=c))
     return instances

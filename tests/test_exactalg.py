@@ -890,6 +890,20 @@ def test_zero_is_shared(system):
     assert fe_sum([], system) is zero and a * zero is zero
 
 
+def test_as_q_monomial_reads_monomials_only():
+    q = FieldElement.q_monomial
+    assert q(QUANTUM, Rat(-3, 2), 5).as_q_monomial() == (-3, 2, 5)
+    assert q(QUANTUM, 1).as_q_monomial() == (1, 1, 0)
+    assert q(CLASSICAL, Rat(7, 3)).as_q_monomial() == (7, 3, 0)
+    # a monomial over a cancelled factor is still a monomial
+    binomial = FieldElement({0: 1, 2: 1}, None, QUANTUM)
+    assert (q(QUANTUM, 2, -1) * binomial / binomial).as_q_monomial() == (2, 1, -1)
+    for other in (FieldElement.zero(QUANTUM), FieldElement.zero(CLASSICAL), binomial,
+                  q(QUANTUM, 1) / binomial, FieldElement.monomial(QUANTUM, 1, 2, 1, 0),
+                  FieldElement.one(QUANTUM)):
+        assert other.as_q_monomial() is None, other
+
+
 # canonical factors of each key form; a classical univariate value is a
 # scalar and has none
 SUM_FACTORS = {

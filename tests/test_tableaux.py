@@ -74,6 +74,26 @@ def test_tableau_rows_must_have_lengths_1_to_n():
             Tableau(2, base)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_height_below_one_is_rejected(n):
+    # a height-0 spec used to build and then recurse without end in
+    # enumerate_window
+    with pytest.raises(ValueError, match="height must be at least 1"):
+        Tableau(n, [])
+    with pytest.raises(ValueError, match="height must be at least 1"):
+        RelationSet(n, [])
+
+
+def test_height_one_builds_a_one_vector_window():
+    spec = ModuleSpec(Tableau(1, [[Rat(1, 3)]]), RelationSet(1, []))
+    assert [bv.z for bv in spec.window(1)] == [()]
+
+
+def test_empty_highest_weight_is_rejected():
+    with pytest.raises(ValueError, match="nonempty"):
+        highest_weight_tableau([])
+
+
 class TestSucc:
     def test_strict_through_chain(self):
         C = RelationSet(2, [R(P(2, 1), P(1, 1), False), R(P(1, 1), P(2, 2), True)])

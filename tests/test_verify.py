@@ -49,6 +49,7 @@ from oracles import (
     act_word,
     oracle_window_connectivity,
     per_word_relation_instances,
+    residual_cartan_instances,
     row_shifts,
     scale_q_exponents,
     translation_key,
@@ -87,28 +88,54 @@ def test_relations_classical_singular_small():
     assert rep, rep.render()
 
 
-def test_classical_relation_check_builds_few_products(monkeypatch):
-    """A residual's parts reach fe_sum as factor pairs, and a classical
-    scalar pair is summed without building its product.  On the n=3
-    fixture at B=1 the relation check makes fewer products than a quarter
-    of the parts fe_sum receives; built one by one, the products
-    outnumbered the parts."""
-    counts = {"mul": 0, "parts": 0}
-    mul, fe_sum = FieldElement.__mul__, action.fe_sum
+def count_products_in_combine(monkeypatch, combine):
+    """Count the factor pairs that reach combine and the FieldElement
+    products built while it runs (its fe_sum included) during the relation
+    check of the classical n=3 fixture at B=1, with combine standing for
+    action.combine at every call site."""
+    counts = {"pairs": 0, "mul": 0}
+    inside = False
+    mul = FieldElement.__mul__
 
     def counted_mul(self, other):
-        counts["mul"] += 1
+        counts["mul"] += inside
         return mul(self, other)
 
-    def counted_sum(elems, system):
-        counts["parts"] += len(elems)
-        return fe_sum(elems, system)
+    def counted_combine(triples, spec):
+        nonlocal inside
+        triples = list(triples)
+        counts["pairs"] += len(triples)
+        inside = True
+        try:
+            return combine(triples, spec)
+        finally:
+            inside = False
 
-    monkeypatch.setattr(FieldElement, "__mul__", counted_mul)
-    monkeypatch.setattr(action, "fe_sum", counted_sum)
-    rep = check_defining_relations(singular_spec_n3(CLASSICAL), 1)
+    with monkeypatch.context() as patch:
+        patch.setattr(FieldElement, "__mul__", counted_mul)
+        patch.setattr(action, "combine", counted_combine)
+        patch.setattr(verify, "combine", counted_combine)
+        rep = check_defining_relations(singular_spec_n3(CLASSICAL), 1)
     assert rep, rep.render()
-    assert counts["parts"] and 4 * counts["mul"] < counts["parts"], counts
+    return counts
+
+
+def test_classical_relation_check_builds_few_products(monkeypatch):
+    """A residual's parts reach combine as factor pairs, and combine sums a
+    classical scalar pair without building its product: on the n=3
+    fixture at B=1 no FieldElement product is built inside combine, whose
+    fe_sum included.  A combine that builds each product first fails the
+    same count."""
+    combine = action.combine
+    counts = count_products_in_combine(monkeypatch, combine)
+    assert counts["pairs"] and not counts["mul"], counts
+
+    def product_combine(triples, spec):
+        return combine([(bv, a if b is None else a * b, None) for bv, a, b in triples],
+                       spec)
+
+    counts = count_products_in_combine(monkeypatch, product_combine)
+    assert counts["pairs"] and counts["mul"], counts
 
 
 @pytest.mark.parametrize("mode", [QUANTUM, CLASSICAL])
@@ -133,6 +160,92 @@ def test_fused_residuals_match_per_word_residuals(fixture, B, mode):
             assert got == want(bv), f"{label} on {bv!r}"
             nonzero += not got.is_zero()
     assert nonzero
+
+
+CARTAN_CASES = pytest.mark.parametrize("fixture, mode, B", [
+    (singular_spec_n3, QUANTUM, 1), (singular_spec_n3, CLASSICAL, 1),
+    (generic_spec_n2, QUANTUM, 2), (generic_spec_n2, CLASSICAL, 2),
+    (g4_spec, QUANTUM, 0), (g4_spec, CLASSICAL, 1),
+], ids=["n3-quantum", "n3-classical", "n2-quantum", "n2-classical",
+        "G4-quantum", "G4-classical"])
+
+
+def graded_against_full_residuals(monkeypatch, spec, B):
+    """Each Cartan instance of the relation table against its full residual
+    on every window vector of spec at B: the two must be zero together,
+    and the table must build a residual (call combine) exactly where the
+    full one is nonzero, so every zero is read off the grading.  Returns
+    the number of nonzero residuals."""
+    reference = residual_cartan_instances(spec)
+    graded = dict(verify._relation_instances(spec))
+    built = []
+
+    def counted_combine(triples, spec):
+        built.append(None)
+        return action.combine(triples, spec)
+
+    nonzero = 0
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "combine", counted_combine)
+        for bv in spec.window(B):
+            for label, want in reference:
+                full = want(bv)
+                built.clear()
+                got = graded[label](bv)
+                assert got.is_zero() == full.is_zero(), f"{label} on {bv!r}"
+                assert bool(built) == (not full.is_zero()), f"{label} on {bv!r}"
+                nonzero += not full.is_zero()
+    return nonzero
+
+
+@pytest.mark.parametrize("fault", [None, Fault(sign_flip=True), Fault(drop_gate=True),
+                                   Fault(gamma_prefactor=True)],
+                         ids=["clean", "sign_flip", "drop_gate", "gamma_prefactor"])
+@CARTAN_CASES
+def test_graded_cartan_instances_match_full_residuals(monkeypatch, fixture, mode, B, fault):
+    """No Fault touches a weight, so every Cartan residual is zero, with or
+    without one, and the grading reads each zero without building it."""
+    clean = fixture(mode)
+    spec = ModuleSpec(clean.base, clean.relations, mode=mode, fault=fault)
+    labels = [label for label, _ in residual_cartan_instances(spec)]
+    table = [label for label, _ in verify._relation_instances(spec)]
+    assert labels == table[:len(labels)]
+    assert graded_against_full_residuals(monkeypatch, spec, B) == 0
+
+
+def break_row_one_weights(monkeypatch):
+    """Make every weight read its tableau's row 1 unshifted, so that the
+    weight of a vector misses the shift e_1 and f_1 make."""
+    real = ModuleSpec.weight_element
+    monkeypatch.setattr(ModuleSpec, "weight_element",
+                        lambda self, h, z: real(self, h, (0,) + tuple(z[1:])))
+
+
+@CARTAN_CASES
+def test_a_broken_weight_fails_graded_and_full_residuals_alike(monkeypatch, fixture, mode, B):
+    """Under weights that miss row 1's shift, graded and full residuals
+    still agree, some are nonzero, and the relation check renders the same
+    report, the same first failing instance and vector and the same
+    residual text, whether its Cartan instances are decided on their
+    grading or on their full residuals."""
+    with monkeypatch.context() as patch:
+        break_row_one_weights(patch)
+        assert graded_against_full_residuals(patch, fixture(mode), B)
+    real_table = verify._relation_instances
+
+    def full_table(spec):
+        full = dict(residual_cartan_instances(spec))
+        return [(label, full.get(label, residual)) for label, residual in real_table(spec)]
+
+    reports = []
+    for table in (real_table, full_table):
+        with monkeypatch.context() as patch:
+            break_row_one_weights(patch)
+            patch.setattr(verify, "_relation_instances", table)
+            reports.append(check_defining_relations(fixture(mode), B)._replace(seconds=0))
+    graded, full = reports
+    assert not graded.passed and graded.counterexample.startswith(("q^h e_1", "[h, e_1]"))
+    assert graded.render() == full.render()
 
 
 @pytest.mark.parametrize("mode", [QUANTUM, CLASSICAL])
@@ -618,6 +731,11 @@ def test_finite_dimensional_rejects_non_integral_weights():
     for lam in ([2.5, 1, 0], [Rat(5, 2), 1, 0]):
         with pytest.raises(ValueError):
             check_finite_dimensional(lam)
+
+
+def test_finite_dimensional_rejects_an_empty_weight():
+    with pytest.raises(ValueError, match="nonempty"):
+        check_finite_dimensional([])
 
 
 @pytest.mark.parametrize("mode", [QUANTUM, CLASSICAL])
