@@ -19,8 +19,9 @@ a normal input.
 
 The one placement step, place, puts each (target shift, piece) pair on the
 basis: dv on the canonical normal vector of the target and ev on its
-canonical derivative vector.  Weights are symmetric in x and y, so their
-pieces need no functional.
+canonical derivative vector.  Weights are symmetric in x and y and keep
+the shift, so a weight's value goes straight onto the input's own vector,
+with no functional and no placement step.
 
 Derivative tableaux are antisymmetric under the transposition tau of the
 singular pair; vectors are stored in canonical form (normal: z_i <= z_j,
@@ -191,6 +192,8 @@ class ModuleSpec:
                  fault: Fault = None):
         if mode not in (QUANTUM, CLASSICAL):
             raise ValueError(f"unknown mode {mode!r}")
+        if fault is not None and not isinstance(fault, Fault):
+            raise TypeError(f"fault must be a Fault or None, got {fault!r}")
         if tableau.n != relations.n:
             raise ValueError("tableau and relation set have different heights")
         rep = is_admissible(relations)
@@ -282,6 +285,8 @@ class ModuleSpec:
         return BasisVector(DERIVATIVE, self.tau(z)), -1
 
     def basis_vector(self, kind, z) -> BasisVector:
+        if kind not in (NORMAL, DERIVATIVE):
+            raise ValueError(f"unknown basis vector kind {kind!r}")
         z = tuple(as_int(v) for v in z)
         if len(z) != self.nfree:
             raise ValueError(f"shift vector must have length {self.nfree}")
@@ -444,13 +449,17 @@ def _expand(spec: ModuleSpec, tag, g: Generator, z) -> ModuleElement:
     """g on the tableau at shift z, for the _evaluated tag of the input
     kind.  e_k and f_k move column r to each gated target with the pieces
     of its coefficient.  A weight W stays at z; it is symmetric in x and y,
-    so dv([x-y] W) = ev(W) and dv(W) = 0: its piece is (W, 0) on a normal
-    input and (0, W) on a derivative input."""
+    so dv([x-y] W) = ev(W) and dv(W) = 0: W goes onto the canonical normal
+    vector of z for a normal input, and with the sign of the canonical
+    representative onto its derivative vector for a derivative input."""
     k = g.index
     if g.kind in ("qeps", "qh"):
         val = spec.weight_element(_weight(g, spec.n), z)
-        zero = FieldElement.zero(spec.mode)
-        return place(spec, [(z, (val, zero) if tag == "N" else (zero, val))])
+        if tag == "N":
+            bv, sign = spec.canonical_normal(z), 1
+        else:
+            bv, sign = spec.canonical_derivative(z)
+        return ModuleElement._raw({bv: val if sign > 0 else -val} if val else {})
     step = 1 if g.kind == "e" else -1
     start = spec._row_start[k]
     targets = []

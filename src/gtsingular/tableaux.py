@@ -5,7 +5,7 @@ A relation set is a subset of the universe R of adjacent-row inequalities
 (n,i) >= (n,j).  Relation sets split into indecomposable components
 (relations sharing a position are connected); admissibility is decided
 component by component.  A RelationSet stores R's own relations and
-builds its components and chain closures in one closure pass.
+builds its components and its reach closure in one closure pass.
 
 A Tableau is its entries.  The tableaux of one orbit are a base tableau
 moved by integer shifts z of its entries below the top row;
@@ -84,26 +84,34 @@ def _universe_table(n):
 
 class RelationSet:
     """A subset of the relation universe R of height n, with its components
-    and chain closures, built once with the set.
+    and reach closure, built once with the set.
 
     Each relation is looked up in R: a tuple equal to a relation of R is
     accepted and R's own Relation stored, anything else is a ValueError.
-    The closures are bitsets over z_index positions.  _reach[p] (what
-    chains from p reach) and _comp[p] (p's component, 0 off the support)
-    come from Warshall's pass (J. ACM 9, 1962), _sreach[p] (what chains
-    with a strict step reach) from one pass over the strict relations."""
+    The closures are bitsets over z_index positions from Warshall's pass
+    (J. ACM 9, 1962): _reach[p] is what chains from p reach, _comp[p] is
+    p's component (0 off the support).
 
-    __slots__ = ("n", "relations", "_comp", "_reach", "_sreach")
+    In R a weak relation goes down a row or stays in the top row, and a
+    strict one climbs a row.  So every chain into a higher row, or between
+    two entries of one row below the top row (it leaves the row, then
+    climbs out of it or back), has a strict step, and _reach decides
+    is_admissible's (i).  It decides implies(C, D) too: if C reaches all D
+    does and a D-chain p..q has a strict step a > b, the C-chains p..a,
+    a..b (it climbs a row, so it is strict) and b..q make a strict p..q."""
+
+    __slots__ = ("n", "relations", "_comp", "_reach")
 
     def __init__(self, n, relations=()):
         if n < 1:
             raise ValueError(f"height must be at least 1, got {n}")
-        universe = _universe_table(n)
-        rels = set()
+        universe, rels = _universe_table(n), set()
         for rel in relations:
-            if rel not in universe:
-                raise ValueError(f"relation {rel!r} is not in the universe for n={n}")
-            rels.add(universe[rel])
+            try:
+                rels.add(universe[rel])
+            except (KeyError, TypeError):  # TypeError: rel is unhashable
+                raise ValueError(
+                    f"relation {rel!r} is not in the universe for n={n}") from None
         self.n = n
         self.relations = frozenset(rels)
         self._build()
@@ -129,23 +137,15 @@ class RelationSet:
 
     def _build(self):
         npos = self.n * (self.n + 1) // 2
-        reach, comp, strict = [0] * npos, [0] * npos, []
-        for (lr, lc), (rr, rc), is_strict in self.relations:
+        reach, comp = [0] * npos, [0] * npos
+        for (lr, lc), (rr, rc), _ in self.relations:
             a, b = z_index(lr, lc), z_index(rr, rc)
             reach[a] |= 1 << b
             comp[a] |= 1 << a | 1 << b
             comp[b] |= 1 << a | 1 << b
-            if is_strict:
-                strict.append((a, b))
         _close(reach)
         _close(comp)
-        sreach = [0] * npos
-        for a, b in strict:
-            hit, bit = 1 << b | reach[b], 1 << a
-            for p in range(npos):
-                if reach[p] & bit or p == a:
-                    sreach[p] |= hit
-        self._reach, self._sreach, self._comp = reach, sreach, comp
+        self._reach, self._comp = reach, comp
 
     @property
     def support(self):
@@ -179,7 +179,7 @@ class AdmissibilityReport(NamedTuple):
 def is_admissible(C: RelationSet) -> AdmissibilityReport:
     """Check the four admissibility conditions on every component:
 
-    (i)   strict same-row chains only run left to right;
+    (i)   same-row chains below the top row (all strict) only run left to right;
     (ii)  weak top-row chains only run left to right;
     (iii) no cross (a weak down-bridge and a strict up-bridge that swap
           column order between adjacent rows);
@@ -188,32 +188,16 @@ def is_admissible(C: RelationSet) -> AdmissibilityReport:
     """
     n = C.n
     violations = []
-    comp = C._comp
-    reach = C._reach
-    sreach = C._sreach
-
-    rows = {}
-    for p in positions(n):
-        rows.setdefault(p.row, []).append(p)
+    rows = {k: [Position(k, c) for c in range(1, k + 1)] for k in range(1, n + 1)}
 
     # (i) and (ii): chain order within a row
-    for k, rowpos in rows.items():
-        for p in rowpos:
-            pi = z_index(p.row, p.col)
-            if not comp[pi]:
-                continue
-            for q in rowpos:
-                qi = z_index(q.row, q.col)
-                if not comp[qi]:
-                    continue
-                if (sreach[pi] >> qi) & 1 and not p.col < q.col:
-                    violations.append(
-                        ("i", f"strict chain {p!r} -> {q!r} with non-increasing column")
-                    )
-                if k == n and (reach[pi] >> qi) & 1 and not p.col < q.col:
-                    violations.append(
-                        ("ii", f"top-row chain {p!r} -> {q!r} with non-increasing column")
-                    )
+    for p in positions(n):
+        reach = C._reach[z_index(*p)]
+        for q in rows[p.row]:
+            if reach >> z_index(*q) & 1 and not p.col < q.col:
+                label, kind = ("i", "strict") if p.row < n else ("ii", "top-row")
+                violations.append(
+                    (label, f"{kind} chain {p!r} -> {q!r} with non-increasing column"))
 
     # (iii) crosses inside one component
     weak_down = [r for r in C.relations if not r.strict and r.lhs.row == r.rhs.row + 1]
@@ -269,8 +253,10 @@ def _bridged(rels, k, i, j):
 
 
 def implies(C: RelationSet, D: RelationSet) -> bool:
-    """C implies D: every chain order forced by D is forced by C."""
-    return not any(d & ~c for c, d in zip(C._reach + C._sreach, D._reach + D._sreach))
+    """C implies D: every chain order forced by D is forced by C.  C
+    reaches wherever D does, and then each strict D-chain has a strict
+    C-chain with the same ends (see RelationSet)."""
+    return not any(d & ~c for c, d in zip(C._reach, D._reach))
 
 
 # ---------------------------------------------------------------------------

@@ -218,17 +218,10 @@ def enumerate_admissible(n: int):
     return out
 
 
-def succ_relation(C: RelationSet, p: Position, r: Position) -> str:
-    """Chain order between two support positions: 'strict' if some chain
-    from p to r uses a strict step, 'weak' if chains exist but none do,
-    'none' otherwise."""
-    pi = z_index(p.row, p.col)
-    ri = z_index(r.row, r.col)
-    if (C._sreach[pi] >> ri) & 1:
-        return "strict"
-    if (C._reach[pi] >> ri) & 1:
-        return "weak"
-    return "none"
+def reaches(C: RelationSet, p: Position, r: Position) -> bool:
+    """Whether some chain of C runs from p to r, read from C's reach
+    closure."""
+    return bool(C._reach[z_index(p.row, p.col)] >> z_index(r.row, r.col) & 1)
 
 
 # ---------------------------------------------------------------------------

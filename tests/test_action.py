@@ -16,6 +16,7 @@ from gtsingular.action import (
     DERIVATIVE,
     NORMAL,
     BasisVector,
+    Fault,
     Generator,
     ModuleElement,
     ModuleSpec,
@@ -185,6 +186,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="not admissible"):
             ModuleSpec(T, C)
 
+    def test_fault_must_be_a_fault(self):
+        # a string used to build and then crash every spec check
+        T = highest_weight_tableau([1, 0])
+        with pytest.raises(TypeError, match="must be a Fault"):
+            ModuleSpec(T, interlacing_relations(2), fault="x")
+        assert ModuleSpec(T, interlacing_relations(2), fault=None).fault == Fault()
+
     def test_base_outside_the_relation_set_rejected(self):
         with pytest.raises(ValueError, match="base tableau does not satisfy"):
             ModuleSpec(Tableau(2, [[3], [1, 0]]), interlacing_relations(2))
@@ -201,6 +209,16 @@ class TestSingularPipeline:
         spec = singular_spec_n3()
         with pytest.raises(ValueError):
             spec.basis_vector(DERIVATIVE, (0, 0, 0))
+
+    def test_unknown_basis_vector_kind_is_rejected(self):
+        # an unknown kind used to be read as a derivative vector
+        with pytest.raises(ValueError, match="unknown basis vector kind"):
+            singular_spec_n3().basis_vector("foo", (0, 0, 1))
+
+    def test_zero_classical_weight_leaves_no_term(self):
+        spec = singular_spec_n3(CLASSICAL)
+        for kind, z in ((NORMAL, (0, 0, 0)), (DERIVATIVE, (0, 1, 0))):
+            assert act(gen_qh((0, 0, 0)), spec.basis_vector(kind, z), spec).terms == {}
 
     def test_normal_canonicalized(self):
         spec = singular_spec_n3()

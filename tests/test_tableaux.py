@@ -36,8 +36,8 @@ from oracles import (
     oracle_patterns,
     oracle_weyl_dimension,
     oracle_window,
+    reaches,
     shifted,
-    succ_relation,
 )
 
 P = Position
@@ -56,6 +56,11 @@ def test_relation_validation():
     RelationSet(3, [R(P(3, 1), P(3, 2), False)])  # top-row weak is fine
     with pytest.raises(ValueError):
         RelationSet(2, [R(P(2, 3), P(1, 1), False)])  # column outside the triangle
+
+
+def test_unhashable_relation_is_not_in_the_universe():
+    with pytest.raises(ValueError, match="not in the universe"):
+        RelationSet(2, [[(2, 1), (1, 1), False]])
 
 
 def test_equal_tuple_is_the_universe_relation():
@@ -95,17 +100,47 @@ def test_empty_highest_weight_is_rejected():
 
 
 class TestSucc:
+    """The reach closure on small sets; the oracle says which chain is strict."""
+
     def test_strict_through_chain(self):
-        C = RelationSet(2, [R(P(2, 1), P(1, 1), False), R(P(1, 1), P(2, 2), True)])
-        assert succ_relation(C, P(2, 1), P(2, 2)) == "strict"
+        rels = [R(P(2, 1), P(1, 1), False), R(P(1, 1), P(2, 2), True)]
+        assert reaches(RelationSet(2, rels), P(2, 1), P(2, 2))
+        assert P(2, 2) in chain_reachable(rels, P(2, 1), want_strict=True)
 
     def test_empty(self):
         C = RelationSet(2, [R(P(2, 1), P(1, 1), False)])
-        assert succ_relation(C, P(2, 1), P(2, 2)) == "none"
+        assert not reaches(C, P(2, 1), P(2, 2))
 
     def test_weak_chain(self):
-        C = RelationSet(3, [R(P(3, 1), P(3, 2), False), R(P(3, 2), P(3, 3), False)])
-        assert succ_relation(C, P(3, 1), P(3, 3)) == "weak"
+        rels = [R(P(3, 1), P(3, 2), False), R(P(3, 2), P(3, 3), False)]
+        assert reaches(RelationSet(3, rels), P(3, 1), P(3, 3))
+        assert P(3, 3) not in chain_reachable(rels, P(3, 1), want_strict=True)
+
+
+def seeded_subsets(n, cases, seed):
+    """cases subsets of the universe of height n, at mixed densities."""
+    rng = random.Random(seed)
+    universe = relation_universe(n)
+    for _ in range(cases):
+        keep = rng.choice((0.05, 0.15, 0.3, 0.6))
+        yield [rel for rel in universe if rng.random() < keep]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_chains_into_a_higher_row_or_within_a_lower_row_are_strict(n):
+    # the lemma that lets a RelationSet keep only its reach closure, pinned
+    # against chain search alone
+    cells = [P(r, c) for r in range(1, n + 1) for c in range(1, r + 1)]
+    climbs = 0
+    for rels in seeded_subsets(n, 200, 700 + n):
+        for p in cells:
+            weak = chain_reachable(rels, p, want_strict=False)
+            strict = chain_reachable(rels, p, want_strict=True)
+            for q in cells:
+                if q.row > p.row or q.row == p.row < n:
+                    assert (q in strict) == (q in weak), (rels, p, q)
+                    climbs += q in weak
+    assert climbs
 
 
 def chain_orders(n, rels):
@@ -121,19 +156,13 @@ class TestClosureOracle:
 
     @pytest.mark.parametrize("n, cases", [(2, 40), (3, 60), (4, 40)])
     def test_closures_and_components(self, n, cases):
-        rng = random.Random(500 + n)
-        universe = relation_universe(n)
         cells = [P(r, c) for r in range(1, n + 1) for c in range(1, r + 1)]
-        for _ in range(cases):
-            keep = rng.choice((0.05, 0.15, 0.3, 0.6))
-            rels = [rel for rel in universe if rng.random() < keep]
+        for rels in seeded_subsets(n, cases, 500 + n):
             C = RelationSet(n, rels)
             for p in cells:
                 weak = chain_reachable(rels, p, want_strict=False)
-                strict = chain_reachable(rels, p, want_strict=True)
                 for q in cells:
-                    want = "strict" if q in strict else "weak" if q in weak else "none"
-                    assert succ_relation(C, p, q) == want, (rels, p, q)
+                    assert reaches(C, p, q) == (q in weak), (rels, p, q)
             groups = {frozenset({rel.lhs for rel in g} | {rel.rhs for rel in g})
                       for g in naive_components(rels)}
             classes = {}
@@ -199,6 +228,13 @@ class TestAdmissible:
         rep = is_admissible(C)
         assert not rep and any(v[0] in ("i", "ii") for v in rep.violations)
 
+    def test_wrong_order_top_row_chain_is_one_ii_violation(self):
+        # the chain (2,2) >= (1,1) > (2,1) has a strict step, but on the top
+        # row (ii) already covers it, so it is not reported under (i) too
+        C = RelationSet(2, [((2, 2), (1, 1), False), ((1, 1), (2, 1), True)])
+        assert is_admissible(C).violations == (
+            ("ii", "top-row chain (2,2) -> (2,1) with non-increasing column"),)
+
     def test_unbridged_pair_rejected(self):
         # both (2,1) and (2,2) in one component but no bridge
         C = RelationSet(
@@ -222,6 +258,14 @@ class TestAdmissible:
             rels = [universe[t] for t in range(22) if (mask >> t) & 1]
             lib = bool(is_admissible(RelationSet(3, rels)))
             assert lib == oracle_admissible(3, rels), f"mask {mask}"
+
+    def test_agrees_with_oracle_n4_sample(self):
+        verdicts = set()
+        for rels in seeded_subsets(4, 1500, 44):
+            lib = bool(is_admissible(RelationSet(4, rels)))
+            assert lib == oracle_admissible(4, rels), rels
+            verdicts.add(lib)
+        assert verdicts == {True, False}
 
 
 def generic_tableau_n3():
